@@ -27,9 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,21 +57,6 @@ from .waveguide import (
 )
 
 FLOAT_FMT = "%.12e"
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FRIEDRICHS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    n = _threads()
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _require_keys(doc: dict, allowed: set, where: str):
@@ -204,20 +187,20 @@ def _add_model_flags(parser):
     parser.add_argument("--config", help="JSON file with default flag values")
 
 
-def _apply_config(args, subparser):
-    """Config values act as defaults; explicitly passed flags still win."""
-    if not getattr(args, "config", None):
-        return args
+def _apply_config(args, argv, parser, subparser):
+    """Config values act as defaults; explicitly passed flags still win.
+
+    The values become the subcommand's parser defaults and argv is parsed
+    again, so a flag given on the command line wins even when it equals
+    the built-in default.
+    """
     doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
     valid = set(vars(args)) - {"func", "cmd", "config"}
     _require_keys(doc, valid, "config file")
-    defaults = {a.dest: a.default for a in subparser._actions}
-    for key, value in doc.items():
-        if getattr(args, key, None) == defaults.get(key):
-            setattr(args, key, value)
-    return args
+    subparser.set_defaults(**doc)
+    return parser.parse_args(argv)
 
 
 def _write_csv(path, header_cols, rows, provenance: dict):
@@ -419,7 +402,7 @@ def _cmd_markovian(args):
             h = mk.build_markovian(build_waveguide_model(p), args.gamma)
             return mk.resonance_decomposition(h).eigenvalues
 
-        eigs = _map(flow, values)
+        eigs = [flow(x) for x in values]
         rows = []
         for x, z in zip(values, eigs):
             row = [float(x)]
@@ -553,7 +536,7 @@ def _reproduce_fig5(outdir: Path):
         h = mk.build_markovian(build_waveguide_model(p), gamma)
         return mk.resonance_decomposition(h).eigenvalues
 
-    eigs = _map(flow, values)
+    eigs = [flow(x) for x in values]
     rows = [
         (float(x), float(z[0].real), float(z[0].imag), float(z[1].real), float(z[1].imag))
         for x, z in zip(values, eigs)
@@ -730,7 +713,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            args = _apply_config(args, by_name[args.cmd])
+            args = _apply_config(args, argv, parser, by_name[args.cmd])
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)

@@ -201,37 +201,130 @@ def delta_on_grid(j, lo, up, e_grid, n_nodes=2000, chunk=512):
 # ---------------------------------------------------------------------------
 # linear-Filon transform for oscillatory integrals
 
-def _moments(theta):
-    """M0 = int_0^1 e^{-i th u} du and M1 = int_0^1 u e^{-i th u} du."""
-    m0 = np.empty(theta.shape, dtype=complex)
-    m1 = np.empty(theta.shape, dtype=complex)
-    small = np.abs(theta) < 1e-4
-    ts = theta[small]
-    m0[small] = 1.0 - 0.5j * ts - ts**2 / 6.0 + 1j * ts**3 / 24.0 + ts**4 / 120.0
-    m1[small] = 0.5 - 1j * ts / 3.0 - ts**2 / 8.0 + 1j * ts**3 / 30.0 + ts**4 / 144.0
-    tl = theta[~small]
-    ph = np.exp(-1j * tl)
-    m0[~small] = (1.0 - ph) / (1j * tl)
-    m1[~small] = (ph * (-1j * tl - 1.0) + 1.0) / (-(tl**2))
-    return m0, m1
+#: panels with |theta| = |t * dphase| below this use the Taylor series of the
+#: panel weights; above it the closed form loses at most a factor 1/theta^2
+#: of the phase accuracy, which stays below 1e-12 even on recurred phases
+THETA_SERIES = 0.25
+
+#: on an evenly spaced time grid the node phases are advanced by a fixed
+#: factor per step and recomputed exactly every this many steps, so the
+#: rounding of the recurrence (about one ulp per step) never builds up
+PHASE_RESEED = 256
+
+
+def _series_table(n_terms: int = 6) -> np.ndarray:
+    """Taylor coefficients in y = theta^2 of the two panel weights.
+
+    c0 = int_0^1 (1-u) e^{-i theta u} du and c1 = int_0^1 u e^{-i theta u} du.
+    Rows: Re c0, Re c1, -Im c0 / theta, -Im c1 / theta.
+    """
+    table = np.empty((4, n_terms))
+    for m in range(n_terms):
+        sign = (-1.0) ** m
+        table[0, m] = sign / math.factorial(2 * m + 2)
+        table[1, m] = sign * (2 * m + 1) / math.factorial(2 * m + 2)
+        table[2, m] = sign / math.factorial(2 * m + 3)
+        table[3, m] = sign * (2 * m + 2) / math.factorial(2 * m + 3)
+    return table
+
+
+_SERIES = _series_table()
+# largest y for which n terms leave a remainder below 1e-17 (alternating series)
+_SERIES_YMAX = np.array(
+    [(1e-17 * math.factorial(2 * n + 1)) ** (1.0 / n) for n in range(1, _SERIES.shape[1] + 1)]
+)
+
+
+def _uniform_step(t: np.ndarray):
+    """The step of an evenly spaced grid (equal to rounding), else None."""
+    if t.size < 3:
+        return None
+    step = (t[-1] - t[0]) / (t.size - 1)
+    tol = 8.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    if np.max(np.abs(t - (t[0] + step * np.arange(t.size)))) > tol:
+        return None
+    return step
+
+
+def _node_phases(p: np.ndarray, t: np.ndarray):
+    """Yield exp(-i p t_j) for each time in turn (the same buffer each time).
+
+    An evenly spaced grid advances the phases by exp(-i p dt) per step and
+    recomputes them exactly every PHASE_RESEED steps; any other grid
+    computes every time directly.
+    """
+    step = _uniform_step(t)
+    factor = None if step is None else np.exp(p * (-1j * step))
+    e = np.empty(p.size, dtype=complex)
+    for j, tj in enumerate(t):
+        if factor is None or j % PHASE_RESEED == 0:
+            np.multiply(p, -1j * tj, out=e)
+            np.exp(e, out=e)
+        else:
+            e *= factor
+        yield e
+
+
+def _panel_weights(t, dp, dp2, e, out):
+    """(c0, c1) of every panel at time t into out, shape (2, K-1) complex.
+
+    theta = t * dp; |theta| < THETA_SERIES takes the Taylor series with as
+    many terms as the largest such theta needs, larger |theta| the closed
+    forms with exp(-i theta) = e[k+1] * conj(e[k]).
+    """
+    y = dp2 * (t * t)
+    y_max = float(y.max()) if y.size else 0.0
+    n = int(np.searchsorted(_SERIES_YMAX, min(y_max, THETA_SERIES**2))) + 1
+    coef = _SERIES[:, :n].copy()
+    coef[2:] *= t
+    acc = np.repeat(coef[:, -1:], y.size, axis=1)
+    for m in range(n - 2, -1, -1):
+        acc *= y
+        acc += coef[:, m : m + 1]
+    out.real = acc[:2]
+    np.multiply(acc[2:], -dp, out=acc[2:])
+    out.imag = acc[2:]
+    if y_max >= THETA_SERIES**2:
+        big = y >= THETA_SERIES**2
+        th = t * dp[big]
+        ph = e[1:][big] * np.conj(e[:-1][big])
+        out[0, big] = (1.0 - 1j * th - ph) / th**2
+        out[1, big] = (ph * (1.0 + 1j * th) - 1.0) / th**2
 
 
 def fourier_linear(x, f, times, phase=None):
     """integral of f(x)*exp(-i*phase(x)*t) dx, f and phase piecewise linear.
 
-    `phase` defaults to x itself.  Exact moments per panel keep the result
-    uniformly accurate in t; a series fallback covers small phase steps.
-    Returns an array of shape (len(times),).
+    `phase` defaults to x itself.  On a panel [x_k, x_k+1] the linear
+    interpolant of f is integrated against the linear interpolant of the
+    phase exactly, so the result is uniformly accurate in t: with
+    theta = t * (phase_k+1 - phase_k) the panel adds
+    h_k e^{-i phase_k t} (f_k c0(theta) + f_k+1 c1(theta)).
+
+    `f` has shape (K,) or (N, K); N rows share every phase and panel weight,
+    so they cost about as much as one.  The node phases exp(-i phase t) on
+    an evenly spaced time grid come from a fixed per-step factor and are
+    recomputed exactly every PHASE_RESEED steps; other grids compute them
+    at every time.  Returns shape (len(times),) or (N, len(times)).
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=complex)
+    rows = np.atleast_2d(f)
     p = x if phase is None else np.asarray(phase, dtype=float)
+    t = np.asarray(times, dtype=float)
     h = np.diff(x)
     dp = np.diff(p)
-    a = f[:-1]
-    df = np.diff(f)
-    out = np.empty(len(times), dtype=complex)
-    for it, t in enumerate(np.asarray(times, dtype=float)):
-        m0, m1 = _moments(t * dp)
-        out[it] = np.sum(h * np.exp(-1j * p[:-1] * t) * (a * m0 + df * m1))
-    return out
+    dp2 = dp * dp
+    c = np.empty((2, h.size), dtype=complex)
+    he = np.empty(h.size, dtype=complex)
+    g = np.empty(x.size, dtype=complex)  # node weights: panel k-1 and panel k
+    out = np.empty((rows.shape[0], t.size), dtype=complex)
+    for j, e in enumerate(_node_phases(p, t)):
+        _panel_weights(t[j], dp, dp2, e, c)
+        np.multiply(h, e[:-1], out=he)
+        np.multiply(c[0], he, out=g[:-1])
+        g[-1] = 0.0
+        c[1] *= he
+        g[1:] += c[1]
+        out[:, j] = rows @ g
+    return out if f.ndim == 2 else out[0]

@@ -168,6 +168,20 @@ def test_config_file_defaults(tmp_path):
     ) == 2
 
 
+def test_config_never_overrides_explicit_flag(tmp_path):
+    # --kappa 1.0 equals the built-in default and must still beat the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": 2.0, "points": 3, "t_max": 1.0}))
+    out = tmp_path / "o.csv"
+    assert run(
+        ["oracle", "--n-atoms", "2", "--kappa", "1.0", "--xi", "0.3",
+         "--site", "1", "--config", str(cfg), "-o", str(out)]
+    ) == 0
+    lines = out.read_text().splitlines()
+    assert "# kappa = 1.0" in lines
+    assert len([ln for ln in lines if not ln.startswith("#")]) == 4
+
+
 def test_reproduce_fig5_deterministic(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["reproduce", "fig5", "--outdir", str(d1)]) == 0

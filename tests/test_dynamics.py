@@ -180,3 +180,5 @@ def test_error_budget_enforced(fig_cases):
         model, initial, t, bound_states=bound, error_budget=5e-4
     )
     assert series.p.size == 11
+    assert series.meta["filon_nodes"] > 32769  # base rule plus resonance nodes
+    assert 0.0 < series.meta["filon_thinning_error"] <= 5e-4

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 import friedrichs as fr
+from friedrichs import lattice
 from friedrichs.errors import LightConeViolation
 
 
@@ -17,17 +19,45 @@ def test_norm_conservation():
     assert series.meta["norm_drift"] < 1e-6
 
 
-def test_step_halving_fourth_order():
-    # steps small enough to keep the norm check quiet, large enough that
-    # the dt^4 error dominates roundoff
+@pytest.mark.parametrize(
+    "params, t_max, n_out",
+    [
+        (fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2), 50.0, 399),  # fig. 4, l=2
+        (fr.WaveguideParams(2, 1.0, 4.0, 4.0, fr.INFINITE), 10.0, 200),  # fig. 5 EP
+    ],
+    ids=["fig4_l2", "fig5_xi4"],
+)
+def test_propagator_matches_expm_multiply(params, t_max, n_out):
+    series = fr.evolve_lattice(params, t_max=t_max, dt_out=t_max / n_out)
+    n_sites, attach = lattice._required_sites(params, t_max)
+    h, _ = lattice._hamiltonian(params, n_sites, attach)
+    y0 = np.zeros(h.shape[0], dtype=complex)
+    y0[params.n_atoms - 1] = 1.0
+    states = expm_multiply(-1j * h, y0, start=0.0, stop=t_max, num=n_out + 1, endpoint=True)
+    p_ref = np.sum(np.abs(states[:, : params.n_atoms]) ** 2, axis=1)
+    assert np.max(np.abs(series.p - p_ref)) <= 1e-11
+    assert series.meta["chebyshev_terms"] >= 2
+
+
+def test_chebyshev_truncation_order():
+    # tightening the Bessel cut-off adds terms and lowers the error of one
+    # long interval against expm_multiply, down to rounding
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2)
-    runs = {
-        dt: fr.evolve_lattice(params, t_max=10.0, dt_out=1.0, dt=dt).p
-        for dt in (0.04, 0.02, 0.01)
-    }
-    e1 = np.max(np.abs(runs[0.04] - runs[0.02]))
-    e2 = np.max(np.abs(runs[0.02] - runs[0.01]))
-    assert 12.0 <= e1 / e2 <= 20.0
+    h, radius = lattice._hamiltonian(params, 200, 2)
+    y0 = np.zeros(h.shape[0], dtype=complex)
+    y0[2] = 1.0
+    dt = 5.0
+    ref = expm_multiply(-1j * dt * h, y0)
+    terms, errors = [], []
+    for tol in (1e-2, 1e-4, 1e-8, 1e-12, 1e-16):
+        coeffs = lattice._chebyshev_coefficients(radius * dt, tol)
+        y = lattice._apply_series(h / radius, coeffs, y0)
+        terms.append(coeffs.size)
+        errors.append(np.max(np.abs(y - ref)))
+    assert np.all(np.diff(terms) > 0)
+    assert np.all(np.diff(errors) < 0)
+    assert errors[1] < 1e-3 and errors[2] < 1e-7
+    assert errors[-1] < 1e-13
 
 
 def test_truncation_independence():
