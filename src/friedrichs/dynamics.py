@@ -50,23 +50,30 @@ class DecayCoefficients:
     def s_weight(self, e_values, n: int) -> np.ndarray:
         """S_n(E) on an array of energies strictly inside the band."""
         e = np.atleast_1d(np.asarray(e_values, dtype=float))
-        pref = _scatter_prefactor(self.model, self.initial, e)
+        pref, _ = _scatter_prefactor(self.model, self.initial, e)
         f_n = self.model.couplings[n]
         return pref * f_n / (e - self.model.levels[n])
 
 
 def _scatter_prefactor(model: ValidatedModel, initial: InitialState, e: np.ndarray):
-    """Gamma*I / (pi*[(1 - Delta*K)^2 + (Gamma*K)^2]) on real energies."""
+    """Gamma*I / (pi*[(1 - Delta*K)^2 + (Gamma*K)^2]) on real energies.
+
+    Also returns the node count of the Delta rule, 0 where the model's
+    closed form gave Delta.
+    """
     gamma = np.pi * np.asarray(model.j(e), dtype=float)
     ov = model.overrides
     if ov is not None and ov.delta is not None:
-        delta = np.array([ov.delta(x) for x in e], dtype=float)
+        delta = np.asarray(ov.delta(e), dtype=float)
+        delta_nodes = 0
     else:
-        delta = qd.delta_on_grid(model.j, model.omega_low, model.omega_up, e)
+        lo, up = model.omega_low, model.omega_up
+        delta = qd.delta_on_grid(model.j, lo, up, e)
+        delta_nodes = qd.delta_rule(lo, up, e)[0].size
     k = sp.k_real_grid(model, e)
     i_vals = sp.i_real_grid(model, initial, e)
     denom = (1.0 - delta * k) ** 2 + (gamma * k) ** 2
-    return gamma * i_vals / (np.pi * denom)
+    return gamma * i_vals / (np.pi * denom), delta_nodes
 
 
 def decay_coefficients(
@@ -150,6 +157,7 @@ class _BandKernel:
     k_nodes: np.ndarray  # substituted variable, [0, pi]
     e_nodes: np.ndarray  # energies (the oscillation phase)
     w: np.ndarray  # (N, K) amplitudes S_n(E(k)) * dE/dk, finite at the edges
+    delta_nodes: int = 0  # node count of the Delta rule, 0 for a closed form
 
 
 def _build_kernel(
@@ -167,7 +175,7 @@ def _build_kernel(
         e[hit] += 1e-13 * model.scale
 
     inner = slice(1, -1)
-    pref = _scatter_prefactor(model, initial, e[inner])
+    pref, delta_nodes = _scatter_prefactor(model, initial, e[inner])
     jac = half * np.sin(k[inner])
     n_lev = model.n_levels
     w = np.empty((n_lev, k.size), dtype=complex)
@@ -177,7 +185,7 @@ def _build_kernel(
     # edge nodes: W = S * dE/dk has a finite limit; extrapolate quadratically
     w[:, 0] = _quad_extrapolate(k[0], (k[1], k[2], k[3]), w[:, 1:4])
     w[:, -1] = _quad_extrapolate(k[-1], (k[-4], k[-3], k[-2]), w[:, -4:-1])
-    return _BandKernel(k_nodes=k, e_nodes=e, w=w)
+    return _BandKernel(k_nodes=k, e_nodes=e, w=w, delta_nodes=delta_nodes)
 
 
 def _kernel_for(coeffs: DecayCoefficients, n_base: int) -> _BandKernel:
@@ -217,8 +225,10 @@ def survival_probability(
     raises QuadratureBudgetExceeded (with the achieved estimate) if the
     scattering part is not converged to that absolute level.
 
-    meta holds the Filon node count (`filon_nodes`) and, when error_budget
-    is given, the thinning estimate (`filon_thinning_error`).
+    meta holds the Filon node count (`filon_nodes`), the node count of the
+    Delta rule (`delta_nodes`, 0 when the model's closed form gave Delta)
+    and, when error_budget is given, the thinning estimate
+    (`filon_thinning_error`).
     """
     t = np.asarray(times, dtype=float)
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):
@@ -230,7 +240,7 @@ def survival_probability(
 
     kern = _kernel_for(coefficients, n_base_nodes)
     s_amp = _scatter_amplitudes(kern, t)
-    meta = {"filon_nodes": int(kern.k_nodes.size)}
+    meta = {"filon_nodes": int(kern.k_nodes.size), "delta_nodes": int(kern.delta_nodes)}
     if error_budget is not None:
         sub = np.unique(np.r_[np.arange(0, kern.k_nodes.size, 2), kern.k_nodes.size - 1])
         coarse = _BandKernel(kern.k_nodes[sub], kern.e_nodes[sub], kern.w[:, sub])

@@ -66,8 +66,6 @@ class ResonanceSystem:
     left: Optional[np.ndarray] = None  # rows <Psi_i-| with <Psi-|Psi+> = 1
     norm_products: Optional[np.ndarray] = None  # V_i W_i^*
     blocks: list = field(default_factory=list)  # JordanBlock entries (defective)
-    overlap: Optional[np.ndarray] = None  # Gram matrix of the chain basis
-    overlap_inv: Optional[np.ndarray] = None
 
 
 def _eig2(h: np.ndarray):
@@ -200,14 +198,8 @@ def resonance_decomposition(
             blocks = [JordanBlock(eigenvalue=zc, vectors=np.column_stack([v1, v2]))]
         else:
             blocks = _jordan_blocks(mat, z, gap_tol)
-        basis = np.hstack([b.vectors for b in blocks])
-        overlap = basis.conj().T @ basis
         return ResonanceSystem(
-            kind=ResonanceKind.DEFECTIVE,
-            eigenvalues=z[_order(z)],
-            blocks=blocks,
-            overlap=overlap,
-            overlap_inv=np.linalg.inv(overlap),
+            kind=ResonanceKind.DEFECTIVE, eigenvalues=z[_order(z)], blocks=blocks
         )
     order = _order(z)
     z = z[order]

@@ -96,7 +96,9 @@ class AnalyticOverrides:
 
     sigma(E):        self-energy on real E outside the band or at a J-zero
     sigma_deriv(E):  its derivative on the same domain (strictly off-edge)
-    delta(E):        principal-value part inside the band
+    delta(E):        principal-value part inside the band; takes a float or
+                     an array of energies (the scattering kernel passes all
+                     its nodes in one call)
     k(z):            K(z) in the complex plane
     i_default(z):    I(z) for the model's default initial state only
     """

@@ -4,6 +4,13 @@ Finite bands are integrated after the substitution omega = mid - half*cos(k),
 k in [0, pi]: the Jacobian half*sin(k) removes inverse-square-root edge
 divergences (van Hove) and flattens power-law edge zeros, so one scheme
 covers every declared edge exponent.
+
+Three families of rules live here: adaptive `quad` for single energies
+(Sigma, its derivative, the principal value), fixed rules on energy grids
+(`sigma_on_grid`, a uniform Gauss-Legendre rule for brute-force scans, and
+`delta_on_grid`, a composite Gauss-Legendre rule whose panels are graded
+geometrically toward both edges down to the grid point nearest each), and
+the linear-Filon transform `fourier_linear` for oscillatory integrals.
 """
 from __future__ import annotations
 
@@ -176,25 +183,95 @@ def sigma_on_grid(j, lo, up, e_grid, n_nodes=600, chunk=4096):
     return out
 
 
-def delta_on_grid(j, lo, up, e_grid, n_nodes=2000, chunk=512):
+# ---------------------------------------------------------------------------
+# Delta(E) on energy grids: composite Gauss-Legendre graded toward the edges
+
+#: Gauss-Legendre nodes per panel of the Delta rule
+PANEL_NODES = 12
+#: width ratio of neighbouring panels toward a band edge
+GRADING = 4.0
+#: graded panels continue this many levels past the target nearest an edge
+PAST_TARGET = 2
+#: widest panel in the middle of the band, in k
+MID_PANEL = np.pi / 4
+#: the grading never goes below this k (targets closer to an edge than
+#: about 1e-16 of the band are below the resolution of omega anyway)
+K_FLOOR = 1e-8
+
+
+def _edge_breaks(d):
+    """Panel breakpoints d * GRADING**m from m = -PAST_TARGET on, up to the
+    first at or past MID_PANEL/3.
+
+    A pole at the mirror image -d of a target then sits at least 2/3 of a
+    panel width before any panel that does not touch the edge, graded or
+    middle, so every panel converges at least like 3**(-2 * PANEL_NODES).
+    """
+    x = max(d, K_FLOOR) / GRADING**PAST_TARGET
+    out = [x]
+    while x < MID_PANEL / 3:
+        x *= GRADING
+        out.append(x)
+    return out
+
+
+def delta_rule(lo, up, e_grid):
+    """Nodes and weights of the Delta rule for the targets e_grid.
+
+    A composite Gauss-Legendre rule in k (omega = mid - half*cos(k)) with
+    PANEL_NODES per panel.  Panels shrink by GRADING toward both edges,
+    down to GRADING**-PAST_TARGET times the k-distance of the target
+    nearest that edge, and are at most MID_PANEL wide in the middle.
+    Returns the node energies and the weights of integral dw.
+    """
+    e_grid = np.asarray(e_grid, dtype=float)
+    span = up - lo
+    d_lo = 2.0 * math.asin(math.sqrt(min(max((float(e_grid.min()) - lo) / span, 0.0), 1.0)))
+    d_up = 2.0 * math.asin(math.sqrt(min(max((up - float(e_grid.max())) / span, 0.0), 1.0)))
+    lo_b, up_b = _edge_breaks(d_lo), _edge_breaks(d_up)
+    a, c = lo_b[-1], np.pi - up_b[-1]
+    n_mid = max(1, math.ceil((c - a) / MID_PANEL))
+    breaks = np.concatenate(
+        [[0.0], lo_b[:-1], np.linspace(a, c, n_mid + 1), np.pi - np.array(up_b[-2::-1]), [np.pi]]
+    )
+    x, w = _gauss_legendre(PANEL_NODES)
+    mids, halves = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * np.diff(breaks)
+    k = (mids[:, None] + halves[:, None] * x).ravel()
+    wk = (halves[:, None] * w).ravel()
+    # omega - lo and up - omega without the cancellation of mid - half*cos(k)
+    om = np.where(k < np.pi / 2, lo + span * np.sin(0.5 * k) ** 2, up - span * np.cos(0.5 * k) ** 2)
+    # dw/dk = half*sin(k) = sqrt((w-lo)(up-w)), taken at the rounded node:
+    # next to a van Hove edge J(w) varies on the scale of w's rounding, and
+    # a weight from the unrounded k would not describe the point J saw
+    return om, wk * np.sqrt((om - lo) * (up - om))
+
+
+def delta_on_grid(j, lo, up, e_grid):
     """P.V. part Delta(E) on a grid strictly inside a finite band.
 
-    Uses the subtracted form with a fixed substituted rule; the compensated
-    integrand is as smooth as J, so the rule converges independently of how
-    close grid points sit to the nodes.
+    Subtracted form sum_m W_m (J(w_m) - J(E)) / (E - w_m) + J(E) ln((E-lo)/(up-E))
+    on the nodes of `delta_rule`: the compensated integrand is as smooth as
+    J, so the rule converges however close grid points sit to the nodes.
+
+    The grading is what targets near an edge need.  Where J(omega(k)) is
+    odd in k (half-integer edge exponents, van Hove edges) the compensated
+    integrand has a pole at the mirror image -k_E of a target, k_E outside
+    the band; any other edge exponent s puts a k**(2s+1) branch point on the
+    edge itself, which the panels past the target resolve.  The node count
+    grows with the log of the smallest k-distance: 252 nodes for the
+    32769-point Filon grid of `dynamics`.
     """
-    om, wgt = _band_nodes_weights(lo, up, n_nodes)
-    jv = np.asarray(j(om), dtype=float)
     e_grid = np.asarray(e_grid, dtype=float)
+    if e_grid.size == 0:
+        return np.empty_like(e_grid)
+    om, wgt = delta_rule(lo, up, e_grid)
+    jv = np.asarray(j(om), dtype=float)
     je = np.asarray(j(e_grid), dtype=float)
     out = np.empty_like(e_grid)
-    for i in range(0, e_grid.size, chunk):
-        blk = e_grid[i : i + chunk]
-        jb = je[i : i + chunk]
-        diff = blk[:, None] - om[None, :]
-        out[i : i + chunk] = (((jv[None, :] - jb[:, None]) / diff) * wgt[None, :]).sum(
-            axis=1
-        )
+    rows = max(1, 2**14 // om.size)  # (rows, nodes) temporaries stay in cache
+    for i in range(0, e_grid.size, rows):
+        blk = e_grid[i : i + rows]
+        out[i : i + rows] = ((jv - je[i : i + rows, None]) / (blk[:, None] - om)) @ wgt
     return out + je * np.log((e_grid - lo) / (up - e_grid))
 
 

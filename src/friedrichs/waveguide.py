@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound_states import BoundStateCensus
-from .errors import ConfigError, EInsideBand
+from .errors import ConfigError, EInsideBand, PoleHit
 from .model import (
     DIVERGENT,
     AnalyticOverrides,
@@ -170,10 +170,11 @@ def _sigma_deriv_infinite(e: float, kappa: float) -> float:
     return -abs(e) * (e * e - 4 * kappa**2) ** -1.5
 
 
-def _delta_finite_l(e: float, kappa: float, l: int) -> float:
-    # callers guarantee |e| < 2*kappa strictly
-    phi = math.acos(min(max(e / (2 * kappa), -1.0), 1.0))
-    return math.sin(2 * l * phi) / math.sqrt(4 * kappa**2 - e * e)
+def _delta_finite_l(e, kappa: float, l: int):
+    # callers guarantee |e| < 2*kappa strictly; e may be an array
+    e = np.asarray(e, dtype=float)
+    phi = np.arccos(np.clip(e / (2 * kappa), -1.0, 1.0))
+    return np.sin(2 * l * phi) / np.sqrt(4 * kappa**2 - e * e)
 
 
 def closed_form_sigma(params: WaveguideParams):
@@ -193,11 +194,12 @@ def closed_form_sigma_deriv(params: WaveguideParams):
 
 
 def closed_form_delta(params: WaveguideParams):
+    """Delta(E) inside the band; takes a float or an array of energies."""
     kap = params.kappa
     if params.infinite:
-        return lambda e: 0.0
+        return lambda e: np.zeros_like(np.asarray(e, dtype=float))
     l = params.l_int
-    return lambda e: _delta_finite_l(float(e), kap, l)
+    return lambda e: _delta_finite_l(e, kap, l)
 
 
 def closed_form_k(params: WaveguideParams):
@@ -226,8 +228,14 @@ def closed_form_k_real(params: WaveguideParams):
         if x > 1.0:
             phi = math.acosh(x)
             return (xi**2) * math.sinh(n * phi) / (lam * math.sinh((n + 1) * phi))
-        phi = math.acos(x)
-        return (xi**2) * math.sin(n * phi) / (lam * math.sin((n + 1) * phi))
+        # sin(n phi)/sin((n+1) phi) = U_{n-1}(x)/U_n(x): the recurrence stays
+        # exact at x = +-1, where the sines are both zero
+        u_prev, u = 1.0, 2.0 * x
+        for _ in range(n - 1):
+            u_prev, u = u, 2.0 * x * u - u_prev
+        if u == 0.0:
+            raise PoleHit(f"E={e} is a root of U_N: K has a pole at this chain level")
+        return (xi**2) * u_prev / (lam * u)
 
     return k
 

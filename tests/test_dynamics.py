@@ -3,6 +3,7 @@ import pytest
 
 import friedrichs as fr
 from friedrichs import dynamics as dyn
+from friedrichs import quadrature as qd
 from friedrichs.errors import QuadratureBudgetExceeded
 
 from _support import random_model, random_initial
@@ -182,3 +183,14 @@ def test_error_budget_enforced(fig_cases):
     assert series.p.size == 11
     assert series.meta["filon_nodes"] > 32769  # base rule plus resonance nodes
     assert 0.0 < series.meta["filon_thinning_error"] <= 5e-4
+    assert series.meta["delta_nodes"] == 0  # the waveguide's closed-form Delta
+
+
+def test_delta_node_count_reported():
+    model = random_model(np.random.default_rng(5), n_max=2, with_zero=True)
+    initial = random_initial(np.random.default_rng(6), model.n_levels)
+    series = fr.survival_probability(model, initial, np.linspace(0.0, 5.0, 6))
+    kern = dyn._kernel_for(fr.decay_coefficients(model, initial, []), 32769)
+    rule, _ = qd.delta_rule(model.omega_low, model.omega_up, kern.e_nodes[1:-1])
+    assert series.meta["delta_nodes"] == rule.size == kern.delta_nodes
+    assert 0 < rule.size < 400  # graded rule, not the uniform 2000 nodes

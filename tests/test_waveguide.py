@@ -5,6 +5,7 @@ import pytest
 
 import friedrichs as fr
 from friedrichs import spectral as sp
+from friedrichs.errors import PoleHit
 from friedrichs.waveguide import closed_form_k, closed_form_k_real, j_zeros
 
 
@@ -184,3 +185,39 @@ def test_specialized_census_respects_max_counts():
                     best = max(best, census.m_outside)
         expected = n_atoms + 1 if n_atoms % 2 else n_atoms
         assert best == expected
+
+
+@pytest.mark.parametrize("n_atoms", [3, 10, 20, 40])
+def test_closed_k_at_band_edge_when_kappa_equals_lambda(n_atoms):
+    # at kappa = lambda the band edge E = -2 kappa is x = -1, where
+    # sin(N phi)/sin((N+1) phi) is 0/0; the exact value is -(xi^2/lambda) N/(N+1)
+    for lam in (1.0, 0.7):
+        params = fr.WaveguideParams(n_atoms, lam, lam, 1.5, 2)
+        m = fr.build_waveguide_model(params)
+        k_closed = closed_form_k_real(params)
+        for edge in (-2.0 * lam, 2.0 * lam):
+            rational = float(np.real(fr.k_function(m, edge)))
+            assert abs(k_closed(edge) - rational) <= 1e-12 * abs(rational)
+            assert abs(abs(rational) - 1.5**2 / lam * n_atoms / (n_atoms + 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_atoms", [3, 10, 20, 40])
+def test_census_at_kappa_equals_lambda(n_atoms):
+    # kappa/lambda = 1 is where the paper's energy criterion sits
+    for xi in (0.5, 1.5, 3.0):
+        for site in (1, 2, 5, fr.INFINITE):
+            params = fr.WaveguideParams(n_atoms, 1.0, 1.0, xi, site)
+            fast = fr.waveguide_bound_state_count(params)
+            generic = fr.count_bound_states(fr.build_waveguide_model(params))
+            assert (fast.m_below, fast.m_above) == (generic.m_below, generic.m_above)
+            assert (fast.n_low, fast.n_up) == (generic.n_low, generic.n_up)
+
+
+def test_closed_k_at_a_chain_level_raises_typed_error():
+    # N=5, lambda=1: E = -1 is a root of U_5(E/2), i.e. a chain level; with
+    # kappa = 1/2 it is also the band edge the closed census evaluates
+    params = fr.WaveguideParams(5, 1.0, 0.5, 1.5, 2)
+    with pytest.raises(PoleHit):
+        closed_form_k_real(params)(-1.0)
+    with pytest.raises(PoleHit):
+        fr.waveguide_bound_state_count(params)
