@@ -52,7 +52,6 @@ from .spectral import (
     k_zeros,
     self_energy,
     self_energy_derivative,
-    self_energy_quadrature,
 )
 from .waveguide import (
     INFINITE,

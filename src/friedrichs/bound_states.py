@@ -114,27 +114,31 @@ def _mismatch(model: ValidatedModel, e: float) -> float:
     return float(np.real(sp.k_function(model, e))) - 1.0 / sp.self_energy(model, e)
 
 
-def _mismatch_deriv(model: ValidatedModel, e: float) -> float:
-    sig = sp.self_energy(model, e)
-    return float(np.real(sp.k_derivative(model, e))) + sp.self_energy_derivative(
-        model, e
-    ) / sig**2
+def _polish(model: ValidatedModel, e: float, a: float, b: float):
+    """Up to two Newton steps on K - 1/Sigma inside (a, b), one Sigma each.
 
-
-def _polish(model: ValidatedModel, e: float, a: float, b: float) -> float:
+    Returns the root and Sigma at it, or (root, None) when the last step
+    moved off the energy where Sigma was evaluated.
+    """
     for _ in range(2):
-        f = _mismatch(model, e)
-        df = _mismatch_deriv(model, e)
+        k = float(np.real(sp.k_function(model, e)))
+        sig = sp.self_energy(model, e)
+        f = k - 1.0 / sig
+        df = float(np.real(sp.k_derivative(model, e))) + sp.self_energy_derivative(
+            model, e
+        ) / sig**2
         if df == 0.0:
             break
         step = f / df
         e_new = e - step
         if not (a < e_new < b):
             break
+        if e_new != e:
+            sig = None
         e = e_new
         if abs(step) < 1e-16 * model.scale:
             break
-    return e
+    return e, sig
 
 
 def _near_pole_offset(model: ValidatedModel, pole: float, direction: int) -> float:
@@ -186,7 +190,8 @@ def _expand_sentinel(model: ValidatedModel, start: float, direction: int) -> flo
     raise RootNotFound("sentinel expansion failed")
 
 
-def _solve_bracket(model: ValidatedModel, a: float, b: float) -> float:
+def _solve_bracket(model: ValidatedModel, a: float, b: float):
+    """The root in (a, b) and Sigma there (None if not yet evaluated)."""
     root = brentq(
         lambda e: _mismatch(model, e),
         a,
@@ -265,10 +270,14 @@ def _continuum_profile(model: ValidatedModel, weight: complex, e_m: float) -> Ca
     return profile
 
 
-def _generic_state(model: ValidatedModel, e_m: float, kind: BoundStateKind) -> BoundState:
+def _generic_state(
+    model: ValidatedModel, e_m: float, kind: BoundStateKind, sig: Optional[float] = None
+) -> BoundState:
+    """The state at a root e_m; sig is Sigma(e_m) when the caller has it."""
     k = float(np.real(sp.k_function(model, e_m)))
     kp = float(np.real(sp.k_derivative(model, e_m)))
-    sig = sp.self_energy(model, e_m)
+    if sig is None:
+        sig = sp.self_energy(model, e_m)
     sigp = sp.self_energy_derivative(model, e_m)
     if abs(sig) <= 1e-14 * max(abs(k), 1.0):
         raise NormalizationFailure(f"Sigma(E_m)={sig} too close to zero at E_m={e_m}")
@@ -307,7 +316,8 @@ def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = 
                 raise RootNotFound(
                     f"bracket ({a}, {b}) not sign-changing: f(a)={fa}, f(b)={fb}"
                 )
-            states.append(_generic_state(model, _solve_bracket(model, a, b), kind))
+            root, sig = _solve_bracket(model, a, b)
+            states.append(_generic_state(model, root, kind, sig))
     states.sort(key=lambda s: s.energy)
     return states
 
@@ -349,7 +359,7 @@ def find_bics(model: ValidatedModel):
         k0 = float(np.real(sp.k_function(model, e0)))
         if abs(sig) < 1e-12 or abs(k0 - 1.0 / sig) > 1e-9 * max(abs(k0), 1.0):
             continue
-        out.append(_generic_state(model, e0, BoundStateKind.IN_CONTINUUM))
+        out.append(_generic_state(model, e0, BoundStateKind.IN_CONTINUUM, sig))
     return out
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import quadrature as qd
 from . import spectral as sp
-from .bound_states import BoundState, all_bound_states
+from .bound_states import all_bound_states
 from .errors import ConfigError, QuadratureBudgetExceeded
 from .model import InitialState, ValidatedModel
 
@@ -45,7 +45,6 @@ class DecayCoefficients:
     bound_states: list
     energies: np.ndarray  # (M,)
     R: np.ndarray  # (N, M), R[n, m]
-    _kernel_cache: dict = field(default_factory=dict, repr=False)
 
     def s_weight(self, e_values, n: int) -> np.ndarray:
         """S_n(E) on an array of energies strictly inside the band."""
@@ -62,14 +61,7 @@ def _scatter_prefactor(model: ValidatedModel, initial: InitialState, e: np.ndarr
     closed form gave Delta.
     """
     gamma = np.pi * np.asarray(model.j(e), dtype=float)
-    ov = model.overrides
-    if ov is not None and ov.delta is not None:
-        delta = np.asarray(ov.delta(e), dtype=float)
-        delta_nodes = 0
-    else:
-        lo, up = model.omega_low, model.omega_up
-        delta = qd.delta_on_grid(model.j, lo, up, e)
-        delta_nodes = qd.delta_rule(lo, up, e)[0].size
+    delta, delta_nodes = sp._delta(model, e)
     k = sp.k_real_grid(model, e)
     i_vals = sp.i_real_grid(model, initial, e)
     denom = (1.0 - delta * k) ** 2 + (gamma * k) ** 2
@@ -188,14 +180,6 @@ def _build_kernel(
     return _BandKernel(k_nodes=k, e_nodes=e, w=w, delta_nodes=delta_nodes)
 
 
-def _kernel_for(coeffs: DecayCoefficients, n_base: int) -> _BandKernel:
-    kern = coeffs._kernel_cache.get(n_base)
-    if kern is None:
-        kern = _build_kernel(coeffs.model, coeffs.initial, n_base)
-        coeffs._kernel_cache[n_base] = kern
-    return kern
-
-
 def _scatter_amplitudes(kern: _BandKernel, times) -> np.ndarray:
     """s_n(t) = int S_n(E) e^{-iEt} dE, shape (N, T)."""
     return qd.fourier_linear(kern.k_nodes, kern.w, times, phase=kern.e_nodes)
@@ -238,7 +222,7 @@ def survival_probability(
             bound_states = all_bound_states(model)
         coefficients = decay_coefficients(model, initial, bound_states)
 
-    kern = _kernel_for(coefficients, n_base_nodes)
+    kern = _build_kernel(coefficients.model, coefficients.initial, n_base_nodes)
     s_amp = _scatter_amplitudes(kern, t)
     meta = {"filon_nodes": int(kern.k_nodes.size), "delta_nodes": int(kern.delta_nodes)}
     if error_budget is not None:
@@ -274,7 +258,7 @@ def survival_amplitudes(
     """Per-level amplitudes b_n(t) + s_n(t) on an unrestricted time grid."""
     if coefficients is None:
         coefficients = decay_coefficients(model, initial, all_bound_states(model))
-    kern = _kernel_for(coefficients, n_base_nodes)
+    kern = _build_kernel(coefficients.model, coefficients.initial, n_base_nodes)
     return _bound_amplitudes(coefficients, times) + _scatter_amplitudes(kern, times)
 
 

@@ -45,10 +45,6 @@ class NormalizationFailure(FriedrichsError):
     """Bound-state normalization came out non-positive or ill-defined."""
 
 
-class EdgeEvaluationFailure(FriedrichsError):
-    """Quadrature could not certify a band-edge comparison."""
-
-
 class QuadratureBudgetExceeded(FriedrichsError):
     """Oscillatory integral error estimate above the requested tolerance."""
 

@@ -221,35 +221,22 @@ def _resonance_amplitudes(h: EffectiveHamiltonianMarkov, initial: InitialState):
     """(z, A) with A[i, n] = -I(z_i) f_n / (K'(z_i) (z_i - eps_n)).
 
     The survival probability is p(t) = sum_n |sum_i A[i, n] e^{-i z_i t}|^2.
+    Raises PoleHit when some z_i lies within 1e-13 * scale of a level, the
+    scale being the one `validate_model` gives the levels on a flat,
+    infinite band (their span or largest modulus).
     """
-    from . import spectral as sp
-    from .model import (
-        ContinuumBand,
-        DiscreteSpectrum,
-        FriedrichsModel,
-        validate_model,
-    )
-
-    flat = validate_model(
-        FriedrichsModel(
-            discrete=DiscreteSpectrum(h.levels, h.couplings),
-            continuum=ContinuumBand(
-                omega_low=-math.inf,
-                omega_up=math.inf,
-                spectral_density=lambda om: np.full_like(
-                    np.asarray(om, dtype=float), h.gamma / math.pi
-                ),
-            ),
-        )
-    )
-    sys = resonance_decomposition(h)
-    z = sys.eigenvalues
-    n = z.size
-    amp = np.empty((n, h.n), dtype=complex)
-    for i in range(n):
-        i_val = sp.i_function(flat, initial, complex(z[i]))  # PoleHit if z_i on a level
-        kp = sp.k_derivative(flat, complex(z[i]))
-        amp[i] = -i_val * h.couplings / (kp * (z[i] - h.levels))
+    tol = 1e-13 * max(float(np.ptp(h.levels)), float(np.max(np.abs(h.levels))), 1e-300)
+    w = np.conj(h.couplings) * initial.amplitudes
+    f2 = np.abs(h.couplings) ** 2
+    z = resonance_decomposition(h).eigenvalues
+    amp = np.empty((z.size, h.n), dtype=complex)
+    for i in range(z.size):
+        d = complex(z[i]) - h.levels
+        if np.min(np.abs(d)) <= tol:
+            raise PoleHit(f"resonance {z[i]} within {tol:.1e} of a level")
+        i_val = complex(np.sum(w / d))
+        kp = complex(-np.sum(f2 / d**2))
+        amp[i] = -i_val * h.couplings / (kp * d)
     return z, amp
 
 

@@ -94,20 +94,18 @@ class ContinuumBand:
 class AnalyticOverrides:
     """Closed forms used in place of quadrature when a model has them.
 
+    Only `spectral` reads them; a missing field falls back to quadrature.
+
     sigma(E):        self-energy on real E outside the band or at a J-zero
     sigma_deriv(E):  its derivative on the same domain (strictly off-edge)
     delta(E):        principal-value part inside the band; takes a float or
                      an array of energies (the scattering kernel passes all
                      its nodes in one call)
-    k(z):            K(z) in the complex plane
-    i_default(z):    I(z) for the model's default initial state only
     """
 
     sigma: Optional[Callable] = None
     sigma_deriv: Optional[Callable] = None
     delta: Optional[Callable] = None
-    k: Optional[Callable] = None
-    i_default: Optional[Callable] = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,12 +5,15 @@ k in [0, pi]: the Jacobian half*sin(k) removes inverse-square-root edge
 divergences (van Hove) and flattens power-law edge zeros, so one scheme
 covers every declared edge exponent.
 
-Three families of rules live here: adaptive `quad` for single energies
-(Sigma, its derivative, the principal value), fixed rules on energy grids
-(`sigma_on_grid`, a uniform Gauss-Legendre rule for brute-force scans, and
-`delta_on_grid`, a composite Gauss-Legendre rule whose panels are graded
-geometrically toward both edges down to the grid point nearest each), and
-the linear-Filon transform `fourier_linear` for oscillatory integrals.
+Adaptive `quad` serves single energies: `band_integral` runs it in k on a
+finite band and carries `kernel_integral` (Sigma, Sigma') there;
+`principal_value` gives Delta on (semi-)infinite bands and is the adaptive
+reference for Delta on finite ones.  Fixed rules serve energy grids:
+`sigma_on_grid`, a uniform Gauss-Legendre rule for brute-force scans, and
+`delta_on_grid`, the Delta of every finite band, a composite Gauss-Legendre
+rule whose panels are graded geometrically toward both edges down to the
+grid point nearest each.  The linear-Filon transform `fourier_linear`
+handles oscillatory integrals.
 """
 from __future__ import annotations
 
@@ -19,8 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-
-from .errors import EdgeEvaluationFailure
 
 _QUAD_LIMIT = 400
 
@@ -36,46 +37,12 @@ def _k_of_omega(omega, lo, up):
     return float(np.arccos(np.clip((mid - omega) / half, -1.0, 1.0)))
 
 
-def _finite_kernel_quad(j, lo, up, e, power, interior_points=(), epsrel=1e-11):
-    """integral of J(w)/(e-w)^power over a finite band, substituted form."""
-    mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
-
-    def f(k):
-        w = mid - half * math.cos(k)
-        return j(w) * half * math.sin(k) / (e - w) ** power
-
-    pts = sorted({_k_of_omega(p, lo, up) for p in interior_points if lo < p < up})
-    pts = [p for p in pts if 0.0 < p < np.pi]
-    val, err = quad(
-        f, 0.0, np.pi, points=pts or None, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel
-    )
-    return val, err
-
-
-def _infinite_kernel_quad(j, lo, up, e, power, epsrel=1e-11):
-    def f(w):
-        return j(w) / (e - w) ** power
-
-    val, err = quad(f, lo, up, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel)
-    return val, err
-
-
-def kernel_integral(j, lo, up, e, power=1, interior_points=(), epsrel=1e-11):
-    """integral of J(w)/(e-w)^power dw over the band, with error estimate.
-
-    e must lie outside (lo, up) or at a point where the integrand is
-    regular (a J-zero of sufficient order).
-    """
-    if math.isfinite(lo) and math.isfinite(up):
-        pts = set(interior_points)
-        if lo < e < up:
-            pts.add(e)  # removable singularity: split the panel there
-        return _finite_kernel_quad(j, lo, up, e, power, tuple(pts), epsrel)
-    return _infinite_kernel_quad(j, lo, up, e, power, epsrel)
-
-
 def band_integral(f, lo, up, interior_points=(), epsrel=1e-10):
-    """integral of f(w) dw over a finite band, substituted (edge-safe) form."""
+    """integral of f(w) dw over a finite band, substituted (edge-safe) form.
+
+    Adaptive `quad` in k over [0, pi], split at the k of each interior point;
+    the one route of every adaptive finite-band integral here.
+    """
     mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
 
     def g(k):
@@ -89,8 +56,29 @@ def band_integral(f, lo, up, interior_points=(), epsrel=1e-10):
     )
 
 
+def kernel_integral(j, lo, up, e, power=1, interior_points=(), epsrel=1e-11):
+    """integral of J(w)/(e-w)^power dw over the band, with error estimate.
+
+    e must lie outside (lo, up) or at a point where the integrand is
+    regular (a J-zero of sufficient order).
+    """
+
+    def f(w):
+        return j(w) / (e - w) ** power
+
+    if math.isfinite(lo) and math.isfinite(up):
+        pts = set(interior_points)
+        if lo < e < up:
+            pts.add(e)  # removable singularity: split the panel there
+        return band_integral(f, lo, up, tuple(pts), epsrel)
+    return quad(f, lo, up, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel)
+
+
 def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
     """P.V. integral of J(w)/(e-w) dw for e strictly inside the band.
+
+    The route of Delta on (semi-)infinite bands, where `delta_on_grid`
+    cannot run, and the adaptive reference for it on finite ones.
 
     Finite band: singularity subtraction
         int [J(w)-J(e)]/(e-w) dw + J(e)*ln|(e-lo)/(up-e)|
@@ -101,18 +89,13 @@ def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
     je = float(j_at_e) if j_at_e is not None else float(np.asarray(j(np.array([e])))[0])
 
     if math.isfinite(lo) and math.isfinite(up):
-        mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
 
-        def f(k):
-            w = mid - half * math.cos(k)
+        def f(w):
             if w == e:
-                return 0.0  # limit is -J'(e)*half*sin(k); a point does not matter
-            return (j(w) - je) * half * math.sin(k) / (e - w)
+                return 0.0  # limit is -J'(e); a point does not matter
+            return (j(w) - je) / (e - w)
 
-        ke = _k_of_omega(e, lo, up)
-        val, err = quad(
-            f, 0.0, np.pi, points=[ke], limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel
-        )
+        val, err = band_integral(f, lo, up, (e,), epsrel)
         return val + je * math.log((e - lo) / (up - e)), err
 
     # symmetric window of width W on both sides of e
@@ -146,16 +129,6 @@ def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
         v2 += a
         e2 += b
     return val + v2, err + e2
-
-
-def certify(value_err, rel_needed, scale, what="band-edge comparison"):
-    """Raise when a quadrature error estimate cannot support a comparison."""
-    val, err = value_err
-    if err > max(abs(val) * rel_needed, 1e-12 * scale):
-        raise EdgeEvaluationFailure(
-            f"{what}: value {val:.6e} with error estimate {err:.2e}"
-        )
-    return val
 
 
 # ---------------------------------------------------------------------------

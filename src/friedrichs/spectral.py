@@ -1,9 +1,12 @@
 """Scalar spectral kernels: Sigma, Sigma', Delta, Gamma, K, K', I.
 
 K and I are exact rational sums over the discrete levels (valid at complex
-arguments); Sigma and its derivative come from closed-form overrides when
-the model carries them, else from adaptive quadrature with edge-safe
-substitution.
+arguments).  This is the only module that reads a model's closed-form
+overrides: Sigma, Sigma' and Delta take them when the model carries them,
+else Sigma and Sigma' come from adaptive quadrature with edge-safe
+substitution and Delta from the graded rule of
+`quadrature.delta_on_grid` (adaptive `principal_value` on an infinite
+band), for one energy or a whole grid.
 """
 from __future__ import annotations
 
@@ -174,30 +177,34 @@ def sigma_inverse_at_edge(model: ValidatedModel, which: str):
     return 1.0 / sig, False
 
 
+def _delta(model: ValidatedModel, e):
+    """Delta(E), the principal-value part of Sigma, strictly inside the band.
+
+    The one route to Delta: the model's closed form when it has one, else
+    `quadrature.delta_on_grid` on a finite band and `principal_value` point
+    by point on a (semi-)infinite one.  e is a float or an array; returns
+    Delta of the same shape and the node count of the `delta_on_grid`
+    rule (0 for the other two).
+    """
+    ov = model.overrides
+    if ov is not None and ov.delta is not None:
+        return np.asarray(ov.delta(e), dtype=float), 0
+    x = np.atleast_1d(np.asarray(e, dtype=float))
+    lo, up = model.omega_low, model.omega_up
+    if model.finite_band:
+        delta = qd.delta_on_grid(model.j, lo, up, x)
+        nodes = qd.delta_rule(lo, up, x)[0].size
+    else:
+        pv = [qd.principal_value(model.j, lo, up, float(v), epsrel=PV_EPSREL)[0] for v in x]
+        delta, nodes = np.array(pv), 0
+    return delta.reshape(np.shape(e)), nodes
+
+
 def delta_gamma(model: ValidatedModel, e: float) -> tuple[float, float]:
     """(Delta(E), Gamma(E)) for E strictly inside the band; Gamma = pi*J(E)."""
     e = float(e)
     if not model.inside_band(e) or model.is_edge(e):
         raise EInsideBand(f"E={e} is not strictly inside the band")
     gamma = math.pi * float(np.asarray(model.j(np.array([e])))[0])
-    ov = model.overrides
-    if ov is not None and ov.delta is not None:
-        return float(ov.delta(e)), gamma
-    val, err = qd.principal_value(
-        model.j, model.omega_low, model.omega_up, e, epsrel=PV_EPSREL
-    )
-    return val, gamma
-
-
-def self_energy_quadrature(model: ValidatedModel, e: float) -> float:
-    """Force the quadrature path (ignores overrides); used for cross checks."""
-    val, _ = qd.kernel_integral(
-        model.j,
-        model.omega_low,
-        model.omega_up,
-        float(e),
-        power=1,
-        interior_points=model.interior_zeros,
-        epsrel=SIGMA_EPSREL,
-    )
-    return val
+    delta, _ = _delta(model, e)
+    return float(delta), gamma

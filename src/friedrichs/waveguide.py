@@ -7,10 +7,10 @@ basis this is a discrete-levels-plus-continuum model with
     eps_n = -2*lambda*cos(pi n/(N+1)),    f_n = xi*sqrt(2/(N+1))*sin(pi n/(N+1)),
     band [-2 kappa, 2 kappa],             J per a sin^2(l * arccos(w/2kappa)) profile,
 
-and closed forms for Sigma, Delta, Gamma, K and I.  site=math.inf selects
-the infinite-waveguide limit (flat attachment deep in the bulk): J turns
-into the bare inverse-square-root density with divergent (van Hove) edges
-and no interior zeros.
+and closed forms for Sigma, Sigma', Delta and real K.  site=math.inf
+selects the infinite-waveguide limit (flat attachment deep in the bulk): J
+turns into the bare inverse-square-root density with divergent (van Hove)
+edges and no interior zeros.
 """
 from __future__ import annotations
 
@@ -105,7 +105,10 @@ def _spectral_density(params: WaveguideParams):
             om = np.asarray(omega, dtype=float)
             out = np.zeros_like(om)
             inside = np.abs(om) < 2 * kap
-            out[inside] = 1.0 / (np.pi * np.sqrt(4 * kap**2 - om[inside] ** 2))
+            # (2k - w)(2k + w), not 4k^2 - w^2: next to an edge the difference
+            # would lose the digits a van Hove divergence magnifies
+            x = om[inside]
+            out[inside] = 1.0 / (np.pi * np.sqrt((2 * kap - x) * (2 * kap + x)))
             return out if out.ndim else float(out)
 
         return j
@@ -202,20 +205,6 @@ def closed_form_delta(params: WaveguideParams):
     return lambda e: _delta_finite_l(e, kap, l)
 
 
-def closed_form_k(params: WaveguideParams):
-    """K(z) in the complex plane (principal arccos branch)."""
-    n, lam, xi = params.n_atoms, params.lam, params.xi
-
-    def k(z):
-        z = complex(z)
-        if z.imag == 0.0:
-            return complex(closed_form_k_real(params)(z.real))
-        th = np.arccos(-z / (2 * lam))
-        return -(xi**2) * np.sin(n * th) / (lam * np.sin((n + 1) * th))
-
-    return k
-
-
 def closed_form_k_real(params: WaveguideParams):
     n, lam, xi = params.n_atoms, params.lam, params.xi
 
@@ -238,30 +227,6 @@ def closed_form_k_real(params: WaveguideParams):
         return (xi**2) * u_prev / (lam * u)
 
     return k
-
-
-def closed_form_i(params: WaveguideParams):
-    """I(z) for the default initial state (excitation at the open chain end)."""
-    n, lam, xi = params.n_atoms, params.lam, params.xi
-
-    def i_of(z):
-        z = complex(z)
-        if z.imag == 0.0:
-            e = z.real
-            x = e / (2 * lam)
-            sgn = (-1.0) ** (n + 1)
-            if x < -1.0:
-                phi = math.acosh(-x)
-                return complex(-xi * math.sinh(phi) / (lam * math.sinh((n + 1) * phi)))
-            if x > 1.0:
-                phi = math.acosh(x)
-                return complex(sgn * xi * math.sinh(phi) / (lam * math.sinh((n + 1) * phi)))
-            phi = math.acos(x)
-            return complex(sgn * xi * math.sin(phi) / (lam * math.sin((n + 1) * phi)))
-        th = np.arccos(-z / (2 * lam))
-        return -xi * np.sin(th) / (lam * np.sin((n + 1) * th))
-
-    return i_of
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +262,6 @@ def build_waveguide_model(params: WaveguideParams) -> ValidatedModel:
         sigma=closed_form_sigma(params),
         sigma_deriv=closed_form_sigma_deriv(params),
         delta=closed_form_delta(params),
-        k=closed_form_k(params),
-        i_default=closed_form_i(params),
     )
     model = FriedrichsModel(
         discrete=DiscreteSpectrum(chain_levels(params), chain_couplings(params)),

@@ -66,6 +66,11 @@ def random_model(rng, n_max=4, with_zero=False, complex_couplings=True):
     return fr.validate_model(model)
 
 
+def without_overrides(model):
+    """The same model with its closed forms dropped: every kernel by quadrature."""
+    return fr.validate_model(fr.FriedrichsModel(discrete=model.discrete, continuum=model.continuum))
+
+
 def random_initial(rng, n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return fr.InitialState.normalized(v)

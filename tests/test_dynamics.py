@@ -190,7 +190,7 @@ def test_delta_node_count_reported():
     model = random_model(np.random.default_rng(5), n_max=2, with_zero=True)
     initial = random_initial(np.random.default_rng(6), model.n_levels)
     series = fr.survival_probability(model, initial, np.linspace(0.0, 5.0, 6))
-    kern = dyn._kernel_for(fr.decay_coefficients(model, initial, []), 32769)
+    kern = dyn._build_kernel(model, initial, 32769)
     rule, _ = qd.delta_rule(model.omega_low, model.omega_up, kern.e_nodes[1:-1])
     assert series.meta["delta_nodes"] == rule.size == kern.delta_nodes
     assert 0 < rule.size < 400  # graded rule, not the uniform 2000 nodes

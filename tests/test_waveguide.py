@@ -6,7 +6,9 @@ import pytest
 import friedrichs as fr
 from friedrichs import spectral as sp
 from friedrichs.errors import PoleHit
-from friedrichs.waveguide import closed_form_k, closed_form_k_real, j_zeros
+from friedrichs.waveguide import closed_form_k_real, j_zeros
+
+from _support import without_overrides
 
 
 def test_levels_n3():
@@ -58,16 +60,6 @@ def test_closed_k_matches_rational_sum():
                 assert k_closed(e) == pytest.approx(rational, rel=1e-10, abs=1e-12)
 
 
-def test_closed_k_complex_plane():
-    params = fr.WaveguideParams(3, 1.0, 0.8, 0.45, 2)
-    m = fr.build_waveguide_model(params)
-    k_closed = closed_form_k(params)
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 3.0) * (1 if rng.integers(2) else -1))
-        assert complex(k_closed(z)) == pytest.approx(fr.k_function(m, z), rel=1e-10)
-
-
 def test_piecewise_k_continuous_at_corners():
     params = fr.WaveguideParams(4, 1.0, 0.7, 0.5, 2)
     k_closed = closed_form_k_real(params)
@@ -103,9 +95,10 @@ def test_closed_sigma_matches_quadrature():
     for site in (1, 2, 3, fr.INFINITE):
         params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, site)
         m = fr.build_waveguide_model(params)
+        stripped = without_overrides(m)
         for _ in range(20):
             e = float(rng.uniform(1.55, 6.0)) * (1 if rng.integers(2) else -1)
-            assert fr.self_energy_quadrature(m, e) == pytest.approx(
+            assert fr.self_energy(stripped, e) == pytest.approx(
                 m.overrides.sigma(e), rel=1e-8
             )
 
