@@ -38,20 +38,13 @@ class LongTimeLimit:
 
 @dataclass(eq=False)
 class DecayCoefficients:
-    """Bound-state weights R[n, m] and the scattering spectral weight S_n(E)."""
+    """Bound-state weights R[n, m] of a model and initial state."""
 
     model: ValidatedModel
     initial: InitialState
     bound_states: list
     energies: np.ndarray  # (M,)
     R: np.ndarray  # (N, M), R[n, m]
-
-    def s_weight(self, e_values, n: int) -> np.ndarray:
-        """S_n(E) on an array of energies strictly inside the band."""
-        e = np.atleast_1d(np.asarray(e_values, dtype=float))
-        pref, _ = _scatter_prefactor(self.model, self.initial, e)
-        f_n = self.model.couplings[n]
-        return pref * f_n / (e - self.model.levels[n])
 
 
 def _scatter_prefactor(model: ValidatedModel, initial: InitialState, e: np.ndarray):

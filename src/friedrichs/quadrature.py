@@ -5,15 +5,14 @@ k in [0, pi]: the Jacobian half*sin(k) removes inverse-square-root edge
 divergences (van Hove) and flattens power-law edge zeros, so one scheme
 covers every declared edge exponent.
 
-Adaptive `quad` serves single energies: `band_integral` runs it in k on a
-finite band and carries `kernel_integral` (Sigma, Sigma') there;
-`principal_value` gives Delta on (semi-)infinite bands and is the adaptive
-reference for Delta on finite ones.  Fixed rules serve energy grids:
-`sigma_on_grid`, a uniform Gauss-Legendre rule for brute-force scans, and
-`delta_on_grid`, the Delta of every finite band, a composite Gauss-Legendre
-rule whose panels are graded geometrically toward both edges down to the
-grid point nearest each.  The linear-Filon transform `fourier_linear`
-handles oscillatory integrals.
+Finite bands take fixed composite Gauss-Legendre rules in k whose panels
+are graded geometrically toward both edges: `delta_on_grid`, the Delta of
+every finite band, grades down to the grid point nearest each edge, and
+`kernel_integral` (Sigma, Sigma') down to the pole that an energy outside
+the band puts at imaginary k.  Adaptive `quad` serves only (semi-)infinite
+bands and the tests: `kernel_integral` and `principal_value` run it there,
+`band_integral` is the k-substituted adaptive reference on a finite band.
+The linear-Filon transform `fourier_linear` handles oscillatory integrals.
 """
 from __future__ import annotations
 
@@ -26,10 +25,7 @@ from scipy.integrate import quad
 _QUAD_LIMIT = 400
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+_gauss_legendre = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
 def _k_of_omega(omega, lo, up):
@@ -40,8 +36,8 @@ def _k_of_omega(omega, lo, up):
 def band_integral(f, lo, up, interior_points=(), epsrel=1e-10):
     """integral of f(w) dw over a finite band, substituted (edge-safe) form.
 
-    Adaptive `quad` in k over [0, pi], split at the k of each interior point;
-    the one route of every adaptive finite-band integral here.
+    Adaptive `quad` in k over [0, pi], split at the k of each interior point:
+    the reference of the fixed rules, and the route of `principal_value`.
     """
     mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
 
@@ -60,18 +56,15 @@ def kernel_integral(j, lo, up, e, power=1, interior_points=(), epsrel=1e-11):
     """integral of J(w)/(e-w)^power dw over the band, with error estimate.
 
     e must lie outside (lo, up) or at a point where the integrand is
-    regular (a J-zero of sufficient order).
+    regular (a J-zero of sufficient order).  A finite band takes the fixed
+    graded rule of `_kernel_sum`; epsrel steers only the adaptive `quad` of
+    a (semi-)infinite band.
     """
-
-    def f(w):
-        return j(w) / (e - w) ** power
-
     if math.isfinite(lo) and math.isfinite(up):
-        pts = set(interior_points)
-        if lo < e < up:
-            pts.add(e)  # removable singularity: split the panel there
-        return band_integral(f, lo, up, tuple(pts), epsrel)
-    return quad(f, lo, up, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel)
+        return _kernel_sum(j, lo, up, e, power, interior_points)
+    return quad(
+        lambda w: j(w) / (e - w) ** power, lo, up, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel
+    )
 
 
 def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
@@ -119,41 +112,11 @@ def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
         v2, e2 = quad(tails, win, math.inf, limit=_QUAD_LIMIT, epsabs=1e-12)
         return val + v2, err + e2
 
-    v2 = e2 = 0.0
-    if lo < e - win:
-        a, b = quad(lambda w: j(w) / (e - w), lo, e - win, limit=_QUAD_LIMIT)
-        v2 += a
-        e2 += b
-    if e + win < up:
-        a, b = quad(lambda w: j(w) / (e - w), e + win, up, limit=_QUAD_LIMIT)
-        v2 += a
-        e2 += b
-    return val + v2, err + e2
-
-
-# ---------------------------------------------------------------------------
-# vectorized fixed-rule evaluation on energy grids (brute-force scans)
-
-def _band_nodes_weights(lo, up, n_nodes):
-    x, w = _gauss_legendre(n_nodes)
-    k = 0.5 * (x + 1.0) * np.pi
-    wk = w * (np.pi / 2.0)
-    mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
-    om = mid - half * np.cos(k)
-    jac = half * np.sin(k)
-    return om, wk * jac
-
-
-def sigma_on_grid(j, lo, up, e_grid, n_nodes=600, chunk=4096):
-    """Sigma(E) on a grid of energies outside a finite band (fixed rule)."""
-    om, wgt = _band_nodes_weights(lo, up, n_nodes)
-    jw = np.asarray(j(om), dtype=float) * wgt
-    e_grid = np.asarray(e_grid, dtype=float)
-    out = np.empty_like(e_grid)
-    for i in range(0, e_grid.size, chunk):
-        blk = e_grid[i : i + chunk]
-        out[i : i + chunk] = (jw[None, :] / (blk[:, None] - om[None, :])).sum(axis=1)
-    return out
+    for a, b in ((lo, e - win), (e + win, up)):
+        if a < b:
+            v2, e2 = quad(lambda w: j(w) / (e - w), a, b, limit=_QUAD_LIMIT)
+            val, err = val + v2, err + e2
+    return val, err
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +151,31 @@ def _edge_breaks(d):
     return out
 
 
+def _breaks(d_lo, d_up):
+    """Panel breakpoints in k: `_edge_breaks` toward both edges, and panels
+    at most MID_PANEL wide between them."""
+    lo_b, up_b = _edge_breaks(d_lo), _edge_breaks(d_up)
+    a, c = lo_b[-1], np.pi - up_b[-1]
+    mid = np.linspace(a, c, max(1, math.ceil((c - a) / MID_PANEL)) + 1)
+    return np.concatenate([[0.0], lo_b[:-1], mid, np.pi - np.array(up_b[-2::-1]), [np.pi]])
+
+
+def _panels(lo, up, breaks, nodes=PANEL_NODES):
+    """Per panel between breaks: weights in k, energies, dw/dk at the rounded
+    energy (next to a van Hove edge J varies on that scale) and the k each
+    node moves by in rounding.  Nodes sit at a k-distance u from the nearer
+    end of [0, pi], energies at lo + span*sin^2(u/2) or up - span*sin^2(u/2)."""
+    x, w = _gauss_legendre(nodes)
+    upper = breaks[1:] + breaks[:-1] > np.pi
+    a, b = (np.where(upper, np.pi - v, v)[:, None] for v in (breaks[:-1], breaks[1:]))
+    u = 0.5 * (a + b) + 0.5 * (b - a) * x
+    span, edge = up - lo, np.where(upper, up, lo)[:, None]
+    t = np.where(upper, -span, span)[:, None] * np.sin(0.5 * u) ** 2
+    om = edge + t
+    slip = ((om - edge) - t) / (0.5 * span * np.sin(u))  # rounding / exact dw/dk
+    return 0.5 * np.diff(breaks)[:, None] * w, om, np.sqrt((om - lo) * (up - om)), slip
+
+
 def delta_rule(lo, up, e_grid):
     """Nodes and weights of the Delta rule for the targets e_grid.
 
@@ -201,22 +189,8 @@ def delta_rule(lo, up, e_grid):
     span = up - lo
     d_lo = 2.0 * math.asin(math.sqrt(min(max((float(e_grid.min()) - lo) / span, 0.0), 1.0)))
     d_up = 2.0 * math.asin(math.sqrt(min(max((up - float(e_grid.max())) / span, 0.0), 1.0)))
-    lo_b, up_b = _edge_breaks(d_lo), _edge_breaks(d_up)
-    a, c = lo_b[-1], np.pi - up_b[-1]
-    n_mid = max(1, math.ceil((c - a) / MID_PANEL))
-    breaks = np.concatenate(
-        [[0.0], lo_b[:-1], np.linspace(a, c, n_mid + 1), np.pi - np.array(up_b[-2::-1]), [np.pi]]
-    )
-    x, w = _gauss_legendre(PANEL_NODES)
-    mids, halves = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * np.diff(breaks)
-    k = (mids[:, None] + halves[:, None] * x).ravel()
-    wk = (halves[:, None] * w).ravel()
-    # omega - lo and up - omega without the cancellation of mid - half*cos(k)
-    om = np.where(k < np.pi / 2, lo + span * np.sin(0.5 * k) ** 2, up - span * np.cos(0.5 * k) ** 2)
-    # dw/dk = half*sin(k) = sqrt((w-lo)(up-w)), taken at the rounded node:
-    # next to a van Hove edge J(w) varies on the scale of w's rounding, and
-    # a weight from the unrounded k would not describe the point J saw
-    return om, wk * np.sqrt((om - lo) * (up - om))
+    wk, om, jac, _ = _panels(lo, up, _breaks(d_lo, d_up))
+    return om.ravel(), (wk * jac).ravel()
 
 
 def delta_on_grid(j, lo, up, e_grid):
@@ -246,6 +220,57 @@ def delta_on_grid(j, lo, up, e_grid):
         blk = e_grid[i : i + rows]
         out[i : i + rows] = ((jv - je[i : i + rows, None]) / (blk[:, None] - om)) @ wgt
     return out + je * np.log((e_grid - lo) / (up - e_grid))
+
+
+# ---------------------------------------------------------------------------
+# Sigma(E) and Sigma'(E) on a finite band: the graded rule of one energy
+
+#: each edge is graded as if a pole sat at most this far from it in k: 2s not
+#: an integer puts a k**(2s+1) branch point there, and the rule cannot see s
+_EDGE_DEPTH = 0.25
+_RESOLVE_ULPS = 1  # the first node of an edge panel stays this many ulps off
+_SIGMA_NODES = 16  # per panel: past the pole a panel converges like 3**(-2n)
+
+
+@lru_cache(maxsize=1)
+def _differentiation():
+    """D @ f: derivative of the interpolant of f at the Gauss nodes of [-1, 1]."""
+    v = np.polynomial.legendre.legvander(_gauss_legendre(_SIGMA_NODES)[0], _SIGMA_NODES - 1)
+    return v[:, :-1] @ np.polynomial.legendre.legder(np.eye(_SIGMA_NODES)) @ np.linalg.inv(v)
+
+
+def _kernel_sum(j, lo, up, e, power, interior_points):
+    """(value, err) of integral J(w)/(e-w)^power dw on a finite band.
+
+    The panels of `delta_rule`, graded toward each edge down to 1/256 of the
+    k-distance 2*asinh(sqrt(dist/span)) of the pole that e outside the band
+    puts at imaginary k (at most _EDGE_DEPTH, never below _RESOLVE_ULPS), and
+    broken at the J-zeros and at e inside the band.  A node's integrand is
+    exact at its rounded energy, up to 1e-6 of the integrand's scale off the
+    node near a pole or a van Hove edge; g'(k) dk, g' from the panel's
+    interpolant, takes that back.  With e on an edge the integrand goes as
+    k**a, a > -1 unknown, so the innermost panel is replaced by the geometric
+    series its two neighbours start.  err sums both corrections and rounding.
+    """
+    span, targets = up - lo, []
+    for edge, dist in ((lo, lo - e), (up, e - up)):
+        pole = 2.0 * math.asinh(math.sqrt(dist / span)) if dist >= 0.0 else math.inf
+        floor = 4.0 * math.asin(math.sqrt(_RESOLVE_ULPS * np.spacing(abs(edge)) / span))
+        floor /= 1.0 - _gauss_legendre(_SIGMA_NODES)[0][-1]  # the innermost break
+        targets.append(max(min(pole, _EDGE_DEPTH) / GRADING**2, floor * GRADING**PAST_TARGET))
+    breaks = _breaks(*targets)
+    inner = [_k_of_omega(p, lo, up) for p in (*interior_points, e) if lo < p < up]
+    breaks = np.union1d(breaks, inner) if inner else breaks
+    wk, om, jac, slip = _panels(lo, up, breaks, _SIGMA_NODES)
+    g = np.asarray(j(om.ravel()), dtype=float).reshape(om.shape) * jac / (e - om) ** power
+    shift = wk * (g @ _differentiation().T) * slip / (0.5 * np.diff(breaks)[:, None])
+    panels = (wk * g - shift).sum(axis=1)
+    tail = 0.0
+    for edge, (i0, i1, i2) in ((lo, (0, 1, 2)), (up, (-1, -2, -3))):
+        if e == edge and 0.0 < panels[i1] / panels[i2] < 1.0:
+            tail = panels[i1] ** 2 / (panels[i2] - panels[i1]) - panels[i0]
+    err = abs(shift.sum()) + abs(tail) + 1e-15 * float(np.abs(wk * g).sum())
+    return float(panels.sum() + tail), err
 
 
 # ---------------------------------------------------------------------------

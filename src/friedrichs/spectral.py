@@ -2,11 +2,11 @@
 
 K and I are exact rational sums over the discrete levels (valid at complex
 arguments).  This is the only module that reads a model's closed-form
-overrides: Sigma, Sigma' and Delta take them when the model carries them,
-else Sigma and Sigma' come from adaptive quadrature with edge-safe
-substitution and Delta from the graded rule of
-`quadrature.delta_on_grid` (adaptive `principal_value` on an infinite
-band), for one energy or a whole grid.
+overrides: Sigma, Sigma' and Delta take them when the model carries them.
+Otherwise a finite band takes graded Gauss-Legendre rules, one energy at a
+time for Sigma and Sigma' (`quadrature.kernel_integral`) and a whole grid
+for Delta (`quadrature.delta_on_grid`); adaptive quadrature serves only a
+(semi-)infinite band.
 """
 from __future__ import annotations
 
@@ -124,16 +124,8 @@ def self_energy(model: ValidatedModel, e: float) -> float:
     ov = model.overrides
     if ov is not None and ov.sigma is not None:
         return float(ov.sigma(e))
-    val, err = qd.kernel_integral(
-        model.j,
-        model.omega_low,
-        model.omega_up,
-        e,
-        power=1,
-        interior_points=model.interior_zeros,
-        epsrel=SIGMA_EPSREL,
-    )
-    return val
+    lo, up, zeros = model.omega_low, model.omega_up, model.interior_zeros
+    return qd.kernel_integral(model.j, lo, up, e, 1, zeros, SIGMA_EPSREL)[0]
 
 
 def self_energy_derivative(model: ValidatedModel, e: float) -> float:
@@ -149,16 +141,8 @@ def self_energy_derivative(model: ValidatedModel, e: float) -> float:
     ov = model.overrides
     if ov is not None and ov.sigma_deriv is not None:
         return float(ov.sigma_deriv(e))
-    val, err = qd.kernel_integral(
-        model.j,
-        model.omega_low,
-        model.omega_up,
-        e,
-        power=2,
-        interior_points=model.interior_zeros,
-        epsrel=SIGMA_DERIV_EPSREL,
-    )
-    return -val
+    lo, up, zeros = model.omega_low, model.omega_up, model.interior_zeros
+    return -qd.kernel_integral(model.j, lo, up, e, 2, zeros, SIGMA_DERIV_EPSREL)[0]
 
 
 def sigma_inverse_at_edge(model: ValidatedModel, which: str):
@@ -167,14 +151,12 @@ def sigma_inverse_at_edge(model: ValidatedModel, which: str):
     Returns (value, is_limit) where is_limit marks the divergent case.
     """
     edge = model.omega_low if which == "low" else model.omega_up
-    exps = model.continuum.edge_exponents
-    s = exps[0] if which == "low" else exps[1]
+    s = _edge_exponent(model, "edge_" + which)
     if not math.isfinite(edge):
         raise NonconvergentEdge("no finite edge on this side")
     if s is DIVERGENT:
         return (-0.0 if which == "low" else +0.0), True
-    sig = self_energy(model, edge)
-    return 1.0 / sig, False
+    return 1.0 / self_energy(model, edge), False
 
 
 def _delta(model: ValidatedModel, e):

@@ -88,6 +88,32 @@ def census_margin(model) -> float:
     return out
 
 
+def _band_nodes_weights(lo, up, n_nodes):
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    k = 0.5 * (x + 1.0) * np.pi
+    wk = w * (np.pi / 2.0)
+    mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
+    om = mid - half * np.cos(k)
+    jac = half * np.sin(k)
+    return om, wk * jac
+
+
+def sigma_on_grid(j, lo, up, e_grid, n_nodes=600, chunk=4096):
+    """Sigma(E) on a grid of energies outside a finite band (fixed rule).
+
+    A uniform Gauss-Legendre rule in k, independent of the graded rule
+    behind `self_energy`, so the brute-force census checks that rule too.
+    """
+    om, wgt = _band_nodes_weights(lo, up, n_nodes)
+    jw = np.asarray(j(om), dtype=float) * wgt
+    e_grid = np.asarray(e_grid, dtype=float)
+    out = np.empty_like(e_grid)
+    for i in range(0, e_grid.size, chunk):
+        blk = e_grid[i : i + chunk]
+        out[i : i + chunk] = (jw[None, :] / (blk[:, None] - om[None, :])).sum(axis=1)
+    return out
+
+
 def census_bruteforce(model, n_grid=100_000, reach=2.5, collar=1e-6):
     """Sign-change count of det[E - H_eff(E)] on a dense grid outside the band.
 
@@ -107,7 +133,7 @@ def census_bruteforce(model, n_grid=100_000, reach=2.5, collar=1e-6):
         for eps in model.levels:
             hit = np.abs(e_grid - eps) < 1e-12 * span
             e_grid[hit] += 3e-12 * span
-        sig = qd.sigma_on_grid(model.j, lo, up, e_grid, n_nodes=600)
+        sig = sigma_on_grid(model.j, lo, up, e_grid, n_nodes=600)
         k = sp.k_real_grid(model, e_grid)
         det = (1.0 - sig * k) * np.prod(
             e_grid[:, None] - model.levels[None, :], axis=1
