@@ -25,7 +25,10 @@ from scipy.integrate import quad
 _QUAD_LIMIT = 400
 
 
-_gauss_legendre = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x, w
 
 
 def _k_of_omega(omega, lo, up):
@@ -62,9 +65,11 @@ def kernel_integral(j, lo, up, e, power=1, interior_points=(), epsrel=1e-11):
     """
     if math.isfinite(lo) and math.isfinite(up):
         return _kernel_sum(j, lo, up, e, power, interior_points)
-    return quad(
-        lambda w: j(w) / (e - w) ** power, lo, up, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel
-    )
+
+    def f(w):
+        return j(w) / (e - w) ** power
+
+    return quad(f, lo, up, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel)
 
 
 def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
@@ -112,11 +117,16 @@ def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
         v2, e2 = quad(tails, win, math.inf, limit=_QUAD_LIMIT, epsabs=1e-12)
         return val + v2, err + e2
 
-    for a, b in ((lo, e - win), (e + win, up)):
-        if a < b:
-            v2, e2 = quad(lambda w: j(w) / (e - w), a, b, limit=_QUAD_LIMIT)
-            val, err = val + v2, err + e2
-    return val, err
+    v2 = e2 = 0.0
+    if lo < e - win:
+        a, b = quad(lambda w: j(w) / (e - w), lo, e - win, limit=_QUAD_LIMIT)
+        v2 += a
+        e2 += b
+    if e + win < up:
+        a, b = quad(lambda w: j(w) / (e - w), e + win, up, limit=_QUAD_LIMIT)
+        v2 += a
+        e2 += b
+    return val + v2, err + e2
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +170,22 @@ def _breaks(d_lo, d_up):
     return np.concatenate([[0.0], lo_b[:-1], mid, np.pi - np.array(up_b[-2::-1]), [np.pi]])
 
 
-def _panels(lo, up, breaks, nodes=PANEL_NODES):
+def _panels(lo, up, breaks):
     """Per panel between breaks: weights in k, energies, dw/dk at the rounded
-    energy (next to a van Hove edge J varies on that scale) and the k each
-    node moves by in rounding.  Nodes sit at a k-distance u from the nearer
-    end of [0, pi], energies at lo + span*sin^2(u/2) or up - span*sin^2(u/2)."""
-    x, w = _gauss_legendre(nodes)
+    energy (next to a van Hove edge J varies on that scale), the k each node
+    moves by in rounding and the rounding itself.  Nodes sit at a k-distance u
+    from the nearer end of [0, pi], energies at lo + span*sin^2(u/2) or
+    up - span*sin^2(u/2)."""
+    x, w = _gauss_legendre(PANEL_NODES)
     upper = breaks[1:] + breaks[:-1] > np.pi
     a, b = (np.where(upper, np.pi - v, v)[:, None] for v in (breaks[:-1], breaks[1:]))
     u = 0.5 * (a + b) + 0.5 * (b - a) * x
     span, edge = up - lo, np.where(upper, up, lo)[:, None]
     t = np.where(upper, -span, span)[:, None] * np.sin(0.5 * u) ** 2
     om = edge + t
-    slip = ((om - edge) - t) / (0.5 * span * np.sin(u))  # rounding / exact dw/dk
-    return 0.5 * np.diff(breaks)[:, None] * w, om, np.sqrt((om - lo) * (up - om)), slip
+    rnd = (om - edge) - t
+    slip = rnd / (0.5 * span * np.sin(u))  # rounding / exact dw/dk
+    return 0.5 * np.diff(breaks)[:, None] * w, om, np.sqrt((om - lo) * (up - om)), slip, rnd
 
 
 def delta_rule(lo, up, e_grid):
@@ -189,7 +201,7 @@ def delta_rule(lo, up, e_grid):
     span = up - lo
     d_lo = 2.0 * math.asin(math.sqrt(min(max((float(e_grid.min()) - lo) / span, 0.0), 1.0)))
     d_up = 2.0 * math.asin(math.sqrt(min(max((up - float(e_grid.max())) / span, 0.0), 1.0)))
-    wk, om, jac, _ = _panels(lo, up, _breaks(d_lo, d_up))
+    wk, om, jac = _panels(lo, up, _breaks(d_lo, d_up))[:3]
     return om.ravel(), (wk * jac).ravel()
 
 
@@ -228,15 +240,13 @@ def delta_on_grid(j, lo, up, e_grid):
 #: each edge is graded as if a pole sat at most this far from it in k: 2s not
 #: an integer puts a k**(2s+1) branch point there, and the rule cannot see s
 _EDGE_DEPTH = 0.25
-_RESOLVE_ULPS = 1  # the first node of an edge panel stays this many ulps off
-_SIGMA_NODES = 16  # per panel: past the pole a panel converges like 3**(-2n)
 
 
 @lru_cache(maxsize=1)
 def _differentiation():
     """D @ f: derivative of the interpolant of f at the Gauss nodes of [-1, 1]."""
-    v = np.polynomial.legendre.legvander(_gauss_legendre(_SIGMA_NODES)[0], _SIGMA_NODES - 1)
-    return v[:, :-1] @ np.polynomial.legendre.legder(np.eye(_SIGMA_NODES)) @ np.linalg.inv(v)
+    v = np.polynomial.legendre.legvander(_gauss_legendre(PANEL_NODES)[0], PANEL_NODES - 1)
+    return v[:, :-1] @ np.polynomial.legendre.legder(np.eye(PANEL_NODES)) @ np.linalg.inv(v)
 
 
 def _kernel_sum(j, lo, up, e, power, interior_points):
@@ -244,10 +254,11 @@ def _kernel_sum(j, lo, up, e, power, interior_points):
 
     The panels of `delta_rule`, graded toward each edge down to 1/256 of the
     k-distance 2*asinh(sqrt(dist/span)) of the pole that e outside the band
-    puts at imaginary k (at most _EDGE_DEPTH, never below _RESOLVE_ULPS), and
-    broken at the J-zeros and at e inside the band.  A node's integrand is
-    exact at its rounded energy, up to 1e-6 of the integrand's scale off the
-    node near a pole or a van Hove edge; g'(k) dk, g' from the panel's
+    puts at imaginary k (at most _EDGE_DEPTH, never so deep that a node comes
+    within one ulp of the edge), and broken at the J-zeros and at e inside
+    the band.  The factor (e - w)**power is taken at the exact node, f =
+    J*dw/dk at the node's rounded energy, which next to an edge moves the
+    node by up to a quarter of its k; f'(k) dk, f' from the panel's
     interpolant, takes that back.  With e on an edge the integrand goes as
     k**a, a > -1 unknown, so the innermost panel is replaced by the geometric
     series its two neighbours start.  err sums both corrections and rounding.
@@ -255,21 +266,23 @@ def _kernel_sum(j, lo, up, e, power, interior_points):
     span, targets = up - lo, []
     for edge, dist in ((lo, lo - e), (up, e - up)):
         pole = 2.0 * math.asinh(math.sqrt(dist / span)) if dist >= 0.0 else math.inf
-        floor = 4.0 * math.asin(math.sqrt(_RESOLVE_ULPS * np.spacing(abs(edge)) / span))
-        floor /= 1.0 - _gauss_legendre(_SIGMA_NODES)[0][-1]  # the innermost break
+        # the innermost break whose first node stays one ulp off the edge
+        floor = 4.0 * math.asin(math.sqrt(np.spacing(abs(edge)) / span))
+        floor /= 1.0 - _gauss_legendre(PANEL_NODES)[0][-1]
         targets.append(max(min(pole, _EDGE_DEPTH) / GRADING**2, floor * GRADING**PAST_TARGET))
     breaks = _breaks(*targets)
     inner = [_k_of_omega(p, lo, up) for p in (*interior_points, e) if lo < p < up]
     breaks = np.union1d(breaks, inner) if inner else breaks
-    wk, om, jac, slip = _panels(lo, up, breaks, _SIGMA_NODES)
-    g = np.asarray(j(om.ravel()), dtype=float).reshape(om.shape) * jac / (e - om) ** power
-    shift = wk * (g @ _differentiation().T) * slip / (0.5 * np.diff(breaks)[:, None])
-    panels = (wk * g - shift).sum(axis=1)
+    wk, om, jac, slip, rnd = _panels(lo, up, breaks)
+    f = np.asarray(j(om.ravel()), dtype=float).reshape(om.shape) * jac
+    shift = (f @ _differentiation().T) * slip / (0.5 * np.diff(breaks)[:, None])
+    den = ((e - om) + rnd) ** power  # om - rnd is the exact node
+    panels = (wk * (f - shift) / den).sum(axis=1)
     tail = 0.0
     for edge, (i0, i1, i2) in ((lo, (0, 1, 2)), (up, (-1, -2, -3))):
         if e == edge and 0.0 < panels[i1] / panels[i2] < 1.0:
             tail = panels[i1] ** 2 / (panels[i2] - panels[i1]) - panels[i0]
-    err = abs(shift.sum()) + abs(tail) + 1e-15 * float(np.abs(wk * g).sum())
+    err = abs((wk * shift / den).sum()) + abs(tail) + 1e-15 * float(np.abs(wk * f / den).sum())
     return float(panels.sum() + tail), err
 
 

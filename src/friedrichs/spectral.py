@@ -113,6 +113,12 @@ def _edge_exponent(model: ValidatedModel, which: str):
     return s_low if which == "edge_low" else s_up
 
 
+def _snap_to_edge(model: ValidatedModel, e: float, where: str) -> float:
+    """The edge for an e that `_classify` puts on it (nodes kept one ulp off
+    the edge cannot resolve a pole at e that close to it), else e."""
+    return {"edge_low": model.omega_low, "edge_up": model.omega_up}.get(where, e)
+
+
 def self_energy(model: ValidatedModel, e: float) -> float:
     """Sigma(E) = integral J(w)/(E-w) dw on real E outside the band or at a J-zero."""
     e = float(e)
@@ -124,8 +130,16 @@ def self_energy(model: ValidatedModel, e: float) -> float:
     ov = model.overrides
     if ov is not None and ov.sigma is not None:
         return float(ov.sigma(e))
-    lo, up, zeros = model.omega_low, model.omega_up, model.interior_zeros
-    return qd.kernel_integral(model.j, lo, up, e, 1, zeros, SIGMA_EPSREL)[0]
+    val, err = qd.kernel_integral(
+        model.j,
+        model.omega_low,
+        model.omega_up,
+        _snap_to_edge(model, e, where),
+        power=1,
+        interior_points=model.interior_zeros,
+        epsrel=SIGMA_EPSREL,
+    )
+    return val
 
 
 def self_energy_derivative(model: ValidatedModel, e: float) -> float:
@@ -141,8 +155,16 @@ def self_energy_derivative(model: ValidatedModel, e: float) -> float:
     ov = model.overrides
     if ov is not None and ov.sigma_deriv is not None:
         return float(ov.sigma_deriv(e))
-    lo, up, zeros = model.omega_low, model.omega_up, model.interior_zeros
-    return -qd.kernel_integral(model.j, lo, up, e, 2, zeros, SIGMA_DERIV_EPSREL)[0]
+    val, err = qd.kernel_integral(
+        model.j,
+        model.omega_low,
+        model.omega_up,
+        _snap_to_edge(model, e, where),
+        power=2,
+        interior_points=model.interior_zeros,
+        epsrel=SIGMA_DERIV_EPSREL,
+    )
+    return -val
 
 
 def sigma_inverse_at_edge(model: ValidatedModel, which: str):
@@ -151,12 +173,14 @@ def sigma_inverse_at_edge(model: ValidatedModel, which: str):
     Returns (value, is_limit) where is_limit marks the divergent case.
     """
     edge = model.omega_low if which == "low" else model.omega_up
-    s = _edge_exponent(model, "edge_" + which)
+    exps = model.continuum.edge_exponents
+    s = exps[0] if which == "low" else exps[1]
     if not math.isfinite(edge):
         raise NonconvergentEdge("no finite edge on this side")
     if s is DIVERGENT:
         return (-0.0 if which == "low" else +0.0), True
-    return 1.0 / self_energy(model, edge), False
+    sig = self_energy(model, edge)
+    return 1.0 / sig, False
 
 
 def _delta(model: ValidatedModel, e):

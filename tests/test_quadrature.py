@@ -297,23 +297,37 @@ def _kernel_reference(density, e, power, zeros=(), lo=_LO, up=_UP):
     return float(mpmath.quad(f, sorted(pts)))
 
 
-def _kernel_error(model, density, e, power, zeros=()):
-    """Relative error of Sigma (power 1) or -Sigma' (power 2) at e."""
+def _kernel_error(model, density, e, power, zeros=(), at=None):
+    """Relative error of Sigma (power 1) or -Sigma' (power 2) at e against
+    the reference at `at` (default e)."""
     got = fr.self_energy(model, e) if power == 1 else -fr.self_energy_derivative(model, e)
-    ref = _kernel_reference(density, e, power, zeros, model.omega_low, model.omega_up)
+    at = e if at is None else at
+    ref = _kernel_reference(density, at, power, zeros, model.omega_low, model.omega_up)
     return abs(got - ref) / abs(ref)
 
 
+#: (power, distance) at which the rule misses its bound next to an edge of
+#: exponent 1/4: J is sampled no closer than one ulp to the edge, and there
+#: the first ulp of the band carries more than the bound of the integral
+#: (Sigma' 1.3e-8 and 3.2e-8 at 1e-10 of the band, 2.4e-7 and 5.7e-7 at
+#: 1e-11; Sigma 1.3e-10 and 1.8e-10 at 1e-11), which the rule extrapolates
+_QUARTER_POWER_UNRESOLVED = [(1, 1e-11), (2, 1e-11), (2, 1e-10)]
+
+
 def _kernel_cases(s_lo, s_up, power):
-    """(e, exponent of the nearer edge, distance in band widths): e on each
-    edge where the integral converges there, at 1e-10, 1e-8 and 1e-3 of the
-    band outside each edge, and two band widths away."""
+    """(e, reference energy, exponent of the nearer edge, distance in band
+    widths): e at 1e-11, 1e-10, 1e-8 and 1e-3 of the band outside each edge
+    and two band widths away; where the integral converges on the edge also
+    e on it and 1e-13 of the band to either side, which `self_energy` takes
+    as the edge (within 1e-12 of the model's scale)."""
     span = _UP - _LO
     cases = []
     for edge, s, sign in ((_LO, s_lo, -1.0), (_UP, s_up, 1.0)):
         if s is not None and s > power - 1.0:
-            cases.append((edge, s, 0.0))
-        cases += [(edge + sign * d * span, s, d) for d in (1e-10, 1e-8, 1e-3, 2.0)]
+            cases += [(edge + d * span, edge, s, 0.0) for d in (0.0, -1e-13, 1e-13)]
+        for d in (1e-11, 1e-10, 1e-8, 1e-3, 2.0):
+            if not (s == 0.25 and (power, d) in _QUARTER_POWER_UNRESOLVED):
+                cases.append((edge + sign * d * span, None, s, d))
     return cases
 
 
@@ -321,21 +335,28 @@ def _kernel_cases(s_lo, s_up, power):
 def test_sigma_matches_mpmath(s_lo, s_up):
     density = _power_density(s_lo, s_up)
     model = _model(density, (s_lo, s_up))
-    for e, _, _ in _kernel_cases(s_lo, s_up, 1):
-        assert _kernel_error(model, density, e, 1) <= sp.SIGMA_EPSREL, e
+    for e, at, _, _ in _kernel_cases(s_lo, s_up, 1):
+        assert _kernel_error(model, density, e, 1, at=at) <= sp.SIGMA_EPSREL, e
 
 
 @pytest.mark.parametrize("s_lo, s_up", _EDGE_PAIRS)
 def test_sigma_derivative_matches_mpmath(s_lo, s_up):
     density = _power_density(s_lo, s_up)
     model = _model(density, (s_lo, s_up))
-    for e, s, dist in _kernel_cases(s_lo, s_up, 2):
-        # 1e-10 of the band from a quarter-power edge the pole is farther
-        # out than the innermost panel that keeps omega resolved, and that
-        # panel holds a k**1.5 branch point: 1.2e-9 at -1.3, 2.9e-9 at 2.1
-        # (coarser ulps); adaptive quad reached 7.9e-9 at -1.3
-        bound = 5e-9 if (s, dist) == (0.25, 1e-10) else sp.SIGMA_DERIV_EPSREL
-        assert _kernel_error(model, density, e, 2) <= bound, e
+    for e, at, _, _ in _kernel_cases(s_lo, s_up, 2):
+        assert _kernel_error(model, density, e, 2, at=at) <= sp.SIGMA_DERIV_EPSREL, e
+
+
+@pytest.mark.xfail(strict=True, reason="J cannot be sampled within one ulp of the edge")
+@pytest.mark.parametrize("power, dist", _QUARTER_POWER_UNRESOLVED)
+@pytest.mark.parametrize("exps", [(0.25, 0.5), (None, 0.25)])
+def test_quarter_power_edge_below_resolution(exps, power, dist):
+    density = _power_density(*exps)
+    model = _model(density, exps)
+    span = _UP - _LO
+    e = _LO - dist * span if exps[0] == 0.25 else _UP + dist * span
+    bound = sp.SIGMA_EPSREL if power == 1 else sp.SIGMA_DERIV_EPSREL
+    assert _kernel_error(model, density, e, power) <= bound
 
 
 @pytest.mark.parametrize("power", [1, 2])
