@@ -67,8 +67,8 @@ def _edge_comparison(model: ValidatedModel, side: str) -> dict:
     n_tot = model.n_levels
     # energy criterion: the edge must lie past the K-zero in its gap
     if 1 <= n_side <= n_tot - 1:
-        zeros = sp.k_zeros(model)
-        zero = zeros[n_side - 1] if side == "low" else zeros[n_tot - 1 - n_side]
+        j = n_side - 1 if side == "low" else n_tot - 1 - n_side
+        zero = sp._k_zero_in_gap(model, levels[j], levels[j + 1])
         energy_ok = (edge > zero) if side == "low" else (edge < zero)
         trace["k_zero_boundary"] = float(zero)
     else:

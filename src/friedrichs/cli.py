@@ -416,7 +416,8 @@ def _cmd_markovian(args):
     initial = _initial_for(args, model, default_init)
     h = mk.build_markovian(model, args.gamma)
     times = np.linspace(0.0, args.t_max, args.points)
-    closed = mk.markovian_survival(h, initial, times)
+    sys_ = mk.resonance_decomposition(h)
+    closed = mk.markovian_survival(h, initial, times, system=sys_)
     direct = mk.markovian_survival(h, initial, times, method="expm")
     rows = list(zip(map(float, times), map(float, closed.p), map(float, direct.p)))
     _write_csv(
@@ -425,7 +426,6 @@ def _cmd_markovian(args):
         rows,
         _provenance(args, {"gamma": args.gamma}),
     )
-    sys_ = mk.resonance_decomposition(h)
     rep = mk.anti_pt_check(h)
     _write_json(
         args.sidecar,

@@ -3,7 +3,8 @@
 H = diag(eps) - i*Gamma*f f^dagger.  Resonances come from a biorthogonal
 eigensystem when H is diagonalizable; at an exceptional point the
 coalesced eigenvector is continued by a Jordan chain and the decay picks
-up polynomial-in-t factors.
+up polynomial-in-t factors.  The expm reference never uses that
+decomposition: it steps through the sorted times, one exp(-iH dt) per step dt.
 """
 from __future__ import annotations
 
@@ -217,18 +218,19 @@ def resonance_decomposition(
 # ---------------------------------------------------------------------------
 # decay laws
 
-def _resonance_amplitudes(h: EffectiveHamiltonianMarkov, initial: InitialState):
+def _resonance_amplitudes(h, initial: InitialState, sys: ResonanceSystem):
     """(z, A) with A[i, n] = -I(z_i) f_n / (K'(z_i) (z_i - eps_n)).
 
-    The survival probability is p(t) = sum_n |sum_i A[i, n] e^{-i z_i t}|^2.
-    Raises PoleHit when some z_i lies within 1e-13 * scale of a level, the
-    scale being the one `validate_model` gives the levels on a flat,
-    infinite band (their span or largest modulus).
+    z are the resonances of sys, the decomposition of h, and the survival
+    probability is p(t) = sum_n |sum_i A[i, n] e^{-i z_i t}|^2.  Raises
+    PoleHit when some z_i lies within 1e-13 * scale of a level, the scale
+    being the one `validate_model` gives the levels on a flat, infinite
+    band (their span or largest modulus).
     """
     tol = 1e-13 * max(float(np.ptp(h.levels)), float(np.max(np.abs(h.levels))), 1e-300)
     w = np.conj(h.couplings) * initial.amplitudes
     f2 = np.abs(h.couplings) ** 2
-    z = resonance_decomposition(h).eigenvalues
+    z = sys.eigenvalues
     amp = np.empty((z.size, h.n), dtype=complex)
     for i in range(z.size):
         d = complex(z[i]) - h.levels
@@ -246,7 +248,7 @@ def decay_components(h: EffectiveHamiltonianMarkov, initial: InitialState):
     D_i are the single-resonance weights; G[i, i'] are the complex cross
     overlaps whose modulus and argument set the beat amplitude and phase.
     """
-    z, amp = _resonance_amplitudes(h, initial)
+    z, amp = _resonance_amplitudes(h, initial, resonance_decomposition(h))
     d = np.sum(np.abs(amp) ** 2, axis=1)
     g = amp @ amp.conj().T
     return z, d, g
@@ -298,14 +300,26 @@ def markovian_survival(
     method: str = "closed",
     system: Optional[ResonanceSystem] = None,
 ) -> SurvivalSeries:
-    """p(t) from the closed resonance formulas or the matrix exponential."""
+    """p(t) from the closed resonance formulas or the matrix exponential.
+
+    "closed" decomposes h once (or takes `system`).  "expm" never does: it
+    steps the state through the sorted times by U = exp(-iH dt), a new U
+    only when dt moves by more than a few ulps of max|t|; ||U|| <= 1.
+    """
     t = np.asarray(times, dtype=float)
     c0 = initial.amplitudes
     if method == "expm":
-        p = np.empty_like(t)
-        for i, ti in enumerate(t):
-            amp = scipy.linalg.expm(-1j * h.matrix * ti) @ c0
-            p[i] = float(np.sum(np.abs(amp) ** 2))
+        amps = np.empty((h.n, t.size), dtype=complex)
+        tol = 4.0 * np.spacing(float(np.max(np.abs(t), initial=0.0)))
+        state, now, step = c0, 0.0, None
+        for k in np.argsort(t, kind="stable"):
+            dt = t[k] - now
+            if dt != 0.0:
+                if step is None or abs(dt - step) > tol:
+                    step, u = dt, scipy.linalg.expm(-1j * h.matrix * dt)
+                state = u @ state
+            amps[:, k], now = state, t[k]
+        p = np.sum(np.abs(amps) ** 2, axis=0)
         return SurvivalSeries(times=t, p=p, meta={"method": "expm"})
     if method != "closed":
         raise ValueError("method must be 'closed' or 'expm'")
@@ -315,7 +329,7 @@ def markovian_survival(
             # amplitude-level evaluation of the resonance-sum decay law:
             # identical to the D_i/U_{ii'} regrouping but free of its
             # squared-amplitude cancellation near degeneracies
-            z, amp = _resonance_amplitudes(h, initial)
+            z, amp = _resonance_amplitudes(h, initial, sys)
             if np.all(np.isfinite(amp)):
                 phases = np.exp(-1j * np.outer(z, t))
                 p = np.sum(np.abs(amp.T @ phases) ** 2, axis=0).real

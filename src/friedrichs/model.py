@@ -8,6 +8,7 @@ bound states.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -166,6 +167,11 @@ class ValidatedModel:
     @property
     def couplings(self) -> np.ndarray:
         return self.discrete.couplings
+
+    @functools.cached_property
+    def _f2(self) -> np.ndarray:
+        """|f_n|^2, formed once for the rational sums K and K'."""
+        return np.abs(self.couplings) ** 2
 
     @property
     def n_levels(self) -> int:

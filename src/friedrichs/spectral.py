@@ -23,42 +23,36 @@ SIGMA_DERIV_EPSREL = 1e-9
 PV_EPSREL = 1e-10
 
 
-def _pole_tolerance(model: ValidatedModel) -> float:
-    return 1e-13 * model.scale
-
-
-def _check_pole(model: ValidatedModel, z: complex):
-    tol = _pole_tolerance(model)
-    d = np.abs(z - model.levels)
-    i = int(np.argmin(d))
-    if d[i] <= tol:
+def _pole_distances(model: ValidatedModel, z: complex) -> np.ndarray:
+    """z - eps_n; raises PoleHit naming the level when one is within 1e-13*scale."""
+    d = z - model.levels
+    tol = 1e-13 * model.scale
+    if np.abs(d).min() <= tol:
+        i = int(np.argmin(np.abs(d)))
         raise PoleHit(f"argument {z} within {tol:.1e} of level {model.levels[i]}")
+    return d
 
 
 def k_function(model: ValidatedModel, z: complex) -> complex:
     """K(z) = sum_n |f_n|^2 / (z - eps_n)."""
-    _check_pole(model, z)
-    return complex(np.sum(np.abs(model.couplings) ** 2 / (z - model.levels)))
+    return complex(np.sum(model._f2 / _pole_distances(model, z)))
 
 
 def k_derivative(model: ValidatedModel, z: complex) -> complex:
     """K'(z) = -sum_n |f_n|^2 / (z - eps_n)^2."""
-    _check_pole(model, z)
-    return complex(-np.sum(np.abs(model.couplings) ** 2 / (z - model.levels) ** 2))
+    return complex(-np.sum(model._f2 / _pole_distances(model, z) ** 2))
 
 
 def k_real_grid(model: ValidatedModel, e_grid) -> np.ndarray:
     """Vectorized K on a real grid (no pole guard; caller avoids levels)."""
     e = np.asarray(e_grid, dtype=float)
-    f2 = np.abs(model.couplings) ** 2
-    return (f2[None, :] / (e[:, None] - model.levels[None, :])).sum(axis=1)
+    return (model._f2[None, :] / (e[:, None] - model.levels[None, :])).sum(axis=1)
 
 
 def i_function(model: ValidatedModel, initial: InitialState, z: complex) -> complex:
     """I(z) = sum_n f_n^* c_n / (z - eps_n)."""
-    _check_pole(model, z)
     w = np.conj(model.couplings) * initial.amplitudes
-    return complex(np.sum(w / (z - model.levels)))
+    return complex(np.sum(w / _pole_distances(model, z)))
 
 
 def i_real_grid(model: ValidatedModel, initial: InitialState, e_grid) -> np.ndarray:
@@ -67,34 +61,34 @@ def i_real_grid(model: ValidatedModel, initial: InitialState, e_grid) -> np.ndar
     return (w[None, :] / (e[:, None] - model.levels[None, :])).sum(axis=1)
 
 
-def k_zeros(model: ValidatedModel) -> np.ndarray:
-    """The N-1 real zeros of K, one in each gap (eps_n, eps_{n+1})."""
+def _k_zero_in_gap(model: ValidatedModel, a: float, b: float) -> float:
+    """The zero of K between the adjacent levels a < b."""
     from scipy.optimize import brentq
 
+    gap = b - a
+    # K -> +inf at a+, -inf at b-: expand inward until signs certify
+    d = 1e-9 * gap
+    while True:
+        fa = float(np.real(k_function(model, a + d)))
+        fb = float(np.real(k_function(model, b - d)))
+        if fa > 0 > fb:
+            break
+        d *= 0.25
+        if d < 1e-15 * gap:
+            raise PoleHit(f"could not bracket K-zero in ({a}, {b})")
+    return brentq(
+        lambda e: float(np.real(k_function(model, e))),
+        a + d,
+        b - d,
+        xtol=1e-15 * model.scale,
+        rtol=8.9e-16,
+    )
+
+
+def k_zeros(model: ValidatedModel) -> np.ndarray:
+    """The N-1 real zeros of K, one in each gap (eps_n, eps_{n+1})."""
     eps = model.levels
-    zeros = []
-    for a, b in zip(eps[:-1], eps[1:]):
-        gap = b - a
-        # K -> +inf at a+, -inf at b-: expand inward until signs certify
-        d = 1e-9 * gap
-        while True:
-            fa = float(np.real(k_function(model, a + d)))
-            fb = float(np.real(k_function(model, b - d)))
-            if fa > 0 > fb:
-                break
-            d *= 0.25
-            if d < 1e-15 * gap:
-                raise PoleHit(f"could not bracket K-zero in ({a}, {b})")
-        zeros.append(
-            brentq(
-                lambda e: float(np.real(k_function(model, e))),
-                a + d,
-                b - d,
-                xtol=1e-15 * model.scale,
-                rtol=8.9e-16,
-            )
-        )
-    return np.asarray(zeros)
+    return np.asarray([_k_zero_in_gap(model, a, b) for a, b in zip(eps[:-1], eps[1:])])
 
 
 # ---------------------------------------------------------------------------

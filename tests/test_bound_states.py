@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs.bound_states import BoundStateKind
@@ -202,3 +204,33 @@ def test_census_counts_shifted_band():
     assert census.n_low == 3 and census.n_up == 0
     states = fr.solve_bound_states(m, census)
     assert len(states) == census.m_below + census.m_above >= 3
+
+
+def assert_census_zero_is_k_zero(m):
+    """Each edge's K-zero boundary is the zero k_zeros gives for that gap."""
+    zeros = fr.k_zeros(m)
+    trace = fr.count_bound_states(m).criteria_trace
+    for side in ("low", "up"):
+        tr = trace[side]
+        n_side = tr["n_side"]
+        if not 1 <= n_side <= m.n_levels - 1:
+            assert tr["k_zero_boundary"] is None and tr["energy_ok"]
+            continue
+        j = n_side - 1 if side == "low" else m.n_levels - 1 - n_side
+        assert tr["k_zero_boundary"] == zeros[j]
+        assert m.levels[j] < zeros[j] < m.levels[j + 1]
+        assert tr["energy_ok"] == (tr["edge"] > zeros[j] if side == "low" else tr["edge"] < zeros[j])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_census_zero_is_k_zero_random(seed):
+    assert_census_zero_is_k_zero(random_model(np.random.default_rng(seed), n_max=4))
+
+
+@pytest.mark.parametrize("n_atoms", [2, 5, 10])
+@pytest.mark.parametrize("kappa", [0.3, 0.8])
+def test_census_zero_is_k_zero_waveguide(n_atoms, kappa):
+    for site in (3, fr.INFINITE):
+        params = fr.WaveguideParams(n_atoms, 1.0, kappa, 0.5, site)
+        assert_census_zero_is_k_zero(fr.build_waveguide_model(params))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import friedrichs as fr
 from friedrichs import markovian as mk
@@ -171,6 +172,68 @@ def test_closed_form_matches_expm_random():
         z, d, g = fr.decay_components(h, c0)
         regrouped = mk._p_from_components(z, d, g, t)
         assert np.max(np.abs(regrouped - direct.p)) < 1e-9
+
+
+EXPM_GRIDS = {
+    "uniform": np.linspace(0.0, 10.0, 21),
+    "jittered": np.linspace(0.0, 10.0, 21)
+    + np.r_[0.0, np.random.default_rng(7).uniform(-0.2, 0.2, 20)],
+    "unsorted-repeated": np.array([3.0, 0.5, 7.25, 0.5, 0.0, 10.0, 3.0, 1e-3]),
+    "zero": np.array([0.0]),
+}
+
+
+def expm_cases():
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        h = random_markovian(rng)
+        yield h, random_initial(rng, h.n)
+    params, _, h = two_atom(4.0)  # exceptional point: H is defective
+    yield h, fr.default_initial_state(params)
+
+
+@pytest.mark.parametrize("grid", sorted(EXPM_GRIDS))
+def test_expm_reference_matches_per_time_expm(grid):
+    t = EXPM_GRIDS[grid]
+    for h, c0 in expm_cases():
+        p = fr.markovian_survival(h, c0, t, method="expm").p
+        ref = [
+            np.sum(np.abs(scipy.linalg.expm(-1j * h.matrix * ti) @ c0.amplitudes) ** 2)
+            for ti in t
+        ]
+        assert p.shape == t.shape
+        assert np.max(np.abs(p - ref)) <= 1e-12
+
+
+def test_expm_reference_independent_of_decomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the expm reference decomposed H")
+
+    monkeypatch.setattr(mk, "resonance_decomposition", refuse)
+    for h, c0 in expm_cases():
+        p = fr.markovian_survival(h, c0, EXPM_GRIDS["uniform"], method="expm").p
+        assert np.all(np.isfinite(p)) and p[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_closed_survival_decomposes_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    t = np.linspace(0.0, 10.0, 21)
+    for _ in range(3):
+        h = random_markovian(rng)
+        c0 = random_initial(rng, h.n)
+        system = fr.resonance_decomposition(h)
+        calls = []
+        real = mk.resonance_decomposition
+        monkeypatch.setattr(
+            mk, "resonance_decomposition", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        given = fr.markovian_survival(h, c0, t, system=system)
+        assert len(calls) == 0
+        own = fr.markovian_survival(h, c0, t)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert given.meta["method"] == own.meta["method"] == "closed-diagonalizable"
+        assert np.array_equal(given.p, own.p)
 
 
 def test_long_time_slope():

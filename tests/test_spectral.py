@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,48 @@ def test_sigma_derivative_negative_random_models(seed):
     m = random_model(np.random.default_rng(seed), n_max=3)
     e = m.omega_low - 0.37 * m.scale
     assert fr.self_energy_derivative(m, float(e)) < 0
+
+
+def direct_sums(m, c):
+    """K, K' and I as the plain rational sums, term order as in the package."""
+    f2 = np.abs(m.couplings) ** 2
+    w = np.conj(m.couplings) * c.amplitudes
+    return {
+        "k": lambda z: complex(np.sum(f2 / (z - m.levels))),
+        "k_prime": lambda z: complex(-np.sum(f2 / (z - m.levels) ** 2)),
+        "i": lambda z: complex(np.sum(w / (z - m.levels))),
+    }
+
+
+def rational_sums(m, c):
+    return {
+        "k": lambda z: fr.k_function(m, z),
+        "k_prime": lambda z: fr.k_derivative(m, z),
+        "i": lambda z: fr.i_function(m, c, z),
+    }
+
+
+@pytest.mark.parametrize("name", ["k", "k_prime", "i"])
+def test_rational_sums_keep_the_pole_guard(wg3, name):
+    _, m = wg3
+    fn = rational_sums(m, fr.InitialState.normalized(np.ones(3)))[name]
+    tol = 1e-13 * m.scale
+    for level in m.levels:
+        for z in (level, level + 0.9 * tol, level - 0.9 * tol, complex(level, 0.9 * tol)):
+            with pytest.raises(PoleHit, match=re.escape(str(level))):
+                fn(z)
+        for z in (level + 1.1 * tol, level - 1.1 * tol, complex(level, 1.1 * tol)):
+            assert np.isfinite(fn(z))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_rational_sums_equal_direct_sums(seed):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n_max=4)
+    c = fr.InitialState.normalized(rng.normal(size=m.n_levels) + 1j * rng.normal(size=m.n_levels))
+    fast, direct = rational_sums(m, c), direct_sums(m, c)
+    gaps = 0.5 * (m.levels[:-1] + m.levels[1:])
+    for z in (*gaps, m.levels[0] - 0.7, m.levels[-1] + 1.3, 0.3 + 0.2j, m.levels[0] - 1e-3j):
+        for name in fast:
+            assert fast[name](z) == direct[name](z)
