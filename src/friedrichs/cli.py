@@ -382,6 +382,7 @@ def _cmd_dynamics(args):
                 for (f, a, ph) in limit.beats
             ],
             "bound_energies": [s.energy for s in bound],
+            "meta": series.meta,  # filon_nodes, filon_thinning_error, delta_nodes
         },
     )
     return 0

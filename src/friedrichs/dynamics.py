@@ -1,11 +1,14 @@
 """Exact survival-probability dynamics: bound-state sum plus band integral.
 
-The band integral of the scattering weight against exp(-iEt) is evaluated
-with a linear-Filon rule on the edge-substituted variable: nodes cluster at
-the edges (killing van Hove divergences), extra nodes resolve each
-resonance, and the phase is handled analytically per panel so accuracy is
-uniform in t.  All N levels go through one `quadrature.fourier_linear`
-call, which shares the node phases and panel weights between them.
+The band integral of the scattering weight S_n(E) against exp(-iEt) is a
+plain weighted sum on a composite Gauss-Legendre rule in the
+edge-substituted variable k (E = mid - half*cos k), the panels of
+`quadrature`'s Delta and Sigma rules: graded toward both edges, at most one
+wavelength of exp(-iE t_max) wide, and graded toward each resonance peak
+of S down to a quarter of its half-width.  Panels whose part of s_n(0)
+still moves when they are halved are halved, and the same panels each
+halved once give the error estimate that `survival_probability` reports.
+All N levels share one `quadrature.fourier_linear` call.
 """
 from __future__ import annotations
 
@@ -47,20 +50,6 @@ class DecayCoefficients:
     R: np.ndarray  # (N, M), R[n, m]
 
 
-def _scatter_prefactor(model: ValidatedModel, initial: InitialState, e: np.ndarray):
-    """Gamma*I / (pi*[(1 - Delta*K)^2 + (Gamma*K)^2]) on real energies.
-
-    Also returns the node count of the Delta rule, 0 where the model's
-    closed form gave Delta.
-    """
-    gamma = np.pi * np.asarray(model.j(e), dtype=float)
-    delta, delta_nodes = sp._delta(model, e)
-    k = sp.k_real_grid(model, e)
-    i_vals = sp.i_real_grid(model, initial, e)
-    denom = (1.0 - delta * k) ** 2 + (gamma * k) ** 2
-    return gamma * i_vals / (np.pi * denom), delta_nodes
-
-
 def decay_coefficients(
     model: ValidatedModel, initial: InitialState, bound_states: list
 ) -> DecayCoefficients:
@@ -92,90 +81,105 @@ def decay_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# band nodes and the Filon evaluation
-
-def _resonance_nodes(model: ValidatedModel) -> np.ndarray:
-    """Extra energies resolving resonances and J-zero structure in the band."""
-    lo, up = model.omega_low, model.omega_up
-    extras = []
-    ratios = np.geomspace(3e-3, 30.0, 36)
-    for eps, f in zip(model.levels, model.couplings):
-        if not lo < eps < up:
-            continue
-        gamma = math.pi * float(np.asarray(model.j(np.array([eps])))[0])
-        width = max(gamma * abs(f) ** 2, 1e-9 * model.scale)
-        for r in ratios:
-            extras.append(eps + width * r)
-            extras.append(eps - width * r)
-    zero_width = 1e-3 * (up - lo)
-    for z in model.interior_zeros:
-        for r in np.geomspace(1e-3, 1.0, 12):
-            extras.append(z + zero_width * r)
-            extras.append(z - zero_width * r)
-    return np.array([e for e in extras if lo < e < up], dtype=float)
-
-
-def _band_k_nodes(model: ValidatedModel, n_base: int) -> np.ndarray:
-    lo, up = model.omega_low, model.omega_up
-    mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
-    k = np.linspace(0.0, np.pi, n_base)
-    extra_e = _resonance_nodes(model)
-    if extra_e.size:
-        k_extra = np.arccos(np.clip((mid - extra_e) / half, -1.0, 1.0))
-        k = np.unique(np.concatenate([k, k_extra]))
-    # drop nodes closing ranks below float resolution
-    keep = np.concatenate([[True], np.diff(k) > 1e-12])
-    return k[keep]
-
-
-def _quad_extrapolate(k0, ks, vals):
-    """Lagrange quadratic through three (k, val) pairs, evaluated at k0."""
-    k1, k2, k3 = ks
-    l1 = (k0 - k2) * (k0 - k3) / ((k1 - k2) * (k1 - k3))
-    l2 = (k0 - k1) * (k0 - k3) / ((k2 - k1) * (k2 - k3))
-    l3 = (k0 - k1) * (k0 - k2) / ((k3 - k1) * (k3 - k2))
-    return l1 * vals[..., 0] + l2 * vals[..., 1] + l3 * vals[..., 2]
+# the scattering transform on graded Gauss-Legendre panels
 
 
 @dataclass(frozen=True, eq=False)
 class _BandKernel:
-    k_nodes: np.ndarray  # substituted variable, [0, pi]
-    e_nodes: np.ndarray  # energies (the oscillation phase)
-    w: np.ndarray  # (N, K) amplitudes S_n(E(k)) * dE/dk, finite at the edges
+    e_nodes: np.ndarray  # (K,) node energies, ascending
+    w: np.ndarray  # (N, K) S_n(E) times the rule's weight of integral dE
+    rounding: np.ndarray  # (N,) bound on the rounding of the sums over w
     delta_nodes: int = 0  # node count of the Delta rule, 0 for a closed form
 
 
-def _build_kernel(
-    model: ValidatedModel, initial: InitialState, n_base: int
-) -> _BandKernel:
-    if not model.finite_band:
-        raise ConfigError("scattering dynamics requires a finite band")
+def _build_kernel(model: ValidatedModel, initial: InitialState, breaks) -> _BandKernel:
+    """S_n = Gamma*I*f_n / (pi*(E - eps_n)*[(1 - Delta*K)^2 + (Gamma*K)^2])
+    times W on the nodes of the k-panels between breaks.
+
+    A node that rounds onto an edge keeps weight 0: S dE/dk vanishes there.
+    Near a narrow resonance 1 - Delta*K cancels; an error of a few ulps of
+    1 + |Delta*K| moves S by that over the root of its denominator.
+    """
+    e, wgt = qd.panel_rule(model.omega_low, model.omega_up, breaks)
+    for eps in model.levels:  # nudge any node off a level (pole of K and I)
+        e[np.abs(e - eps) < 1e-14 * model.scale] += 1e-13 * model.scale
+    inside = (e > model.omega_low) & (e < model.omega_up)
+    x = e[inside]
+    gamma = np.pi * np.asarray(model.j(x), dtype=float)
+    delta, delta_nodes = sp._delta(model, x)
+    k = sp.k_real_grid(model, x)
+    denom = (1.0 - delta * k) ** 2 + (gamma * k) ** 2
+    pref = gamma * sp.i_real_grid(model, initial, x) * wgt[inside] / (np.pi * denom)
+    w = np.zeros((model.n_levels, e.size), dtype=complex)
+    w[:, inside] = pref * model.couplings[:, None] / (x - model.levels[:, None])
+    rel = np.finfo(float).eps * (8.0 + 16.0 * (1.0 + np.abs(delta * k)) / np.sqrt(denom))
+    return _BandKernel(e, w, np.abs(w[:, inside]) @ rel, delta_nodes)
+
+
+def _denominator(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
+    """h = Q - (Delta + i*Gamma) P at real x, with Q = prod (x - eps_n) and
+    P = Q*K finite at the levels: |h/Q|^2 is the denominator of S."""
+    d = np.subtract.outer(x, model.levels)
+    ones = np.ones((x.size, 1))
+    before = np.cumprod(np.hstack([ones, d[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, d[:, :0:-1]]), axis=1)[:, ::-1]
+    sigma = sp._delta(model, x)[0] + 1j * np.pi * np.asarray(model.j(x), dtype=float)
+    return before[:, -1] * d[:, -1] - sigma * ((before * after) @ model._f2)
+
+
+def _peaks(model: ValidatedModel, e: np.ndarray):
+    """(energy, half-width) of each resonance peak of S seen on ascending e.
+
+    S is smooth over |h|^2 (`_denominator`): a peak is a zero E_r - i*gamma
+    of h near the axis.  From each local minimum of |h| on e, Newton steps
+    E <- Re(E - h/h') (h' by central differences) reach E_r, and gamma =
+    |Im(h/h')|: |Gamma*K / (1 - Delta*K)'| at a zero of 1 - Delta*K.  h
+    also sees a peak on a level where Delta vanishes, and an overdamped
+    pair of resonances, where 1 - Delta*K has no zero.
+    """
+    lo, up = model.omega_low, model.omega_up
+    size = np.abs(_denominator(model, e))
+    minima = np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] <= size[2:])) + 1
+    out = []
+    for x in e[minima]:
+        for _ in range(40):
+            step = 1e-6 * min(x - lo, up - x)
+            h = _denominator(model, np.array([x - step, x, x + step]))
+            shift = h[1] * (2.0 * step) / (h[2] - h[0])
+            x, last = x - shift.real, x
+            if not lo < x < up:
+                break
+            if abs(x - last) <= 1e-3 * abs(shift.imag) + 1e-11 * model.scale:  # or h's rounding
+                out.append((x, abs(shift.imag)))
+                break
+    return out
+
+
+def _transform_breaks(coefficients: DecayCoefficients, t_max: float) -> np.ndarray:
+    """k-panels of the scattering transform up to the time t_max.
+
+    Graded toward each edge as deeply as Sigma's rule is for the bound state
+    nearest outside it; at most one wavelength of exp(-iE t_max) wide, which
+    dE/dk <= half makes 2*pi / (t_max * half) in k; then graded by GRADING
+    toward each resonance peak down to a quarter of its half-width.
+    """
+    model = coefficients.model
     lo, up = model.omega_low, model.omega_up
     mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
-    k = _band_k_nodes(model, n_base)
-    e = mid - half * np.cos(k)
-    # nudge any node that collides with a level (pole of K and I)
-    for eps in model.levels:
-        hit = np.abs(e - eps) < 1e-14 * model.scale
-        e[hit] += 1e-13 * model.scale
-
-    inner = slice(1, -1)
-    pref, delta_nodes = _scatter_prefactor(model, initial, e[inner])
-    jac = half * np.sin(k[inner])
-    n_lev = model.n_levels
-    w = np.empty((n_lev, k.size), dtype=complex)
-    for n in range(n_lev):
-        s_n = pref * model.couplings[n] / (e[inner] - model.levels[n])
-        w[n, inner] = s_n * jac
-    # edge nodes: W = S * dE/dk has a finite limit; extrapolate quadratically
-    w[:, 0] = _quad_extrapolate(k[0], (k[1], k[2], k[3]), w[:, 1:4])
-    w[:, -1] = _quad_extrapolate(k[-1], (k[-4], k[-3], k[-2]), w[:, -4:-1])
-    return _BandKernel(k_nodes=k, e_nodes=e, w=w, delta_nodes=delta_nodes)
-
-
-def _scatter_amplitudes(kern: _BandKernel, times) -> np.ndarray:
-    """s_n(t) = int S_n(E) e^{-iEt} dE, shape (N, T)."""
-    return qd.fourier_linear(kern.k_nodes, kern.w, times, phase=kern.e_nodes)
+    e_b = coefficients.energies
+    breaks = qd._breaks(*(
+        qd._edge_target(lo, up, edge, float(np.min(dist, initial=math.inf)))
+        for edge, dist in ((lo, (lo - e_b)[e_b <= lo]), (up, (e_b - up)[e_b >= up]))
+    ))
+    waves = np.ceil(np.diff(breaks) * t_max * half / (2.0 * np.pi))
+    breaks = qd.split_panels(breaks, np.maximum(waves, 1).astype(int))
+    for e0, width in _peaks(model, qd.panel_rule(lo, up, breaks)[0]):
+        k0 = math.acos((mid - e0) / half)
+        slope = math.sqrt((e0 - lo) * (up - e0))  # dE/dk at the peak
+        # nodes of the innermost panels stay some ulps of E apart
+        d = max(0.25 * width, 128.0 * np.spacing(abs(e0))) / slope
+        breaks = qd.graded_breaks(breaks, k0, d)
+    return breaks
 
 
 def _bound_amplitudes(coeffs: DecayCoefficients, times) -> np.ndarray:
@@ -185,6 +189,54 @@ def _bound_amplitudes(coeffs: DecayCoefficients, times) -> np.ndarray:
     return coeffs.R @ phases
 
 
+PANEL_TOL = 1e-13  # most that halving may move a panel's part of some s_n(0)
+MAX_ROUNDS = 8  # rounds of halving the panels that move more
+
+
+def _transform(coefficients: DecayCoefficients, times, n_base_nodes: Optional[int]):
+    """(kernel, kernel on the same panels halved) of the transform on times.
+
+    The panels of `_transform_breaks`, split evenly up to n_base_nodes; then
+    each panel whose part of s_n(0) moves by more than PANEL_TOL when halved
+    is halved, which catches what they do not aim at (a resonance off the
+    axis next to an edge).
+    """
+    model, initial = coefficients.model, coefficients.initial
+    if not model.finite_band:
+        raise ConfigError("scattering dynamics requires a finite band")
+    t = np.asarray(times, dtype=float)
+    breaks = _transform_breaks(coefficients, float(np.max(np.abs(t), initial=0.0)))
+    nodes = (breaks.size - 1) * qd.PANEL_NODES
+    if n_base_nodes is not None and n_base_nodes > nodes:
+        breaks = qd.split_panels(breaks, math.ceil(n_base_nodes / nodes))
+    for _ in range(MAX_ROUNDS):
+        kern = _build_kernel(model, initial, breaks)
+        fine = _build_kernel(model, initial, qd.split_panels(breaks, 2))
+        shape = (model.n_levels, breaks.size - 1, -1)
+        moved = np.abs(kern.w.reshape(shape).sum(2) - fine.w.reshape(shape).sum(2)).max(0)
+        if not np.any(moved > PANEL_TOL):
+            break
+        breaks = qd.split_panels(breaks, np.where(moved > PANEL_TOL, 2, 1))
+    return kern, fine
+
+
+def _halving_error(coefficients: DecayCoefficients, kern, fine, t) -> float:
+    """Twice a bound on |p - p'| at t = 0 (edge and peak error) and max(t)
+    (oscillation error), p' from the halved kernel: a rule converging at
+    least linearly is off by at most that.  |p - p'| <= |a - a'| (|a| + |a'|)
+    for amplitude vectors a, |a - a'| taking in the rounding of a.
+    """
+    ends = np.array([0.0, float(np.max(t, initial=0.0))])
+    bound = _bound_amplitudes(coefficients, ends)
+    a, a2 = (
+        bound + k.w @ np.exp(np.multiply.outer(k.e_nodes, -1j * ends)) for k in (kern, fine)
+    )
+    norm = np.linalg.norm
+    rounding = norm(kern.rounding + 8.0 * np.finfo(float).eps * np.abs(coefficients.R).sum(axis=1))
+    diff = norm(a - a2, axis=0) + rounding
+    return 2.0 * float(np.max(diff * (norm(a, axis=0) + norm(a2, axis=0))))
+
+
 def survival_probability(
     model: ValidatedModel,
     initial: InitialState,
@@ -192,20 +244,17 @@ def survival_probability(
     *,
     bound_states: Optional[list] = None,
     coefficients: Optional[DecayCoefficients] = None,
-    n_base_nodes: int = 32769,
+    n_base_nodes: Optional[int] = None,
     error_budget: Optional[float] = None,
     with_parts: bool = True,
 ) -> SurvivalSeries:
     """p(t) on the requested grid (times >= 0, sorted).
 
-    error_budget, when given, checks the band integral by node thinning and
-    raises QuadratureBudgetExceeded (with the achieved estimate) if the
-    scattering part is not converged to that absolute level.
-
-    meta holds the Filon node count (`filon_nodes`), the node count of the
-    Delta rule (`delta_nodes`, 0 when the model's closed form gave Delta)
-    and, when error_budget is given, the thinning estimate
-    (`filon_thinning_error`).
+    n_base_nodes, when given, is a floor on the transform's node count.
+    meta holds that count (`filon_nodes`), the Delta rule's (`delta_nodes`,
+    0 for a closed-form Delta) and the error estimate of `_halving_error`
+    (`filon_thinning_error`); QuadratureBudgetExceeded is raised when that
+    exceeds error_budget.
     """
     t = np.asarray(times, dtype=float)
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):
@@ -215,18 +264,15 @@ def survival_probability(
             bound_states = all_bound_states(model)
         coefficients = decay_coefficients(model, initial, bound_states)
 
-    kern = _build_kernel(coefficients.model, coefficients.initial, n_base_nodes)
-    s_amp = _scatter_amplitudes(kern, t)
-    meta = {"filon_nodes": int(kern.k_nodes.size), "delta_nodes": int(kern.delta_nodes)}
-    if error_budget is not None:
-        sub = np.unique(np.r_[np.arange(0, kern.k_nodes.size, 2), kern.k_nodes.size - 1])
-        coarse = _BandKernel(kern.k_nodes[sub], kern.e_nodes[sub], kern.w[:, sub])
-        est = float(np.max(np.abs(_scatter_amplitudes(coarse, t) - s_amp)))
-        meta["filon_thinning_error"] = est
-        if est > error_budget:
-            raise QuadratureBudgetExceeded(
-                f"band-integral error estimate {est:.3e} exceeds budget {error_budget:.3e}"
-            )
+    kern, fine = _transform(coefficients, t, n_base_nodes)
+    s_amp = qd.fourier_linear(kern.e_nodes, kern.w, t)  # int S_n(E) e^{-iEt} dE
+    est = _halving_error(coefficients, kern, fine, t)
+    meta = dict(filon_nodes=kern.e_nodes.size, delta_nodes=kern.delta_nodes)
+    meta["filon_thinning_error"] = est
+    if error_budget is not None and est > error_budget:
+        raise QuadratureBudgetExceeded(
+            f"band-integral error estimate {est:.3e} exceeds budget {error_budget:.3e}"
+        )
     b_amp = _bound_amplitudes(coefficients, t)
 
     total = b_amp + s_amp
@@ -246,13 +292,13 @@ def survival_amplitudes(
     times,
     *,
     coefficients: Optional[DecayCoefficients] = None,
-    n_base_nodes: int = 32769,
+    n_base_nodes: Optional[int] = None,
 ) -> np.ndarray:
     """Per-level amplitudes b_n(t) + s_n(t) on an unrestricted time grid."""
     if coefficients is None:
         coefficients = decay_coefficients(model, initial, all_bound_states(model))
-    kern = _build_kernel(coefficients.model, coefficients.initial, n_base_nodes)
-    return _bound_amplitudes(coefficients, times) + _scatter_amplitudes(kern, times)
+    kern = _transform(coefficients, times, n_base_nodes)[0]
+    return _bound_amplitudes(coefficients, times) + qd.fourier_linear(kern.e_nodes, kern.w, times)
 
 
 def long_time_limit(

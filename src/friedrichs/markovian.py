@@ -181,14 +181,15 @@ def resonance_decomposition(
     else:
         z, vecs = scipy.linalg.eig(mat)
 
-    norm_h = max(float(np.linalg.norm(mat, 2)), 1e-300)
-    gap_tol = ep_gap_factor * norm_h
-    gaps = [abs(z[i] - z[j]) for i in range(n) for j in range(i)]
-    min_gap = min(gaps) if gaps else math.inf
+    below, above = np.tril_indices(n, -1)
+    min_gap = float(np.min(np.abs(z[below] - z[above])))
     defective = False
-    if min_gap < gap_tol:
-        cond = np.linalg.cond(vecs)
-        defective = (not np.isfinite(cond)) or cond > ep_cond
+    # ||H||_2 <= ||H||_F: the SVD runs only when the gap may be below the 2-norm bound
+    if min_gap < ep_gap_factor * max(float(np.linalg.norm(mat)) * (1 + 1e-12), 1e-300):
+        gap_tol = ep_gap_factor * max(float(np.linalg.norm(mat, 2)), 1e-300)
+        if min_gap < gap_tol:
+            cond = np.linalg.cond(vecs)
+            defective = (not np.isfinite(cond)) or cond > ep_cond
     if defective:
         if n == 2:
             # closed-form null direction is exact at the coalescence

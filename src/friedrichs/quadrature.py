@@ -5,14 +5,16 @@ k in [0, pi]: the Jacobian half*sin(k) removes inverse-square-root edge
 divergences (van Hove) and flattens power-law edge zeros, so one scheme
 covers every declared edge exponent.
 
-Finite bands take fixed composite Gauss-Legendre rules in k whose panels
-are graded geometrically toward both edges: `delta_on_grid`, the Delta of
-every finite band, grades down to the grid point nearest each edge, and
+Finite bands take composite Gauss-Legendre rules in k whose panels are
+graded geometrically toward both edges: `delta_on_grid`, the Delta of every
+finite band, grades down to the grid point nearest each edge;
 `kernel_integral` (Sigma, Sigma') down to the pole that an energy outside
-the band puts at imaginary k.  Adaptive `quad` serves only (semi-)infinite
-bands and the tests: `kernel_integral` and `principal_value` run it there,
-`band_integral` is the k-substituted adaptive reference on a finite band.
-The linear-Filon transform `fourier_linear` handles oscillatory integrals.
+the band puts at imaginary k; and the scattering transform of `dynamics`
+builds its panels from the same pieces (`graded_breaks`, `split_panels`,
+`panel_rule`) and sums them against exp(-i omega t) in `fourier_linear`.  Adaptive `quad` serves only
+(semi-)infinite bands and the tests: `kernel_integral` and
+`principal_value` run it there, `band_integral` is the k-substituted
+adaptive reference on a finite band.
 """
 from __future__ import annotations
 
@@ -201,7 +203,21 @@ def delta_rule(lo, up, e_grid):
     span = up - lo
     d_lo = 2.0 * math.asin(math.sqrt(min(max((float(e_grid.min()) - lo) / span, 0.0), 1.0)))
     d_up = 2.0 * math.asin(math.sqrt(min(max((up - float(e_grid.max())) / span, 0.0), 1.0)))
-    wk, om, jac = _panels(lo, up, _breaks(d_lo, d_up))[:3]
+    d_lo, d_up = max(d_lo, _shallowest(lo, up, lo)), max(d_up, _shallowest(lo, up, up))
+    return panel_rule(lo, up, _breaks(d_lo, d_up))
+
+
+def _shallowest(lo, up, edge):
+    """The smallest target of `_breaks` whose nodes all stay at least one ulp
+    off the edge: deeper nodes would round onto it, where J reads 0 or inf."""
+    floor = 4.0 * math.asin(math.sqrt(np.spacing(abs(edge)) / (up - lo)))
+    return floor / (1.0 - _gauss_legendre(PANEL_NODES)[0][-1]) * GRADING**PAST_TARGET
+
+
+def panel_rule(lo, up, breaks):
+    """Node energies and weights of integral dw for the k-panels between breaks,
+    PANEL_NODES Gauss-Legendre nodes each; the energies ascend."""
+    wk, om, jac = _panels(lo, up, breaks)[:3]
     return om.ravel(), (wk * jac).ravel()
 
 
@@ -212,13 +228,16 @@ def delta_on_grid(j, lo, up, e_grid):
     on the nodes of `delta_rule`: the compensated integrand is as smooth as
     J, so the rule converges however close grid points sit to the nodes.
 
-    The grading is what targets near an edge need.  Where J(omega(k)) is
+    The grading is what targets near an edge need, down to the target
+    whose nodes would round onto the edge (`_shallowest`).  Where J(omega(k)) is
     odd in k (half-integer edge exponents, van Hove edges) the compensated
     integrand has a pole at the mirror image -k_E of a target, k_E outside
     the band; any other edge exponent s puts a k**(2s+1) branch point on the
     edge itself, which the panels past the target resolve.  The node count
-    grows with the log of the smallest k-distance: 252 nodes for the
-    32769-point Filon grid of `dynamics`.
+    grows with the log of the smallest k-distance; a grid within one ulp of
+    both edges, as the nodes of the scattering transform are, takes about
+    280.  A target on a node of the rule takes the limit -J'(E) of the
+    subtracted integrand there.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if e_grid.size == 0:
@@ -227,10 +246,23 @@ def delta_on_grid(j, lo, up, e_grid):
     jv = np.asarray(j(om), dtype=float)
     je = np.asarray(j(e_grid), dtype=float)
     out = np.empty_like(e_grid)
+    on_node = None
     rows = max(1, 2**14 // om.size)  # (rows, nodes) temporaries stay in cache
     for i in range(0, e_grid.size, rows):
-        blk = e_grid[i : i + rows]
-        out[i : i + rows] = ((jv - je[i : i + rows, None]) / (blk[:, None] - om)) @ wgt
+        gap = e_grid[i : i + rows, None] - om
+        with np.errstate(invalid="ignore"):
+            terms = (jv - je[i : i + rows, None]) / gap
+        hit = np.nonzero(gap == 0.0)
+        if hit[0].size:
+            if on_node is None:
+                # a target on a node: the limit -J'(E), J' = (F_k - J w_kk) / w_k^2
+                # from the interpolant of F = J w_k, smooth at a van Hove edge
+                dw = np.sqrt((om - lo) * (up - om))
+                f_u = ((jv * dw).reshape(-1, PANEL_NODES) @ _differentiation().T).ravel()
+                w_i = np.tile(_gauss_legendre(PANEL_NODES)[1], om.size // PANEL_NODES)
+                on_node = (jv * (0.5 * (lo + up) - om) - f_u * w_i * dw / wgt) / dw**2
+            terms[hit] = on_node[hit[1]]
+        out[i : i + rows] = terms @ wgt
     return out + je * np.log((e_grid - lo) / (up - e_grid))
 
 
@@ -240,6 +272,16 @@ def delta_on_grid(j, lo, up, e_grid):
 #: each edge is graded as if a pole sat at most this far from it in k: 2s not
 #: an integer puts a k**(2s+1) branch point there, and the rule cannot see s
 _EDGE_DEPTH = 0.25
+
+
+def _edge_target(lo, up, edge, dist):
+    """The target `_breaks` grades an edge toward: the k-distance
+    2*asinh(sqrt(dist/span)) of the pole that an energy dist outside the
+    edge puts at imaginary k (none for dist < 0), at most _EDGE_DEPTH, over
+    GRADING**2; never so deep that a node comes within one ulp of the edge.
+    """
+    pole = 2.0 * math.asinh(math.sqrt(dist / (up - lo))) if dist >= 0.0 else math.inf
+    return max(min(pole, _EDGE_DEPTH) / GRADING**2, _shallowest(lo, up, edge))
 
 
 @lru_cache(maxsize=1)
@@ -263,14 +305,7 @@ def _kernel_sum(j, lo, up, e, power, interior_points):
     k**a, a > -1 unknown, so the innermost panel is replaced by the geometric
     series its two neighbours start.  err sums both corrections and rounding.
     """
-    span, targets = up - lo, []
-    for edge, dist in ((lo, lo - e), (up, e - up)):
-        pole = 2.0 * math.asinh(math.sqrt(dist / span)) if dist >= 0.0 else math.inf
-        # the innermost break whose first node stays one ulp off the edge
-        floor = 4.0 * math.asin(math.sqrt(np.spacing(abs(edge)) / span))
-        floor /= 1.0 - _gauss_legendre(PANEL_NODES)[0][-1]
-        targets.append(max(min(pole, _EDGE_DEPTH) / GRADING**2, floor * GRADING**PAST_TARGET))
-    breaks = _breaks(*targets)
+    breaks = _breaks(_edge_target(lo, up, lo, lo - e), _edge_target(lo, up, up, e - up))
     inner = [_k_of_omega(p, lo, up) for p in (*interior_points, e) if lo < p < up]
     breaks = np.union1d(breaks, inner) if inner else breaks
     wk, om, jac, slip, rnd = _panels(lo, up, breaks)
@@ -287,132 +322,42 @@ def _kernel_sum(j, lo, up, e, power, interior_points):
 
 
 # ---------------------------------------------------------------------------
-# linear-Filon transform for oscillatory integrals
-
-#: panels with |theta| = |t * dphase| below this use the Taylor series of the
-#: panel weights; above it the closed form loses at most a factor 1/theta^2
-#: of the phase accuracy, which stays below 1e-12 even on recurred phases
-THETA_SERIES = 0.25
-
-#: on an evenly spaced time grid the node phases are advanced by a fixed
-#: factor per step and recomputed exactly every this many steps, so the
-#: rounding of the recurrence (about one ulp per step) never builds up
-PHASE_RESEED = 256
+# the scattering transform: a plain sum on the graded panels
 
 
-def _series_table(n_terms: int = 6) -> np.ndarray:
-    """Taylor coefficients in y = theta^2 of the two panel weights.
-
-    c0 = int_0^1 (1-u) e^{-i theta u} du and c1 = int_0^1 u e^{-i theta u} du.
-    Rows: Re c0, Re c1, -Im c0 / theta, -Im c1 / theta.
-    """
-    table = np.empty((4, n_terms))
-    for m in range(n_terms):
-        sign = (-1.0) ** m
-        table[0, m] = sign / math.factorial(2 * m + 2)
-        table[1, m] = sign * (2 * m + 1) / math.factorial(2 * m + 2)
-        table[2, m] = sign / math.factorial(2 * m + 3)
-        table[3, m] = sign * (2 * m + 2) / math.factorial(2 * m + 3)
-    return table
+def split_panels(breaks, m):
+    """breaks with panel i cut into m[i] (or m) equal panels."""
+    m = np.broadcast_to(np.asarray(m, dtype=int), (breaks.size - 1,))
+    i = np.repeat(np.arange(m.size), m)
+    part = np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
+    return np.append(breaks[i] + np.diff(breaks)[i] * (part / m[i]), breaks[-1])
 
 
-_SERIES = _series_table()
-# largest y for which n terms leave a remainder below 1e-17 (alternating series)
-_SERIES_YMAX = np.array(
-    [(1e-17 * math.factorial(2 * n + 1)) ** (1.0 / n) for n in range(1, _SERIES.shape[1] + 1)]
-)
+def graded_breaks(breaks, k0, d):
+    """breaks plus k0 -+ d * GRADING**m, m = 0, 1, ..., up to the first at or
+    past a third of the widest panel: as in `_edge_breaks`, a pole at
+    k0 + 4d*i then sits a third of a width off any panel not holding k0."""
+    reach = np.max(np.diff(breaks)) / 3.0
+    if not d < reach:
+        return breaks
+    steps = d * GRADING ** np.arange(math.ceil(math.log(reach / d, GRADING)) + 1)
+    new = np.concatenate([k0 - steps, k0 + steps])
+    return np.union1d(breaks, new[(new > 0.0) & (new < np.pi)])
 
 
-def _uniform_step(t: np.ndarray):
-    """The step of an evenly spaced grid (equal to rounding), else None."""
-    if t.size < 3:
-        return None
-    step = (t[-1] - t[0]) / (t.size - 1)
-    tol = 8.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
-    if np.max(np.abs(t - (t[0] + step * np.arange(t.size)))) > tol:
-        return None
-    return step
+def fourier_linear(x, f, times):
+    """sum_k f[..., k] exp(-i x_k t) at each time t: a band integral against
+    exp(-i omega t) on the nodes x of a rule whose weights f carries.
 
-
-def _node_phases(p: np.ndarray, t: np.ndarray):
-    """Yield exp(-i p t_j) for each time in turn (the same buffer each time).
-
-    An evenly spaced grid advances the phases by exp(-i p dt) per step and
-    recomputes them exactly every PHASE_RESEED steps; any other grid
-    computes every time directly.
-    """
-    step = _uniform_step(t)
-    factor = None if step is None else np.exp(p * (-1j * step))
-    e = np.empty(p.size, dtype=complex)
-    for j, tj in enumerate(t):
-        if factor is None or j % PHASE_RESEED == 0:
-            np.multiply(p, -1j * tj, out=e)
-            np.exp(e, out=e)
-        else:
-            e *= factor
-        yield e
-
-
-def _panel_weights(t, dp, dp2, e, out):
-    """(c0, c1) of every panel at time t into out, shape (2, K-1) complex.
-
-    theta = t * dp; |theta| < THETA_SERIES takes the Taylor series with as
-    many terms as the largest such theta needs, larger |theta| the closed
-    forms with exp(-i theta) = e[k+1] * conj(e[k]).
-    """
-    y = dp2 * (t * t)
-    y_max = float(y.max()) if y.size else 0.0
-    n = int(np.searchsorted(_SERIES_YMAX, min(y_max, THETA_SERIES**2))) + 1
-    coef = _SERIES[:, :n].copy()
-    coef[2:] *= t
-    acc = np.repeat(coef[:, -1:], y.size, axis=1)
-    for m in range(n - 2, -1, -1):
-        acc *= y
-        acc += coef[:, m : m + 1]
-    out.real = acc[:2]
-    np.multiply(acc[2:], -dp, out=acc[2:])
-    out.imag = acc[2:]
-    if y_max >= THETA_SERIES**2:
-        big = y >= THETA_SERIES**2
-        th = t * dp[big]
-        ph = e[1:][big] * np.conj(e[:-1][big])
-        out[0, big] = (1.0 - 1j * th - ph) / th**2
-        out[1, big] = (ph * (1.0 + 1j * th) - 1.0) / th**2
-
-
-def fourier_linear(x, f, times, phase=None):
-    """integral of f(x)*exp(-i*phase(x)*t) dx, f and phase piecewise linear.
-
-    `phase` defaults to x itself.  On a panel [x_k, x_k+1] the linear
-    interpolant of f is integrated against the linear interpolant of the
-    phase exactly, so the result is uniformly accurate in t: with
-    theta = t * (phase_k+1 - phase_k) the panel adds
-    h_k e^{-i phase_k t} (f_k c0(theta) + f_k+1 c1(theta)).
-
-    `f` has shape (K,) or (N, K); N rows share every phase and panel weight,
-    so they cost about as much as one.  The node phases exp(-i phase t) on
-    an evenly spaced time grid come from a fixed per-step factor and are
-    recomputed exactly every PHASE_RESEED steps; other grids compute them
-    at every time.  Returns shape (len(times),) or (N, len(times)).
+    f has shape (K,) or (N, K), the result (T,) or (N, T).  The phases are
+    formed for blocks of times, so the (K, block) temporary stays ~1 MB.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=complex)
     rows = np.atleast_2d(f)
-    p = x if phase is None else np.asarray(phase, dtype=float)
     t = np.asarray(times, dtype=float)
-    h = np.diff(x)
-    dp = np.diff(p)
-    dp2 = dp * dp
-    c = np.empty((2, h.size), dtype=complex)
-    he = np.empty(h.size, dtype=complex)
-    g = np.empty(x.size, dtype=complex)  # node weights: panel k-1 and panel k
     out = np.empty((rows.shape[0], t.size), dtype=complex)
-    for j, e in enumerate(_node_phases(p, t)):
-        _panel_weights(t[j], dp, dp2, e, c)
-        np.multiply(h, e[:-1], out=he)
-        np.multiply(c[0], he, out=g[:-1])
-        g[-1] = 0.0
-        c[1] *= he
-        g[1:] += c[1]
-        out[:, j] = rows @ g
+    step = max(1, 2**16 // max(x.size, 1))
+    for i in range(0, t.size, step):
+        out[:, i : i + step] = rows @ np.exp(np.multiply.outer(x, -1j * t[i : i + step]))
     return out if f.ndim == 2 else out[0]

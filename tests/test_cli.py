@@ -115,6 +115,10 @@ def test_dynamics_csv_and_sidecar(tmp_path):
     assert first[1] == pytest.approx(first[2] + first[3] + first[4], abs=1e-12)
     payload = json.loads(side.read_text())
     assert payload["mean"] == pytest.approx(0.4487534626, rel=1e-6)
+    meta = payload["meta"]
+    assert meta["delta_nodes"] == 0  # the waveguide's closed-form Delta
+    assert 0 < meta["filon_nodes"] < 32769
+    assert 0.0 < meta["filon_thinning_error"] < 1e-10
 
 
 def test_oracle_csv(tmp_path):

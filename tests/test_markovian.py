@@ -306,3 +306,49 @@ def test_anti_pt_holds_for_larger_chains():
         h = fr.build_markovian(fr.build_waveguide_model(params), GAMMA)
         rep = fr.anti_pt_check(h)
         assert rep.is_anti_pt
+
+
+def _loop_is_defective(h, ep_gap_factor):
+    """The EP decision as a double loop over eigenvalue pairs against the
+    2-norm: the reference of the vectorized gap and the deferred SVD."""
+    mat = h.matrix
+    n = mat.shape[0]
+    z, vecs = mk._eig2(mat) if n == 2 else scipy.linalg.eig(mat)
+    gap_tol = ep_gap_factor * max(float(np.linalg.norm(mat, 2)), 1e-300)
+    min_gap = min(abs(z[i] - z[j]) for i in range(n) for j in range(i))
+    if not min_gap < gap_tol:
+        return False
+    cond = np.linalg.cond(vecs)
+    return (not np.isfinite(cond)) or cond > mk.EP_COND
+
+
+def test_ep_decision_matches_loop_reference(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = [random_markovian(rng) for _ in range(6)] + [two_atom(4.0)[2]]
+    params = fr.WaveguideParams(40, LAM, 1.01, 0.5, fr.INFINITE)
+    cases.append(fr.build_markovian(fr.build_waveguide_model(params), GAMMA))
+    two_norms = []
+    norm = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            two_norms.append(1)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for h in cases:
+        z = scipy.linalg.eigvals(h.matrix)
+        gap = min(abs(a - b) for i, a in enumerate(z) for b in z[:i])
+        # the default, and factors that put the gap just either side of the
+        # Frobenius and the 2-norm thresholds
+        factors = [mk.EP_GAP_FACTOR]
+        for size in (norm(h.matrix), norm(h.matrix, 2)):
+            factors += [gap / size * (1 - 1e-9), gap / size * (1 + 1e-9)]
+        for factor in factors:
+            got = fr.resonance_decomposition(h, ep_gap_factor=factor).kind
+            want = _loop_is_defective(h, factor)
+            assert (got is fr.ResonanceKind.DEFECTIVE) == want
+    two_norms.clear()
+    for h in cases[:-2]:  # well-separated random spectra need no SVD
+        fr.resonance_decomposition(h)
+    assert not two_norms
