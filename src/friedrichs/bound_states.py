@@ -2,9 +2,12 @@
 
 Outside the band the eigenvalue condition reduces to K(E) = 1/Sigma(E);
 K falls monotonically on each branch between its poles while 1/Sigma rises,
-so every root sits in a certifiable bracket built from the poles eps_n, the
-K-zeros, the band edges and expanding far sentinels.  Inside the band,
-candidates exist only at the declared zeros of J.
+so each branch holds at most one root.  One walk, the same for both sides,
+brackets one root per interval from a band edge through the poles eps_n,
+nearest first, to an expanding far sentinel; the interval at the edge holds
+one only when the census found the extra root, and where Sigma is finite
+there the census has already certified the sign of K - 1/Sigma at the edge.
+Inside the band, candidates exist only at the declared zeros of J.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from scipy.optimize import brentq
 from . import quadrature as qd
 from . import spectral as sp
 from .errors import NormalizationFailure, RootNotFound
-from .model import DIVERGENT, InitialState, ValidatedModel
+from .model import DIVERGENT, ValidatedModel
 
 
 class BoundStateKind(enum.Enum):
@@ -52,12 +55,13 @@ class BoundStateCensus:
         return self.m_below + self.m_above
 
 
-def _edge_comparison(model: ValidatedModel, side: str) -> dict:
-    """Evaluate one Table-style criterion pair at a band edge."""
-    edge = model.omega_low if side == "low" else model.omega_up
+def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
+    """Evaluate one Table-style criterion pair at a band edge; sgn is -1 (low)
+    or +1 (up), so that sgn*(E - edge) > 0 lies outside the band."""
+    side, edge = ("low", model.omega_low) if sgn < 0 else ("up", model.omega_up)
     trace: dict = {"side": side, "edge": edge}
     levels = model.levels
-    n_side = int(np.sum(levels < edge)) if side == "low" else int(np.sum(levels > edge))
+    n_side = int(np.sum(sgn * (levels - edge) > 0))
     trace["n_side"] = n_side
 
     if not math.isfinite(edge):
@@ -67,9 +71,9 @@ def _edge_comparison(model: ValidatedModel, side: str) -> dict:
     n_tot = model.n_levels
     # energy criterion: the edge must lie past the K-zero in its gap
     if 1 <= n_side <= n_tot - 1:
-        j = n_side - 1 if side == "low" else n_tot - 1 - n_side
+        j = n_side - 1 if sgn < 0 else n_tot - 1 - n_side
         zero = sp._k_zero_in_gap(model, levels[j], levels[j + 1])
-        energy_ok = (edge > zero) if side == "low" else (edge < zero)
+        energy_ok = sgn * (zero - edge) > 0
         trace["k_zero_boundary"] = float(zero)
     else:
         energy_ok = True  # vacuous: no zero separates the edge from the last pole
@@ -79,10 +83,8 @@ def _edge_comparison(model: ValidatedModel, side: str) -> dict:
     k_edge = float(np.real(sp.k_function(model, edge)))
     sig_inv, is_limit = sp.sigma_inverse_at_edge(model, side)
     trace["k_edge"] = k_edge
-    trace["sigma_inv_edge"] = "0-" if (is_limit and side == "low") else (
-        "0+" if is_limit else sig_inv
-    )
-    margin = (sig_inv - k_edge) if side == "low" else (k_edge - sig_inv)
+    trace["sigma_inv_edge"] = ("0-" if sgn < 0 else "0+") if is_limit else sig_inv
+    margin = sgn * (k_edge - sig_inv)
     tie = abs(margin) <= 1e-12 * max(abs(k_edge), abs(sig_inv), 1e-300)
     trace["tie"] = bool(tie)
     amplitude_ok = (margin > 0) and not tie
@@ -91,20 +93,22 @@ def _edge_comparison(model: ValidatedModel, side: str) -> dict:
     return trace
 
 
-def count_bound_states(model: ValidatedModel) -> BoundStateCensus:
-    """Bound-state census outside the band plus the count of declared BICs."""
-    low = _edge_comparison(model, "low")
-    up = _edge_comparison(model, "up")
-    m_below = low["n_side"] + (1 if low.get("extra_root") else 0)
-    m_above = up["n_side"] + (1 if up.get("extra_root") else 0)
+def _census(model: ValidatedModel, bics: list) -> BoundStateCensus:
+    """The census outside the band, with the BICs the caller already found."""
+    low, up = _edge_comparison(model, -1), _edge_comparison(model, +1)
     return BoundStateCensus(
         n_low=low["n_side"],
         n_up=up["n_side"],
-        m_below=m_below,
-        m_above=m_above,
-        m_bic=len(find_bics(model)),
+        m_below=low["n_side"] + (1 if low.get("extra_root") else 0),
+        m_above=up["n_side"] + (1 if up.get("extra_root") else 0),
+        m_bic=len(bics),
         criteria_trace={"low": low, "up": up},
     )
+
+
+def count_bound_states(model: ValidatedModel) -> BoundStateCensus:
+    """Bound-state census outside the band plus the count of declared BICs."""
+    return _census(model, find_bics(model))
 
 
 # ---------------------------------------------------------------------------
@@ -141,51 +145,47 @@ def _polish(model: ValidatedModel, e: float, a: float, b: float):
     return e, sig
 
 
-def _near_pole_offset(model: ValidatedModel, pole: float, direction: int) -> float:
-    """Point near a K-pole on the given side where the sign is pole-dominated."""
+def _near_pole_offset(model: ValidatedModel, pole: float, direction: int):
+    """(e, f) near a K-pole on the given side, where f = K - 1/Sigma has the
+    pole-dominated sign: direction*f > 0."""
     d = 1e-9 * model.scale
     floor = 2e-13 * model.scale
     while d >= floor:
         e = pole + direction * d
         f = _mismatch(model, e)
-        if direction > 0 and f > 0:
-            return e
-        if direction < 0 and f < 0:
-            return e
+        if direction * f > 0:
+            return e, f
         d *= 0.25
     raise RootNotFound(f"could not approach pole at {pole}")
 
 
-def _edge_endpoint(model: ValidatedModel, side: str) -> float:
-    """Bracket endpoint at (or walking in from) a band edge."""
-    edge = model.omega_low if side == "low" else model.omega_up
-    s = model.continuum.edge_exponents[0 if side == "low" else 1]
-    want_negative = side == "low"  # f(edge) < 0 below band, > 0 above band
-    if s is not DIVERGENT:
-        f = _mismatch(model, edge)
-        if (f < 0) == want_negative and f != 0:
-            return edge
+def _edge_endpoint(model: ValidatedModel, trace: dict, sgn: int):
+    """(e, f) at a band edge whose extra root the census found: the edge with
+    f = k_edge - sigma_inv_edge from the trace (the census certified
+    sgn*f > 0), or at a divergent edge the first point outward with sgn*f > 0.
+    """
+    edge = trace["edge"]
+    if model.continuum.edge_exponents[0 if sgn < 0 else 1] is not DIVERGENT:
+        return edge, trace["k_edge"] - trace["sigma_inv_edge"]
     d = 1e-3 * model.scale
     for _ in range(60):
-        e = edge - d if side == "low" else edge + d
+        e = edge + sgn * d
         f = _mismatch(model, e)
-        if (f < 0) == want_negative and f != 0:
-            return e
+        if sgn * f > 0:
+            return e, f
         d *= 0.5
-    raise RootNotFound(f"criterion-promised root not visible near the {side} edge")
+    raise RootNotFound(f"criterion-promised root not visible near the {trace['side']} edge")
 
 
-def _expand_sentinel(model: ValidatedModel, start: float, direction: int) -> float:
-    """Far point where K - 1/Sigma has the asymptotic sign (+ left, - right)."""
+def _expand_sentinel(model: ValidatedModel, start: float, direction: int):
+    """(e, f) far out, where K - 1/Sigma has the asymptotic sign: direction*f < 0."""
     e = start
     step = 10.0 * model.scale
     for _ in range(60):
         e = e + direction * step
         f = _mismatch(model, e)
-        if direction < 0 and f > 0:
-            return e
-        if direction > 0 and f < 0:
-            return e
+        if direction * f < 0:
+            return e, f
         step *= 2.0
     raise RootNotFound("sentinel expansion failed")
 
@@ -203,49 +203,24 @@ def _solve_bracket(model: ValidatedModel, a: float, b: float):
     return _polish(model, root, a, b)
 
 
-def _brackets_one_side(model: ValidatedModel, census_trace: dict, side: str):
-    edge = model.omega_low if side == "low" else model.omega_up
-    trace = census_trace[side]
+def _brackets_one_side(model: ValidatedModel, trace: dict, sgn: int):
+    """Ascending brackets ((a, f(a)), (b, f(b))) of the roots on one side,
+    from the outward walk [edge, poles nearest-first, far sentinel]."""
+    edge = trace["edge"]
     if not math.isfinite(edge):
         return []
     levels = model.levels
-    poles = levels[levels < edge] if side == "low" else levels[levels > edge]
+    poles = [float(p) for p in levels[sgn * (levels - edge) > 0][::sgn]]
+    inner = _edge_endpoint(model, trace, sgn) if trace.get("extra_root") else None
     brackets = []
-    if side == "low":
-        bounds = [float(p) for p in poles]
-        if bounds:
-            left = _expand_sentinel(model, bounds[0], -1)
-            for i, p in enumerate(bounds):
-                a = left if i == 0 else _near_pole_offset(model, bounds[i - 1], +1)
-                b = _near_pole_offset(model, p, -1)
-                brackets.append((a, b))
-        if trace.get("extra_root"):
-            a = (
-                _near_pole_offset(model, bounds[-1], +1)
-                if bounds
-                else _expand_sentinel(model, edge, -1)
-            )
-            brackets.append((a, _edge_endpoint(model, "low")))
-    else:
-        bounds = [float(p) for p in poles]
-        if trace.get("extra_root"):
-            b = (
-                _near_pole_offset(model, bounds[0], -1)
-                if bounds
-                else _expand_sentinel(model, edge, +1)
-            )
-            brackets.append((_edge_endpoint(model, "up"), b))
-        if bounds:
-            right = _expand_sentinel(model, bounds[-1], +1)
-            for i, p in enumerate(bounds):
-                a = _near_pole_offset(model, p, +1)
-                b = (
-                    _near_pole_offset(model, bounds[i + 1], -1)
-                    if i + 1 < len(bounds)
-                    else right
-                )
-                brackets.append((a, b))
-    return brackets
+    for pole in poles:
+        if inner is not None:
+            brackets.append((inner, _near_pole_offset(model, pole, -sgn))[::sgn])
+        inner = _near_pole_offset(model, pole, sgn)
+    if inner is not None:
+        outer = _expand_sentinel(model, poles[-1] if poles else edge, sgn)
+        brackets.append((inner, outer)[::sgn])
+    return brackets[::sgn]
 
 
 def _continuum_profile(model: ValidatedModel, weight: complex, e_m: float) -> Callable:
@@ -297,21 +272,22 @@ def _generic_state(
 
 
 def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = None):
-    """All bound states outside the band, ordered by energy."""
+    """All bound states outside the band, ordered by energy, each solved in a
+    bracket whose ends carry the values of K - 1/Sigma that certified them."""
     census = census or count_bound_states(model)
     states: list[BoundState] = []
-    for side, kind, want in (
-        ("low", BoundStateKind.BELOW_BAND, census.m_below),
-        ("up", BoundStateKind.ABOVE_BAND, census.m_above),
+    for sgn, kind, want in (
+        (-1, BoundStateKind.BELOW_BAND, census.m_below),
+        (+1, BoundStateKind.ABOVE_BAND, census.m_above),
     ):
-        brackets = _brackets_one_side(model, census.criteria_trace, side)
+        trace = census.criteria_trace["low" if sgn < 0 else "up"]
+        brackets = _brackets_one_side(model, trace, sgn)
         if len(brackets) != want:
             raise RootNotFound(
-                f"{side} side: census promised {want} roots, bracket layout has "
-                f"{len(brackets)}: {brackets}"
+                f"{trace['side']} side: census promised {want} roots, bracket layout has "
+                f"{len(brackets)}: {[(a, b) for (a, _), (b, _) in brackets]}"
             )
-        for a, b in brackets:
-            fa, fb = _mismatch(model, a), _mismatch(model, b)
+        for (a, fa), (b, fb) in brackets:
             if not (fa > 0 > fb):
                 raise RootNotFound(
                     f"bracket ({a}, {b}) not sign-changing: f(a)={fa}, f(b)={fb}"
@@ -365,7 +341,8 @@ def find_bics(model: ValidatedModel):
 
 def all_bound_states(model: ValidatedModel):
     """Extra-continuum states plus BICs, ordered by energy."""
-    states = solve_bound_states(model) + find_bics(model)
+    bics = find_bics(model)
+    states = solve_bound_states(model, _census(model, bics)) + bics
     states.sort(key=lambda s: s.energy)
     return states
 

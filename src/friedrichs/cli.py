@@ -28,6 +28,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,13 @@ def params_from_doc(doc: dict) -> WaveguideParams:
         raise ConfigError(f"waveguide model missing key {exc}") from exc
 
 
+def _complex_list(values) -> np.ndarray:
+    """Complex array from a list of scalars or [re, im] pairs."""
+    return np.array(
+        [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in values]
+    )
+
+
 def _power_edges_density(lo, up, spec: dict):
     _require_keys(
         spec, {"form", "amplitude", "s_low", "s_up", "zeros"}, "spectral_density"
@@ -128,10 +136,7 @@ def model_from_doc(doc: dict):
     )
     try:
         levels = [float(x) for x in doc["levels"]]
-        couplings = [
-            complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-            for c in doc["couplings"]
-        ]
+        couplings = _complex_list(doc["couplings"])
         lo, up = (float(x) for x in doc["band"])
         jspec = doc["spectral_density"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -143,7 +148,7 @@ def model_from_doc(doc: dict):
     j, edge_exps, zeros = _power_edges_density(lo, up, jspec)
     model = validate_model(
         FriedrichsModel(
-            discrete=DiscreteSpectrum(np.array(levels), np.array(couplings)),
+            discrete=DiscreteSpectrum(np.array(levels), couplings),
             continuum=ContinuumBand(
                 omega_low=lo,
                 omega_up=up,
@@ -153,9 +158,7 @@ def model_from_doc(doc: dict):
             ),
         )
     )
-    initial = None
-    if "initial" in doc:
-        initial = InitialState(np.array([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in doc["initial"]]))
+    initial = InitialState(_complex_list(doc["initial"])) if "initial" in doc else None
     return model, initial, None
 
 
@@ -255,14 +258,7 @@ def _provenance(args, extra=None):
 # subcommands
 
 def _cmd_waveguide(args):
-    params = WaveguideParams(
-        n_atoms=args.n_atoms,
-        lam=args.lam,
-        kappa=args.kappa,
-        xi=args.xi,
-        site=_parse_site(args.site),
-    )
-    model = build_waveguide_model(params)
+    model, _, params = _load_model(args)
     payload = {
         "kind": "waveguide",
         "n_atoms": params.n_atoms,
@@ -318,8 +314,9 @@ def _cmd_spectrum(args):
 
 def _cmd_bound_states(args):
     model, _, _ = _load_model(args)
-    census = bs.count_bound_states(model)
-    states = bs.solve_bound_states(model, census) + bs.find_bics(model)
+    bics = bs.find_bics(model)
+    census = bs._census(model, bics)
+    states = bs.solve_bound_states(model, census) + bics
     payload = {
         "census": {
             "n_low": census.n_low,
@@ -340,12 +337,7 @@ def _initial_for(args, model, default):
         if default is None:
             raise ConfigError("generic model needs --initial '[c1, c2, ...]'")
         return default
-    values = json.loads(args.initial)
-    return InitialState(
-        np.array(
-            [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in values]
-        )
-    )
+    return InitialState(_complex_list(json.loads(args.initial)))
 
 
 def _cmd_dynamics(args):
@@ -388,6 +380,17 @@ def _cmd_dynamics(args):
     return 0
 
 
+def _xi_flow(params: WaveguideParams, gamma: float, values) -> list:
+    """Rows (xi, re z1, im z1, re z2, ...) of the Markovian eigenvalues of the
+    waveguide `params` at each xi in `values`."""
+    rows = []
+    for x in values:
+        h = mk.build_markovian(build_waveguide_model(replace(params, xi=float(x))), gamma)
+        z = mk.resonance_decomposition(h).eigenvalues
+        rows.append((float(x), *(v for zi in z for v in (float(zi.real), float(zi.imag)))))
+    return rows
+
+
 def _cmd_markovian(args):
     model, default_init, params = _load_model(args)
     if args.sweep is not None:
@@ -396,20 +399,7 @@ def _cmd_markovian(args):
         name, lo, hi, steps = args.sweep
         if name != "xi":
             raise ConfigError("only 'xi' sweeps are supported")
-        values = np.linspace(float(lo), float(hi), int(steps))
-
-        def flow(x):
-            p = WaveguideParams(params.n_atoms, params.lam, params.kappa, float(x), params.site)
-            h = mk.build_markovian(build_waveguide_model(p), args.gamma)
-            return mk.resonance_decomposition(h).eigenvalues
-
-        eigs = [flow(x) for x in values]
-        rows = []
-        for x, z in zip(values, eigs):
-            row = [float(x)]
-            for zi in z:
-                row.extend([float(zi.real), float(zi.imag)])
-            rows.append(tuple(row))
+        rows = _xi_flow(params, args.gamma, np.linspace(float(lo), float(hi), int(steps)))
         cols = ["xi"] + [f"{p}_z{i+1}" for i in range(model.n_levels) for p in ("re", "im")]
         _write_csv(args.output, cols, rows, _provenance(args, {"gamma": args.gamma}))
         return 0
@@ -530,18 +520,8 @@ def _reproduce_fig4(outdir: Path):
 def _reproduce_fig5(outdir: Path):
     written = []
     gamma = 1.0 / (2.0 * FIG5_KAPPA)
-    values = np.linspace(0.0, 8.0, 161)
-
-    def flow(x):
-        p = WaveguideParams(2, 1.0, FIG5_KAPPA, float(x), INFINITE)
-        h = mk.build_markovian(build_waveguide_model(p), gamma)
-        return mk.resonance_decomposition(h).eigenvalues
-
-    eigs = [flow(x) for x in values]
-    rows = [
-        (float(x), float(z[0].real), float(z[0].imag), float(z[1].real), float(z[1].imag))
-        for x, z in zip(values, eigs)
-    ]
+    params = WaveguideParams(2, 1.0, FIG5_KAPPA, 0.0, INFINITE)
+    rows = _xi_flow(params, gamma, np.linspace(0.0, 8.0, 161))
     path = outdir / "fig5_eigenvalue_flow.csv"
     _write_csv(
         path,

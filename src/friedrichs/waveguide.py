@@ -64,16 +64,20 @@ class WaveguideParams:
         return int(self.site)
 
 
-def chain_levels(params: WaveguideParams) -> np.ndarray:
-    # enforce the exact mirror symmetry eps_{N+1-n} = -eps_n of the analytic values
-    n_tot = params.n_atoms
-    n = np.arange(1, n_tot + 1)
-    out = -2.0 * params.lam * np.cos(np.pi * n / (n_tot + 1))
-    half = n_tot // 2
-    out[n_tot - half :] = -out[:half][::-1]
-    if n_tot % 2 == 1:
+def _mirrored_cosines(a: float, m: int) -> np.ndarray:
+    """-2a*cos(pi n/m) for n = 1..m-1, with the exact mirror symmetry
+    v_{m-n} = -v_n of the analytic values (and 0 in the middle)."""
+    count = m - 1
+    out = -2.0 * a * np.cos(np.pi * np.arange(1, m) / m)
+    half = count // 2
+    out[count - half :] = -out[:half][::-1]
+    if count % 2 == 1:
         out[half] = 0.0
     return out
+
+
+def chain_levels(params: WaveguideParams) -> np.ndarray:
+    return _mirrored_cosines(params.lam, params.n_atoms + 1)
 
 
 def chain_couplings(params: WaveguideParams) -> np.ndarray:
@@ -89,13 +93,7 @@ def chain_couplings(params: WaveguideParams) -> np.ndarray:
 def j_zeros(params: WaveguideParams) -> tuple:
     if params.infinite or params.l_int < 2:
         return ()
-    l = params.l_int
-    z = -2.0 * params.kappa * np.cos(np.pi * np.arange(1, l) / l)
-    half = (l - 1) // 2
-    z[l - 1 - half :] = -z[:half][::-1]  # exact mirror symmetry
-    if (l - 1) % 2 == 1:
-        z[half] = 0.0
-    return tuple(sorted(float(v) for v in z))
+    return tuple(float(v) for v in _mirrored_cosines(params.kappa, params.l_int))
 
 
 def _spectral_density(params: WaveguideParams):

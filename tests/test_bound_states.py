@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
+from friedrichs import bound_states as bs
 from friedrichs.bound_states import BoundStateKind
+from friedrichs.cli import model_from_doc
 
 from _support import census_bruteforce, census_margin, random_model
 
@@ -234,3 +238,100 @@ def test_census_zero_is_k_zero_waveguide(n_atoms, kappa):
     for site in (3, fr.INFINITE):
         params = fr.WaveguideParams(n_atoms, 1.0, kappa, 0.5, site)
         assert_census_zero_is_k_zero(fr.build_waveguide_model(params))
+
+
+# ---------------------------------------------------------------------------
+# the one outward walk: carried bracket values and mirror symmetry
+
+EDGE_CLASSES = (0.5, 1.0, 2.0, "divergent")
+
+
+def power_edges_doc(rng) -> dict:
+    """A random CLI power_edges document, divergent (van Hove) edges included."""
+    n = int(rng.integers(1, 5))
+    while True:
+        levels = np.sort(rng.uniform(-3.4, 3.4, n))
+        if n == 1 or np.min(np.diff(levels)) > 0.3:
+            break
+    lo, up = float(rng.uniform(-3.0, -1.0)), float(rng.uniform(1.0, 3.0))
+    s_low, s_up = (EDGE_CLASSES[int(i)] for i in rng.integers(4, size=2))
+    a, b = (-0.5 if s == "divergent" else s for s in (s_low, s_up))
+    # amplitude for a band mass in (0.05, 0.25), the J-zero factor aside
+    log_mass = (a + b + 1) * math.log(up - lo) + math.lgamma(a + 1) + math.lgamma(b + 1)
+    log_mass -= math.lgamma(a + b + 2)
+    zeros = [float(rng.uniform(lo + 0.3 * (up - lo), up - 0.3 * (up - lo)))] * int(
+        rng.integers(2)
+    )
+    couplings = rng.uniform(0.15, 0.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return {
+        "kind": "generic",
+        "levels": [float(e) for e in levels],
+        "couplings": [[float(c.real), float(c.imag)] for c in couplings],
+        "band": [lo, up],
+        "spectral_density": {
+            "form": "power_edges",
+            "amplitude": float(rng.uniform(0.05, 0.25)) * math.exp(-log_mass),
+            "s_low": s_low,
+            "s_up": s_up,
+            "zeros": zeros,
+        },
+    }
+
+
+def mirrored_doc(doc: dict) -> dict:
+    """The document of the reflected model E -> -E: J(w) -> J(-w)."""
+    lo, up = doc["band"]
+    spec = doc["spectral_density"]
+    return dict(
+        doc,
+        levels=[-e for e in reversed(doc["levels"])],
+        couplings=list(reversed(doc["couplings"])),
+        band=[-up, -lo],
+        spectral_density=dict(
+            spec, s_low=spec["s_up"], s_up=spec["s_low"], zeros=[-z for z in spec["zeros"]]
+        ),
+    )
+
+
+def assert_brackets_carry_exact_values(m):
+    census = fr.count_bound_states(m)
+    for side, sgn, want in (("low", -1, census.m_below), ("up", +1, census.m_above)):
+        brackets = bs._brackets_one_side(m, census.criteria_trace[side], sgn)
+        assert len(brackets) == want
+        for (a, fa), (b, fb) in brackets:
+            assert a < b
+            assert fa == bs._mismatch(m, a)
+            assert fb == bs._mismatch(m, b)
+            assert fa > 0 > fb
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_bracket_values_exact_random(seed):
+    model, _, _ = model_from_doc(power_edges_doc(np.random.default_rng(seed)))
+    assert_brackets_carry_exact_values(model)
+
+
+@pytest.mark.parametrize("kappa", [0.99, 1.0, 1.01])
+@pytest.mark.parametrize("n_atoms", [1, 2, 5, 10])
+def test_bracket_values_exact_waveguide(n_atoms, kappa):
+    for xi in (0.01, 0.5, 1.5, 3.0):
+        for site in (1, 2, 5, fr.INFINITE):
+            params = fr.WaveguideParams(n_atoms, 1.0, kappa, xi, site)
+            assert_brackets_carry_exact_values(fr.build_waveguide_model(params))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_mirror_symmetry(seed):
+    doc = power_edges_doc(np.random.default_rng(seed))
+    m, _, _ = model_from_doc(doc)
+    r, _, _ = model_from_doc(mirrored_doc(doc))
+    if min(census_margin(m), census_margin(r)) < 1e-9:
+        return
+    cm, cr = fr.count_bound_states(m), fr.count_bound_states(r)
+    assert (cr.m_below, cr.m_above) == (cm.m_above, cm.m_below)
+    em = [s.energy for s in fr.solve_bound_states(m, cm)]
+    er = [-s.energy for s in reversed(fr.solve_bound_states(r, cr))]
+    assert len(em) == len(er)
+    assert np.allclose(em, er, rtol=0.0, atol=1e-12 * m.scale)

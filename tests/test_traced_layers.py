@@ -1,12 +1,14 @@
 """The benchmark's per-layer trace wraps package functions by name."""
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 import friedrichs as fr
+from friedrichs.cli import main
 
 from _support import random_initial, random_model
 
@@ -61,3 +63,21 @@ def test_node_floor_of_reference_capture():
     floored = fr.survival_probability(model, initial, times, n_base_nodes=16385)
     assert floored.meta["filon_nodes"] >= 16385
     assert np.max(np.abs(floored.p - series.p)) <= series.meta["filon_thinning_error"]
+
+
+def test_bics_found_once_per_bound_state_call(tmp_path):
+    # the census takes the BIC list its caller already found
+    spans = _spans()
+    model = fr.build_waveguide_model(fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2))
+    out = tmp_path / "bound.json"
+    argv = ["bound-states", "--n-atoms", "3", "--kappa", "0.75", "--xi", "0.25",
+            "--site", "2", "-o", str(out)]
+    for call in (lambda: fr.all_bound_states(model), lambda: main(argv)):
+        tracer = spans.Tracer()
+        replaced = spans.install(tracer)
+        try:
+            call()
+        finally:
+            spans.uninstall(replaced)
+        assert tracer.stats["bound_states.find_bics"].calls == 1
+    assert json.loads(out.read_text())["census"]["m_bic"] == 1
