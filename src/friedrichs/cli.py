@@ -619,7 +619,6 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-    by_name = {}
 
     p = sub.add_parser("waveguide", help="construct a waveguide model document")
     p.add_argument("--n-atoms", type=int, required=True)
@@ -683,9 +682,7 @@ def _build_parser():
     p.add_argument("figure", choices=["fig3", "fig4", "fig5", "all"])
     p.add_argument("--outdir", default="reproduce_out")
     p.set_defaults(func=_cmd_reproduce)
-    for action in parser._subparsers._group_actions:
-        by_name.update(action.choices)
-    return parser, by_name
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:

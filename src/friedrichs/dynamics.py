@@ -246,7 +246,6 @@ def survival_probability(
     coefficients: Optional[DecayCoefficients] = None,
     n_base_nodes: Optional[int] = None,
     error_budget: Optional[float] = None,
-    with_parts: bool = True,
 ) -> SurvivalSeries:
     """p(t) on the requested grid (times >= 0, sorted).
 
@@ -275,14 +274,12 @@ def survival_probability(
         )
     b_amp = _bound_amplitudes(coefficients, t)
 
-    total = b_amp + s_amp
-    p = np.sum(np.abs(total) ** 2, axis=0).real
-    parts = None
-    if with_parts:
-        p_bound = np.sum(np.abs(b_amp) ** 2, axis=0).real
-        p_scatter = np.sum(np.abs(s_amp) ** 2, axis=0).real
-        p_cross = 2.0 * np.sum(np.real(b_amp * np.conj(s_amp)), axis=0)
-        parts = {"bound": p_bound, "scatter": p_scatter, "cross": p_cross}
+    p = np.sum(np.abs(b_amp + s_amp) ** 2, axis=0).real
+    parts = {
+        "bound": np.sum(np.abs(b_amp) ** 2, axis=0).real,
+        "scatter": np.sum(np.abs(s_amp) ** 2, axis=0).real,
+        "cross": 2.0 * np.sum(np.real(b_amp * np.conj(s_amp)), axis=0),
+    }
     return SurvivalSeries(times=t, p=p, parts=parts, meta=meta)
 
 

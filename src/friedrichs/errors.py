@@ -63,3 +63,7 @@ class NormDrift(FriedrichsError):
 
 class ConfigError(FriedrichsError):
     """Malformed run configuration or model document."""
+
+
+class ExceptionalPoint(FriedrichsError):
+    """Non-Hermitian Hamiltonian is defective: resonance weights are undefined."""

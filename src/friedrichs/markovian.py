@@ -3,8 +3,12 @@
 H = diag(eps) - i*Gamma*f f^dagger.  Resonances come from a biorthogonal
 eigensystem when H is diagonalizable; at an exceptional point the
 coalesced eigenvector is continued by a Jordan chain and the decay picks
-up polynomial-in-t factors.  The expm reference never uses that
-decomposition: it steps through the sorted times, one exp(-iH dt) per step dt.
+up polynomial-in-t factors.  Every amplitude of the decay law is read off
+that one decomposition (eigenbasis or chain basis).  The paper's residue
+form -I(z_i) f_n / (K'(z_i)(z_i - eps_n)) of the same amplitudes is an
+identity of the eigenbasis, pinned by a test rather than evaluated here.
+The expm reference never uses the decomposition: it steps through the
+sorted times, one exp(-iH dt) per step dt.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import SurvivalSeries
-from .errors import NegativeGamma, PoleHit
+from .errors import ExceptionalPoint, NegativeGamma
 from .model import InitialState, ValidatedModel
 
 EP_GAP_FACTOR = 1e-8
@@ -106,15 +110,10 @@ def _norm_products(h: EffectiveHamiltonianMarkov, z, right, left):
     """
     n_star = int(np.argmax(np.abs(h.couplings)))
     f = h.couplings[n_star]
-    out = np.full(z.size, np.nan, dtype=complex)
-    if abs(f) == 0.0:
-        return out
-    for i in range(z.size):
-        d = z[i] - h.levels[n_star]
-        if abs(d) == 0.0:
-            continue
-        out[i] = (right[n_star, i] * d / f) * (left[i, n_star] * d / np.conj(f))
-    return out
+    if f == 0:
+        return np.full(z.size, np.nan, dtype=complex)
+    d = z - h.levels[n_star]
+    return np.where(d != 0, (right[n_star] * d / f) * (left[:, n_star] * d / np.conj(f)), np.nan)
 
 
 def _jordan_blocks(h: np.ndarray, z: np.ndarray, gap_tol: float):
@@ -158,41 +157,36 @@ def _jordan_blocks(h: np.ndarray, z: np.ndarray, gap_tol: float):
     return blocks
 
 
-def resonance_decomposition(
-    h: EffectiveHamiltonianMarkov,
-    *,
-    ep_gap_factor: float = EP_GAP_FACTOR,
-    ep_cond: float = EP_COND,
-) -> ResonanceSystem:
+def resonance_decomposition(h: EffectiveHamiltonianMarkov) -> ResonanceSystem:
+    """Biorthogonal eigensystem of h, or its Jordan chains at an EP.
+
+    H is called defective when two eigenvalues lie within EP_GAP_FACTOR *
+    ||H||_2 of each other and the eigenvector matrix has condition number
+    above EP_COND; both constants are read at call time.
+    """
     mat = h.matrix
     n = mat.shape[0]
     if n == 1:
-        z = np.array([mat[0, 0]])
-        right = np.eye(1, dtype=complex)
-        return ResonanceSystem(
-            kind=ResonanceKind.DIAGONALIZABLE,
-            eigenvalues=z,
-            right=right,
-            left=right.copy(),
-            norm_products=_norm_products(h, z, right, right.copy()),
-        )
-    if n == 2:
+        z, vecs = np.diag(mat), np.ones((1, 1), dtype=complex)
+    elif n == 2:
         z, vecs = _eig2(mat)
     else:
         z, vecs = scipy.linalg.eig(mat)
 
     below, above = np.tril_indices(n, -1)
-    min_gap = float(np.min(np.abs(z[below] - z[above])))
+    min_gap = float(np.min(np.abs(z[below] - z[above]), initial=np.inf))
     defective = False
     # ||H||_2 <= ||H||_F: the SVD runs only when the gap may be below the 2-norm bound
-    if min_gap < ep_gap_factor * max(float(np.linalg.norm(mat)) * (1 + 1e-12), 1e-300):
-        gap_tol = ep_gap_factor * max(float(np.linalg.norm(mat, 2)), 1e-300)
+    if min_gap < EP_GAP_FACTOR * max(float(np.linalg.norm(mat)) * (1 + 1e-12), 1e-300):
+        gap_tol = EP_GAP_FACTOR * max(float(np.linalg.norm(mat, 2)), 1e-300)
         if min_gap < gap_tol:
             cond = np.linalg.cond(vecs)
-            defective = (not np.isfinite(cond)) or cond > ep_cond
+            defective = (not np.isfinite(cond)) or cond > EP_COND
     if defective:
         if n == 2:
-            # closed-form null direction is exact at the coalescence
+            # closed-form null direction is exact at the coalescence; the Schur
+            # route of _jordan_blocks gives the same p but leaves (H - z)v_2 - v_1
+            # near 1e-8, where this chain is exact to rounding
             zc = complex(0.5 * (z[0] + z[1]))
             v1 = vecs[:, 0]
             a = mat - zc * np.eye(2)
@@ -219,58 +213,35 @@ def resonance_decomposition(
 # ---------------------------------------------------------------------------
 # decay laws
 
-def _resonance_amplitudes(h, initial: InitialState, sys: ResonanceSystem):
-    """(z, A) with A[i, n] = -I(z_i) f_n / (K'(z_i) (z_i - eps_n)).
-
-    z are the resonances of sys, the decomposition of h, and the survival
-    probability is p(t) = sum_n |sum_i A[i, n] e^{-i z_i t}|^2.  Raises
-    PoleHit when some z_i lies within 1e-13 * scale of a level, the scale
-    being the one `validate_model` gives the levels on a flat, infinite
-    band (their span or largest modulus).
-    """
-    tol = 1e-13 * max(float(np.ptp(h.levels)), float(np.max(np.abs(h.levels))), 1e-300)
-    w = np.conj(h.couplings) * initial.amplitudes
-    f2 = np.abs(h.couplings) ** 2
-    z = sys.eigenvalues
-    amp = np.empty((z.size, h.n), dtype=complex)
-    for i in range(z.size):
-        d = complex(z[i]) - h.levels
-        if np.min(np.abs(d)) <= tol:
-            raise PoleHit(f"resonance {z[i]} within {tol:.1e} of a level")
-        i_val = complex(np.sum(w / d))
-        kp = complex(-np.sum(f2 / d**2))
-        amp[i] = -i_val * h.couplings / (kp * d)
-    return z, amp
-
-
 def decay_components(h: EffectiveHamiltonianMarkov, initial: InitialState):
     """(z, D_i, G_{ii'}) for the resonance-interference decay formula.
 
     D_i are the single-resonance weights; G[i, i'] are the complex cross
     overlaps whose modulus and argument set the beat amplitude and phase.
+    Both come from the amplitudes A[i, n] = right[n, i] (left @ c0)[i] of
+    the eigenbasis, with p(t) = sum_n |sum_i A[i, n] e^{-i z_i t}|^2; they
+    equal the paper's residues -I(z_i) f_n / (K'(z_i)(z_i - eps_n)).  A
+    defective H has no such split and raises ExceptionalPoint.
     """
-    z, amp = _resonance_amplitudes(h, initial, resonance_decomposition(h))
+    sys = resonance_decomposition(h)
+    if sys.kind is ResonanceKind.DEFECTIVE:
+        zc = max(sys.blocks, key=lambda b: b.vectors.shape[1]).eigenvalue
+        raise ExceptionalPoint(f"H is defective at the coalesced eigenvalue {zc}")
+    amp = sys.right.T * (sys.left @ initial.amplitudes)[:, None]
     d = np.sum(np.abs(amp) ** 2, axis=1)
     g = amp @ amp.conj().T
-    return z, d, g
+    return sys.eigenvalues, d, g
 
 
 def _p_from_components(z, d, g, times):
+    """sum_i D_i e^{2 Im z_i t} + 2 sum_{i > i'} |G_ii'| e^{Im(z_i + z_i') t}
+    cos(Re(z_i - z_i') t - arg G_ii'): the weight/beat form of the decay law."""
     t = np.asarray(times, dtype=float)
-    p = np.zeros_like(t)
-    n = z.size
-    for i in range(n):
-        p += d[i] * np.exp(2.0 * z[i].imag * t)
-    for i in range(n):
-        for j in range(i):
-            gij = g[i, j]
-            p += (
-                2.0
-                * abs(gij)
-                * np.exp((z[i].imag + z[j].imag) * t)
-                * np.cos((z[i].real - z[j].real) * t - np.angle(gij))
-            )
-    return p
+    i, j = np.tril_indices(z.size, -1)
+    beats = np.exp(np.outer(z[i].imag + z[j].imag, t)) * np.cos(
+        np.outer(z[i].real - z[j].real, t) - np.angle(g[i, j])[:, None]
+    )
+    return d @ np.exp(2.0 * np.outer(z.imag, t)) + 2.0 * np.abs(g[i, j]) @ beats
 
 
 def _defective_amplitudes(h, sys: ResonanceSystem, c0, times):
@@ -303,9 +274,12 @@ def markovian_survival(
 ) -> SurvivalSeries:
     """p(t) from the closed resonance formulas or the matrix exponential.
 
-    "closed" decomposes h once (or takes `system`).  "expm" never does: it
-    steps the state through the sorted times by U = exp(-iH dt), a new U
-    only when dt moves by more than a few ulps of max|t|; ||U|| <= 1.
+    "closed" decomposes h once (or takes `system`) and evolves c0 in its
+    basis: right @ ((left @ c0) e^{-i z t}) when H is diagonalizable, the
+    Jordan chains' polynomial-in-t factors at an EP.  "expm" never
+    decomposes: it steps the state through the sorted times by
+    U = exp(-iH dt), a new U only when dt moves by more than a few ulps of
+    max|t|; ||U|| <= 1.
     """
     t = np.asarray(times, dtype=float)
     c0 = initial.amplitudes
@@ -325,29 +299,13 @@ def markovian_survival(
     if method != "closed":
         raise ValueError("method must be 'closed' or 'expm'")
     sys = system or resonance_decomposition(h)
-    if sys.kind is ResonanceKind.DIAGONALIZABLE:
-        try:
-            # amplitude-level evaluation of the resonance-sum decay law:
-            # identical to the D_i/U_{ii'} regrouping but free of its
-            # squared-amplitude cancellation near degeneracies
-            z, amp = _resonance_amplitudes(h, initial, sys)
-            if np.all(np.isfinite(amp)):
-                phases = np.exp(-1j * np.outer(z, t))
-                p = np.sum(np.abs(amp.T @ phases) ** 2, axis=0).real
-                return SurvivalSeries(
-                    times=t, p=p, meta={"method": "closed-diagonalizable"}
-                )
-        except PoleHit:
-            pass
-        # resonance profile inapplicable (decoupled level or z_i on a level):
-        # same decomposition, evaluated from the biorthogonal eigensystem
-        weights = sys.left @ c0
-        amps = sys.right @ (weights[:, None] * np.exp(-1j * np.outer(sys.eigenvalues, t)))
-        p = np.sum(np.abs(amps) ** 2, axis=0).real
-        return SurvivalSeries(times=t, p=p, meta={"method": "closed-biorthogonal"})
-    amps = _defective_amplitudes(h, sys, c0, t)
-    p = np.sum(np.abs(amps) ** 2, axis=0).real
-    return SurvivalSeries(times=t, p=p, meta={"method": "closed-defective"})
+    if sys.kind is ResonanceKind.DEFECTIVE:
+        amps = _defective_amplitudes(h, sys, c0, t)
+    else:
+        phases = np.exp(-1j * np.outer(sys.eigenvalues, t))
+        amps = sys.right @ ((sys.left @ c0)[:, None] * phases)
+    p = np.sum(np.abs(amps) ** 2, axis=0)
+    return SurvivalSeries(times=t, p=p, meta={"method": f"closed-{sys.kind.value}"})
 
 
 # ---------------------------------------------------------------------------

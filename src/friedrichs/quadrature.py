@@ -74,7 +74,7 @@ def kernel_integral(j, lo, up, e, power=1, interior_points=(), epsrel=1e-11):
     return quad(f, lo, up, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel)
 
 
-def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
+def principal_value(j, lo, up, e, epsrel=1e-10):
     """P.V. integral of J(w)/(e-w) dw for e strictly inside the band.
 
     The route of Delta on (semi-)infinite bands, where `delta_on_grid`
@@ -86,7 +86,7 @@ def principal_value(j, lo, up, e, j_at_e=None, epsrel=1e-10):
     use a symmetric window around e so the log term cancels, plus paired
     tails.
     """
-    je = float(j_at_e) if j_at_e is not None else float(np.asarray(j(np.array([e])))[0])
+    je = float(np.asarray(j(np.array([e])))[0])
 
     if math.isfinite(lo) and math.isfinite(up):
 

@@ -111,9 +111,7 @@ def test_riemann_lebesgue_scattering_decay(fig_cases):
     maxima = []
     for t_win in (25.0, 50.0, 100.0):
         t = np.linspace(t_win, 2 * t_win, 120)
-        series = fr.survival_probability(
-            model, initial, t, coefficients=coeffs, with_parts=True
-        )
+        series = fr.survival_probability(model, initial, t, coefficients=coeffs)
         maxima.append(float(np.max(series.parts["scatter"])))
     assert maxima[0] > maxima[1] > maxima[2]
 

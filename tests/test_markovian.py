@@ -6,7 +6,7 @@ import scipy.linalg
 
 import friedrichs as fr
 from friedrichs import markovian as mk
-from friedrichs.errors import NegativeGamma
+from friedrichs.errors import ExceptionalPoint, NegativeGamma
 
 from _support import random_initial
 
@@ -133,6 +133,54 @@ def test_ep_decay_power_law_exponential():
     assert np.max(np.abs(closed.p - formula)) < 1e-12
     direct = fr.markovian_survival(h, c0, t, method="expm")
     assert np.max(np.abs(closed.p - direct.p)) < 1e-10
+
+
+def test_decay_components_refuse_exceptional_point():
+    params, _, h = two_atom(4.0)
+    with pytest.raises(ExceptionalPoint, match="coalesced eigenvalue"):
+        fr.decay_components(h, fr.default_initial_state(params))
+
+
+def test_decay_components_decoupled_level():
+    # the level at 0.5 is decoupled: it keeps its weight, the other decays alone
+    h = fr.build_markovian(flat_model([-0.5, 0.5], [0.4, 0.0], 0.3), 0.3)
+    c0 = fr.InitialState.normalized(np.array([1.0, 1.0]))
+    z, d, g = fr.decay_components(h, c0)
+    assert np.allclose(d, [0.5, 0.5], rtol=0, atol=1e-15)
+    t = np.linspace(0.0, 10.0, 41)
+    direct = fr.markovian_survival(h, c0, t, method="expm").p
+    assert np.max(np.abs(mk._p_from_components(z, d, g, t) - direct)) < 1e-13
+
+
+def test_eigenbasis_amplitudes_are_the_residues():
+    # A[i, n] = right[n, i] (left @ c0)[i] equals the paper's residue
+    # -I(z_i) f_n / (K'(z_i)(z_i - eps_n)), I(z) = sum_n f_n^* c_n/(z - eps_n)
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        h = random_markovian(rng, n_max=8)
+        c0 = random_initial(rng, h.n).amplitudes
+        sys = fr.resonance_decomposition(h)
+        amp = sys.right.T * (sys.left @ c0)[:, None]
+        d = sys.eigenvalues[:, None] - h.levels[None, :]
+        i_val = np.sum(np.conj(h.couplings) * c0 / d, axis=1)
+        k_prime = -np.sum(np.abs(h.couplings) ** 2 / d**2, axis=1)
+        residue = -i_val[:, None] * h.couplings / (k_prime[:, None] * d)
+        assert np.max(np.abs(residue - amp)) <= 1e-10 * np.max(np.abs(amp))
+
+
+def test_closed_matches_expm_long_waveguide():
+    # long chain with Gamma = 1/(2 kappa) = 5: the widest closed-vs-expm gap on
+    # the waveguide grid of the param-sweep benchmark
+    params = fr.WaveguideParams(40, LAM, 0.1, 0.01, 1)
+    h = fr.build_markovian(fr.build_waveguide_model(params), 1.0 / (2 * 0.1))
+    rng = np.random.default_rng(41)
+    t = np.linspace(0.0, 10.0, 21)
+    for _ in range(4):
+        c0 = random_initial(rng, h.n)
+        closed = fr.markovian_survival(h, c0, t)
+        direct = fr.markovian_survival(h, c0, t, method="expm")
+        assert closed.meta["method"] == "closed-diagonalizable"
+        assert np.max(np.abs(closed.p - direct.p)) <= 1e-13
 
 
 def test_hermitian_limit_survival_constant():
@@ -345,7 +393,9 @@ def test_ep_decision_matches_loop_reference(monkeypatch):
         for size in (norm(h.matrix), norm(h.matrix, 2)):
             factors += [gap / size * (1 - 1e-9), gap / size * (1 + 1e-9)]
         for factor in factors:
-            got = fr.resonance_decomposition(h, ep_gap_factor=factor).kind
+            with monkeypatch.context() as m:
+                m.setattr(mk, "EP_GAP_FACTOR", factor)
+                got = fr.resonance_decomposition(h).kind
             want = _loop_is_defective(h, factor)
             assert (got is fr.ResonanceKind.DEFECTIVE) == want
     two_norms.clear()
