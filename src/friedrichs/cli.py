@@ -190,20 +190,34 @@ def _add_model_flags(parser):
     parser.add_argument("--config", help="JSON file with default flag values")
 
 
-def _apply_config(args, argv, parser, subparser):
-    """Config values act as defaults; explicitly passed flags still win.
+def _apply_config(argv, by_name):
+    """Make the values of a subcommand's --config file its parser defaults.
 
-    The values become the subcommand's parser defaults and argv is parsed
-    again, so a flag given on the command line wins even when it equals
-    the built-in default.
+    This runs before argv is parsed, so the file can also supply a flag the
+    subcommand requires; a flag that neither gives still fails the parse.
+    A flag passed on the command line wins, even when it equals the
+    built-in default.
     """
-    doc = json.loads(Path(args.config).read_text())
+    cmd = next((a for a in argv if not a.startswith("-")), None)
+    if cmd not in by_name:
+        return
+    subparser = by_name[cmd]
+    # argparse has no public list of a parser's arguments
+    actions = {a.dest: a for a in subparser._actions}
+    if "config" not in actions:
+        return
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return
+    doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
-    valid = set(vars(args)) - {"func", "cmd", "config"}
-    _require_keys(doc, valid, "config file")
+    _require_keys(doc, set(actions) - {"help", "config"}, "config file")
+    for key in doc:
+        actions[key].required = False
     subparser.set_defaults(**doc)
-    return parser.parse_args(argv)
 
 
 def _write_csv(path, header_cols, rows, provenance: dict):
@@ -417,7 +431,7 @@ def _cmd_markovian(args):
         rows,
         _provenance(args, {"gamma": args.gamma}),
     )
-    rep = mk.anti_pt_check(h)
+    rep = mk.anti_pt_check(h, system=sys_)
     _write_json(
         args.sidecar,
         {
@@ -626,6 +640,7 @@ def _build_parser():
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--site", required=True, help="integer or 'inf'")
+    p.add_argument("--config", help="JSON file with default flag values")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_waveguide)
 
@@ -689,9 +704,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, by_name = _build_parser()
     try:
+        _apply_config(argv, by_name)
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args = _apply_config(args, argv, parser, by_name[args.cmd])
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)

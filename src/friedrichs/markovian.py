@@ -318,8 +318,14 @@ class AntiPTReport:
     phase: Optional[str]  # for N=2: "symmetric" | "broken" | "exceptional"
 
 
-def anti_pt_check(h: EffectiveHamiltonianMarkov) -> AntiPTReport:
-    """Residual of (PT) H (PT)^{-1} = -H with parity = index reversal."""
+def anti_pt_check(
+    h: EffectiveHamiltonianMarkov, *, system: Optional[ResonanceSystem] = None
+) -> AntiPTReport:
+    """Residual of (PT) H (PT)^{-1} = -H with parity = index reversal.
+
+    The N = 2 phase reads the decomposition of h: `system` if given, else
+    one made here.
+    """
     mat = h.matrix
     rev = mat[::-1, ::-1]
     residual = float(np.linalg.norm(np.conj(rev) + mat))
@@ -327,7 +333,7 @@ def anti_pt_check(h: EffectiveHamiltonianMarkov) -> AntiPTReport:
     is_anti = residual < 1e-12 * norm_h
     phase = None
     if h.n == 2:
-        sys = resonance_decomposition(h)
+        sys = system or resonance_decomposition(h)
         z = sys.eigenvalues
         scale = max(float(np.max(np.abs(z))), 1e-300)
         if abs(z[0] - z[1]) < 1e-8 * scale or sys.kind is ResonanceKind.DEFECTIVE:

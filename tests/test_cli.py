@@ -186,6 +186,39 @@ def test_config_never_overrides_explicit_flag(tmp_path):
     assert len([ln for ln in lines if not ln.startswith("#")]) == 4
 
 
+REQUIRED_FROM_CONFIG = {
+    "markovian": (["--n-atoms", "2", "--kappa", "4.0", "--xi", "4.0", "--site", "inf"],
+                  {"gamma": 0.125}),
+    "waveguide": ([], {"n_atoms": 3, "kappa": 0.75, "xi": 0.25, "site": 2}),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(REQUIRED_FROM_CONFIG))
+def test_config_supplies_required_flags(tmp_path, cmd):
+    # the file stands in for the flags the subcommand requires: the output
+    # is the one the same values give as flags
+    flags, doc = REQUIRED_FROM_CONFIG[cmd]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    from_file, from_flags = tmp_path / "file.out", tmp_path / "flags.out"
+    as_flags = [x for k, v in doc.items() for x in ("--" + k.replace("_", "-"), str(v))]
+    assert run([cmd, *flags, "--config", str(cfg), "-o", str(from_file)]) == 0
+    assert run([cmd, *flags, *as_flags, "-o", str(from_flags)]) == 0
+    assert from_file.read_text() == from_flags.read_text()
+
+
+@pytest.mark.parametrize("cmd, dropped, flag", [("markovian", "gamma", "--gamma"),
+                                                ("waveguide", "site", "--site")])
+def test_required_flag_missing_after_config(tmp_path, capsys, cmd, dropped, flag):
+    flags, doc = REQUIRED_FROM_CONFIG[cmd]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in doc.items() if k != dropped}))
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *flags, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"required: {flag}" in capsys.readouterr().err
+
+
 def test_reproduce_fig5_deterministic(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["reproduce", "fig5", "--outdir", str(d1)]) == 0

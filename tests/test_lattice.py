@@ -1,10 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 import friedrichs as fr
 from friedrichs import lattice
-from friedrichs.errors import LightConeViolation
+from friedrichs.cli import main
+from friedrichs.errors import LightConeViolation, NormDrift
 
 
 def test_decoupled_chain_stays_put():
@@ -19,6 +25,15 @@ def test_norm_conservation():
     assert series.meta["norm_drift"] < 1e-6
 
 
+def _expm_reference(params, t_max, n_out):
+    n_sites, attach = lattice._required_sites(params, t_max)
+    h, _ = lattice._hamiltonian(params, n_sites, attach)
+    y0 = np.zeros(h.shape[0], dtype=complex)
+    y0[params.n_atoms - 1] = 1.0
+    states = expm_multiply(-1j * h, y0, start=0.0, stop=t_max, num=n_out + 1, endpoint=True)
+    return np.sum(np.abs(states[:, : params.n_atoms]) ** 2, axis=1)
+
+
 @pytest.mark.parametrize(
     "params, t_max, n_out",
     [
@@ -29,35 +44,101 @@ def test_norm_conservation():
 )
 def test_propagator_matches_expm_multiply(params, t_max, n_out):
     series = fr.evolve_lattice(params, t_max=t_max, dt_out=t_max / n_out)
-    n_sites, attach = lattice._required_sites(params, t_max)
-    h, _ = lattice._hamiltonian(params, n_sites, attach)
-    y0 = np.zeros(h.shape[0], dtype=complex)
-    y0[params.n_atoms - 1] = 1.0
-    states = expm_multiply(-1j * h, y0, start=0.0, stop=t_max, num=n_out + 1, endpoint=True)
-    p_ref = np.sum(np.abs(states[:, : params.n_atoms]) ** 2, axis=1)
-    assert np.max(np.abs(series.p - p_ref)) <= 1e-11
+    assert np.max(np.abs(series.p - _expm_reference(params, t_max, n_out))) <= 1e-11
     assert series.meta["chebyshev_terms"] >= 2
 
 
 def test_chebyshev_truncation_order():
     # tightening the Bessel cut-off adds terms and lowers the error of one
-    # long interval against expm_multiply, down to rounding
+    # long interval, evaluated as one segment, against expm_multiply, down
+    # to rounding
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2)
     h, radius = lattice._hamiltonian(params, 200, 2)
-    y0 = np.zeros(h.shape[0], dtype=complex)
+    y0 = np.zeros(h.shape[0])
     y0[2] = 1.0
     dt = 5.0
     ref = expm_multiply(-1j * dt * h, y0)
+    bessel = lattice._bessel_table([radius * dt])
     terms, errors = [], []
     for tol in (1e-2, 1e-4, 1e-8, 1e-12, 1e-16):
-        coeffs = lattice._chebyshev_coefficients(radius * dt, tol)
-        y = lattice._apply_series(h / radius, coeffs, y0)
-        terms.append(coeffs.size)
+        n_terms = lattice._n_terms(bessel[0], radius * dt, tol)
+        amps, norms, y = lattice._segment(
+            h / radius, y0, bessel[:, :n_terms], params.n_atoms, carry=True
+        )
+        # the table and the moments read the state the series sums to
+        assert np.max(np.abs(amps[0] - y[: params.n_atoms])) < 1e-14
+        assert abs(norms[0] - np.vdot(y, y).real) < 1e-13
+        terms.append(n_terms)
         errors.append(np.max(np.abs(y - ref)))
     assert np.all(np.diff(terms) > 0)
     assert np.all(np.diff(errors) < 0)
     assert errors[1] < 1e-3 and errors[2] < 1e-7
     assert errors[-1] < 1e-13
+
+
+@pytest.mark.parametrize("n_terms", [2, 40, 400, None])
+def test_bessel_table_matches_scipy(n_terms):
+    # Miller's recurrence against scipy from z = 1e-6 to past a segment's
+    # z, with orders far beyond z; its rescaling must not overflow
+    z = np.concatenate(
+        [np.geomspace(1e-6, 1.0, 13), np.linspace(1.5, 1.5 * lattice.SEGMENT_Z, 60)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = lattice._bessel_table(z, n_terms)
+    ref = jv(np.arange(table.shape[1]), z[:, None])
+    # by default the orders reach far past the largest z
+    assert table.shape == (z.size, n_terms) if n_terms else table.shape[1] > z[-1] + 64
+    assert np.max(np.abs(table - ref)) <= 1e-14
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    n_atoms=st.integers(1, 5),
+    kappa=st.floats(0.3, 2.0),
+    xi=st.floats(0.0, 2.0, allow_subnormal=False),
+    site=st.sampled_from([1, 2, 5, fr.INFINITE]),
+    grid=st.sampled_from(["one segment", "many segments", "one interval each"]),
+)
+def test_segments_match_expm_multiply(n_atoms, kappa, xi, site, grid):
+    params = fr.WaveguideParams(n_atoms, 1.0, kappa, xi, site)
+    longest = lattice.SEGMENT_Z / (2.0 * max(1.0, kappa) + xi)  # T_seg
+    t_max, n_out, segments = {
+        "one segment": (0.8 * longest, 40, 1),
+        "many segments": (3.3 * longest, 60, 4),
+        "one interval each": (3.6 * longest, 3, 3),
+    }[grid]
+    series = fr.evolve_lattice(params, t_max=t_max, dt_out=t_max / n_out)
+    assert series.meta["segments"] == segments
+    assert np.max(np.abs(series.p - _expm_reference(params, t_max, n_out))) <= 1e-11
+
+
+@pytest.mark.parametrize("t_max, n_out", [(50.0, 399), (300.0, 30), (300.0, 2)])
+def test_norm_drift_when_series_cut_short(monkeypatch, t_max, n_out):
+    # the moment norm sees a series truncated far above rounding, on one
+    # segment, several, and one interval per segment
+    params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2)
+    monkeypatch.setattr(lattice, "CHEBYSHEV_TOL", 1e-3)
+    with pytest.raises(NormDrift):
+        fr.evolve_lattice(params, t_max=t_max, dt_out=t_max / n_out)
+
+
+def test_reproduce_all_oracle_work(tmp_path, monkeypatch):
+    # the six oracle runs of `reproduce all` (figs. 4 and 5) run about one
+    # series each: at most 1,200 products with H in all
+    metas = []
+    evolve = lattice.evolve
+
+    def counted(*args, **kwargs):
+        series = evolve(*args, **kwargs)
+        metas.append(series.meta)
+        return series
+
+    monkeypatch.setattr(lattice, "evolve", counted)
+    for figure in ("fig4", "fig5"):
+        assert main(["reproduce", figure, "--outdir", str(tmp_path)]) == 0
+    assert len(metas) == 6
+    assert sum(m["segments"] * (m["chebyshev_terms"] - 1) for m in metas) <= 1200
 
 
 def test_truncation_independence():

@@ -81,3 +81,20 @@ def test_bics_found_once_per_bound_state_call(tmp_path):
             spans.uninstall(replaced)
         assert tracer.stats["bound_states.find_bics"].calls == 1
     assert json.loads(out.read_text())["census"]["m_bic"] == 1
+
+
+def test_markovian_decomposes_once(tmp_path):
+    # the CLI hands its decomposition to the closed route and to the N = 2
+    # anti-PT phase
+    spans = _spans()
+    argv = ["markovian", "--n-atoms", "2", "--kappa", "4.0", "--xi", "4.0",
+            "--site", "inf", "--gamma", "0.125", "-o", str(tmp_path / "p.csv"),
+            "--sidecar", str(tmp_path / "side.json")]
+    tracer = spans.Tracer()
+    replaced = spans.install(tracer)
+    try:
+        assert main(argv) == 0
+    finally:
+        spans.uninstall(replaced)
+    assert tracer.stats["markovian.resonance_decomposition"].calls == 1
+    assert json.loads((tmp_path / "side.json").read_text())["phase"] == "exceptional"
