@@ -64,10 +64,6 @@ def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
     n_side = int(np.sum(sgn * (levels - edge) > 0))
     trace["n_side"] = n_side
 
-    if not math.isfinite(edge):
-        trace.update(energy_ok=False, amplitude_ok=False, note="infinite edge")
-        return trace
-
     n_tot = model.n_levels
     # energy criterion: the edge must lie past the K-zero in its gap
     if 1 <= n_side <= n_tot - 1:
@@ -207,8 +203,6 @@ def _brackets_one_side(model: ValidatedModel, trace: dict, sgn: int):
     """Ascending brackets ((a, f(a)), (b, f(b))) of the roots on one side,
     from the outward walk [edge, poles nearest-first, far sentinel]."""
     edge = trace["edge"]
-    if not math.isfinite(edge):
-        return []
     levels = model.levels
     poles = [float(p) for p in levels[sgn * (levels - edge) > 0][::sgn]]
     inner = _edge_endpoint(model, trace, sgn) if trace.get("extra_root") else None

@@ -66,10 +66,29 @@ def _require_keys(doc: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _integer(raw, name: str) -> int:
+    """raw as an int; ConfigError for a bool, a fraction or a non-number."""
+    if not isinstance(raw, bool):
+        try:
+            if isinstance(raw, str) or float(raw).is_integer():
+                return int(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be an integer, got {raw!r}")
+
+
 def _parse_site(raw):
     if raw in ("inf", "infinite", math.inf):
         return INFINITE
-    return int(raw)
+    return _integer(raw, "site")
+
+
+def _read_json(path, what: str):
+    """The JSON document in the file path; ConfigError naming it otherwise."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} {path} is not a readable JSON file: {exc}") from exc
 
 
 def params_from_doc(doc: dict) -> WaveguideParams:
@@ -79,7 +98,7 @@ def params_from_doc(doc: dict) -> WaveguideParams:
     )
     try:
         return WaveguideParams(
-            n_atoms=int(doc["n_atoms"]),
+            n_atoms=_integer(doc["n_atoms"], "n_atoms"),
             lam=float(doc["lambda"]),
             kappa=float(doc["kappa"]),
             xi=float(doc["xi"]),
@@ -143,8 +162,6 @@ def model_from_doc(doc: dict):
         raise ConfigError(f"malformed generic model: {exc}") from exc
     if jspec.get("form", "power_edges") != "power_edges":
         raise ConfigError(f"unsupported spectral_density form {jspec.get('form')!r}")
-    if not (math.isfinite(lo) and math.isfinite(up)):
-        raise ConfigError("generic JSON models require a finite band")
     j, edge_exps, zeros = _power_edges_density(lo, up, jspec)
     model = validate_model(
         FriedrichsModel(
@@ -164,13 +181,13 @@ def model_from_doc(doc: dict):
 
 def _load_model(args):
     if getattr(args, "model", None):
-        doc = json.loads(Path(args.model).read_text())
+        doc = _read_json(args.model, "--model")
         if not isinstance(doc, dict):
             raise ConfigError("model document must be a JSON object")
         return model_from_doc(doc)
     if getattr(args, "n_atoms", None) is not None:
         params = WaveguideParams(
-            n_atoms=args.n_atoms,
+            n_atoms=_integer(args.n_atoms, "n_atoms"),
             lam=args.lam,
             kappa=args.kappa,
             xi=args.xi,
@@ -211,7 +228,7 @@ def _apply_config(argv, by_name):
     path = pre.parse_known_args(argv)[0].config
     if not path:
         return
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json(path, "--config")
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
     _require_keys(doc, set(actions) - {"help", "config"}, "config file")
@@ -388,7 +405,7 @@ def _cmd_dynamics(args):
                 for (f, a, ph) in limit.beats
             ],
             "bound_energies": [s.energy for s in bound],
-            "meta": series.meta,  # filon_nodes, filon_thinning_error, delta_nodes
+            "meta": series.meta,  # transform_nodes, transform_error, delta_nodes
         },
     )
     return 0
@@ -413,7 +430,11 @@ def _cmd_markovian(args):
         name, lo, hi, steps = args.sweep
         if name != "xi":
             raise ConfigError("only 'xi' sweeps are supported")
-        rows = _xi_flow(params, args.gamma, np.linspace(float(lo), float(hi), int(steps)))
+        try:
+            values = np.linspace(float(lo), float(hi), int(steps))
+        except ValueError as exc:
+            raise ConfigError(f"malformed --sweep {lo} {hi} {steps}: {exc}") from exc
+        rows = _xi_flow(params, args.gamma, values)
         cols = ["xi"] + [f"{p}_z{i+1}" for i in range(model.n_levels) for p in ("re", "im")]
         _write_csv(args.output, cols, rows, _provenance(args, {"gamma": args.gamma}))
         return 0
@@ -626,6 +647,13 @@ def _cmd_reproduce(args):
 
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="friedrichs",
@@ -648,7 +676,7 @@ def _build_parser():
     _add_model_flags(p)
     p.add_argument("--e-min", type=float, default=None)
     p.add_argument("--e-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_positive_int, default=201)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -661,7 +689,7 @@ def _build_parser():
     _add_model_flags(p)
     p.add_argument("--initial", default="default", help="'default' or JSON amplitudes")
     p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--points", type=_positive_int, default=400)
     p.add_argument("--error-budget", type=float, default=None)
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--sidecar", default=None, help="JSON output for C and beats")
@@ -672,7 +700,7 @@ def _build_parser():
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--initial", default="default")
     p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_positive_int, default=201)
     p.add_argument(
         "--sweep",
         nargs=4,
@@ -688,7 +716,7 @@ def _build_parser():
     _add_model_flags(p)
     p.add_argument("--initial-site", type=int, default=None)
     p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--points", type=_positive_int, default=400)
     p.add_argument("--n-trunc", type=int, default=None)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_oracle)

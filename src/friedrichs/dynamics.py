@@ -202,8 +202,6 @@ def _transform(coefficients: DecayCoefficients, times, n_base_nodes: Optional[in
     axis next to an edge).
     """
     model, initial = coefficients.model, coefficients.initial
-    if not model.finite_band:
-        raise ConfigError("scattering dynamics requires a finite band")
     t = np.asarray(times, dtype=float)
     breaks = _transform_breaks(coefficients, float(np.max(np.abs(t), initial=0.0)))
     nodes = (breaks.size - 1) * qd.PANEL_NODES
@@ -250,9 +248,9 @@ def survival_probability(
     """p(t) on the requested grid (times >= 0, sorted).
 
     n_base_nodes, when given, is a floor on the transform's node count.
-    meta holds that count (`filon_nodes`), the Delta rule's (`delta_nodes`,
+    meta holds that count (`transform_nodes`), the Delta rule's (`delta_nodes`,
     0 for a closed-form Delta) and the error estimate of `_halving_error`
-    (`filon_thinning_error`); QuadratureBudgetExceeded is raised when that
+    (`transform_error`); QuadratureBudgetExceeded is raised when that
     exceeds error_budget.
     """
     t = np.asarray(times, dtype=float)
@@ -266,8 +264,8 @@ def survival_probability(
     kern, fine = _transform(coefficients, t, n_base_nodes)
     s_amp = qd.fourier_linear(kern.e_nodes, kern.w, t)  # int S_n(E) e^{-iEt} dE
     est = _halving_error(coefficients, kern, fine, t)
-    meta = dict(filon_nodes=kern.e_nodes.size, delta_nodes=kern.delta_nodes)
-    meta["filon_thinning_error"] = est
+    meta = dict(transform_nodes=kern.e_nodes.size, delta_nodes=kern.delta_nodes)
+    meta["transform_error"] = est
     if error_budget is not None and est > error_budget:
         raise QuadratureBudgetExceeded(
             f"band-integral error estimate {est:.3e} exceeds budget {error_budget:.3e}"

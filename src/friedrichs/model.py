@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateLevels,
     EmptyBand,
     NegativeSpectralDensity,
@@ -60,7 +61,8 @@ class DiscreteSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class ContinuumBand:
-    """Band [omega_low, omega_up] with spectral density J(omega) >= 0.
+    """Band [omega_low, omega_up], both edges finite, with spectral density
+    J(omega) >= 0 (the flat-continuum limit is `markovian.build_markovian`).
 
     edge_exponents holds the power-law exponents of J near each edge
     (s > 0 keeps Sigma finite at that edge); DIVERGENT flags an edge where
@@ -85,10 +87,11 @@ class ContinuumBand:
         )
         if not self.omega_low < self.omega_up:
             raise EmptyBand(f"omega_low={self.omega_low} >= omega_up={self.omega_up}")
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.omega_low) and math.isfinite(self.omega_up)
+        if not (math.isfinite(self.omega_low) and math.isfinite(self.omega_up)):
+            raise ConfigError(
+                f"band edges must be finite: omega_low={self.omega_low}, "
+                f"omega_up={self.omega_up}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +192,6 @@ class ValidatedModel:
     def interior_zeros(self) -> tuple:
         return self.continuum.interior_zeros
 
-    @property
-    def finite_band(self) -> bool:
-        return self.continuum.finite
-
     def j(self, omega):
         return self._j(omega)
 
@@ -205,24 +204,15 @@ class ValidatedModel:
 
     def is_edge(self, e: float, tol: float | None = None) -> bool:
         tol = 1e-12 * self.scale if tol is None else tol
-        for edge in (self.omega_low, self.omega_up):
-            if math.isfinite(edge) and abs(e - edge) <= tol:
-                return True
-        return False
+        return abs(e - self.omega_low) <= tol or abs(e - self.omega_up) <= tol
 
 
 def _sample_points(model: FriedrichsModel) -> np.ndarray:
     lo, up = model.continuum.omega_low, model.continuum.omega_up
-    if model.continuum.finite:
-        # cosine-spaced interior points avoid evaluating exactly at the edges
-        k = np.linspace(0.0, np.pi, 403)[1:-1]
-        mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
-        return mid - half * np.cos(k)
-    levels = model.discrete.levels
-    width = max(np.ptp(levels), 1.0)
-    lo_f = lo if math.isfinite(lo) else float(levels[0]) - 10 * width
-    up_f = up if math.isfinite(up) else float(levels[-1]) + 10 * width
-    return np.linspace(lo_f, up_f, 401)[1:-1]
+    # cosine-spaced interior points avoid evaluating exactly at the edges
+    k = np.linspace(0.0, np.pi, 403)[1:-1]
+    mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
+    return mid - half * np.cos(k)
 
 
 def validate_model(model) -> ValidatedModel:
@@ -245,11 +235,7 @@ def validate_model(model) -> ValidatedModel:
             raise NegativeSpectralDensity(f"declared J-zero at {z} has J != 0")
 
     levels = model.discrete.levels
-    extent = [float(levels[0]), float(levels[-1])]
-    if math.isfinite(band.omega_low):
-        extent.append(band.omega_low)
-    if math.isfinite(band.omega_up):
-        extent.append(band.omega_up)
+    extent = [float(levels[0]), float(levels[-1]), band.omega_low, band.omega_up]
     scale = max(max(extent) - min(extent), float(np.max(np.abs(levels))), 1e-300)
 
     return ValidatedModel(

@@ -1,20 +1,18 @@
 """Integration helpers for band integrals with edge and pole structure.
 
-Finite bands are integrated after the substitution omega = mid - half*cos(k),
-k in [0, pi]: the Jacobian half*sin(k) removes inverse-square-root edge
-divergences (van Hove) and flattens power-law edge zeros, so one scheme
-covers every declared edge exponent.
+Bands (all finite) are integrated after the substitution
+omega = mid - half*cos(k), k in [0, pi]: the Jacobian half*sin(k) removes
+inverse-square-root edge divergences (van Hove) and flattens power-law edge
+zeros, so one scheme covers every declared edge exponent.
 
-Finite bands take composite Gauss-Legendre rules in k whose panels are
-graded geometrically toward both edges: `delta_on_grid`, the Delta of every
-finite band, grades down to the grid point nearest each edge;
-`kernel_integral` (Sigma, Sigma') down to the pole that an energy outside
-the band puts at imaginary k; and the scattering transform of `dynamics`
-builds its panels from the same pieces (`graded_breaks`, `split_panels`,
-`panel_rule`) and sums them against exp(-i omega t) in `fourier_linear`.  Adaptive `quad` serves only
-(semi-)infinite bands and the tests: `kernel_integral` and
-`principal_value` run it there, `band_integral` is the k-substituted
-adaptive reference on a finite band.
+Composite Gauss-Legendre rules in k whose panels are graded geometrically
+toward both edges do the work: `delta_on_grid` grades down to the grid point
+nearest each edge; `kernel_integral` (Sigma, Sigma') down to the pole that
+an energy outside the band puts at imaginary k; and the scattering transform
+of `dynamics` builds its panels from the same pieces (`graded_breaks`,
+`split_panels`, `panel_rule`) and sums them against exp(-i omega t) in
+`fourier_linear`.  Adaptive `quad` is only the reference the tests compare
+these rules against: `band_integral`, and `principal_value` on top of it.
 """
 from __future__ import annotations
 
@@ -57,78 +55,23 @@ def band_integral(f, lo, up, interior_points=(), epsrel=1e-10):
     )
 
 
-def kernel_integral(j, lo, up, e, power=1, interior_points=(), epsrel=1e-11):
-    """integral of J(w)/(e-w)^power dw over the band, with error estimate.
-
-    e must lie outside (lo, up) or at a point where the integrand is
-    regular (a J-zero of sufficient order).  A finite band takes the fixed
-    graded rule of `_kernel_sum`; epsrel steers only the adaptive `quad` of
-    a (semi-)infinite band.
-    """
-    if math.isfinite(lo) and math.isfinite(up):
-        return _kernel_sum(j, lo, up, e, power, interior_points)
-
-    def f(w):
-        return j(w) / (e - w) ** power
-
-    return quad(f, lo, up, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel)
-
-
 def principal_value(j, lo, up, e, epsrel=1e-10):
-    """P.V. integral of J(w)/(e-w) dw for e strictly inside the band.
+    """P.V. integral of J(w)/(e-w) dw for e strictly inside the band: the
+    adaptive reference of `delta_on_grid`.
 
-    The route of Delta on (semi-)infinite bands, where `delta_on_grid`
-    cannot run, and the adaptive reference for it on finite ones.
-
-    Finite band: singularity subtraction
+    Singularity subtraction
         int [J(w)-J(e)]/(e-w) dw + J(e)*ln|(e-lo)/(up-e)|
-    with the compensated integrand regular at w=e.  (Semi-)infinite bands
-    use a symmetric window around e so the log term cancels, plus paired
-    tails.
+    with the compensated integrand regular at w=e.
     """
     je = float(np.asarray(j(np.array([e])))[0])
 
-    if math.isfinite(lo) and math.isfinite(up):
+    def f(w):
+        if w == e:
+            return 0.0  # limit is -J'(e); a point does not matter
+        return (j(w) - je) / (e - w)
 
-        def f(w):
-            if w == e:
-                return 0.0  # limit is -J'(e); a point does not matter
-            return (j(w) - je) / (e - w)
-
-        val, err = band_integral(f, lo, up, (e,), epsrel)
-        return val + je * math.log((e - lo) / (up - e)), err
-
-    # symmetric window of width W on both sides of e
-    w_lo = e - lo if math.isfinite(lo) else math.inf
-    w_up = up - e if math.isfinite(up) else math.inf
-    win = min(w_lo, w_up)
-    if not math.isfinite(win):
-        win = 1.0 + abs(e)
-
-    def central(u):
-        if u == 0.0:
-            return 0.0
-        return ((j(e + u) - je) - (j(e - u) - je)) / (-u)
-
-    val, err = quad(central, 0.0, win, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=epsrel)
-
-    if math.isinf(lo) and math.isinf(up):
-        def tails(u):
-            return (j(e + u) - j(e - u)) / (-u)
-
-        v2, e2 = quad(tails, win, math.inf, limit=_QUAD_LIMIT, epsabs=1e-12)
-        return val + v2, err + e2
-
-    v2 = e2 = 0.0
-    if lo < e - win:
-        a, b = quad(lambda w: j(w) / (e - w), lo, e - win, limit=_QUAD_LIMIT)
-        v2 += a
-        e2 += b
-    if e + win < up:
-        a, b = quad(lambda w: j(w) / (e - w), e + win, up, limit=_QUAD_LIMIT)
-        v2 += a
-        e2 += b
-    return val + v2, err + e2
+    val, err = band_integral(f, lo, up, (e,), epsrel)
+    return val + je * math.log((e - lo) / (up - e)), err
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +234,16 @@ def _differentiation():
     return v[:, :-1] @ np.polynomial.legendre.legder(np.eye(PANEL_NODES)) @ np.linalg.inv(v)
 
 
-def _kernel_sum(j, lo, up, e, power, interior_points):
-    """(value, err) of integral J(w)/(e-w)^power dw on a finite band.
+def kernel_integral(j, lo, up, e, power=1, interior_points=()):
+    """(value, err) of integral J(w)/(e-w)^power dw over the band.
 
-    The panels of `delta_rule`, graded toward each edge down to 1/256 of the
-    k-distance 2*asinh(sqrt(dist/span)) of the pole that e outside the band
-    puts at imaginary k (at most _EDGE_DEPTH, never so deep that a node comes
-    within one ulp of the edge), and broken at the J-zeros and at e inside
-    the band.  The factor (e - w)**power is taken at the exact node, f =
+    e must lie outside (lo, up) or at a point where the integrand is
+    regular (a J-zero of sufficient order).  The rule is fixed: the panels
+    of `delta_rule`, graded toward each edge down to 1/256 of the k-distance
+    2*asinh(sqrt(dist/span)) of the pole that e outside the band puts at
+    imaginary k (at most _EDGE_DEPTH, never so deep that a node comes within
+    one ulp of the edge), and broken at the J-zeros and at e inside the
+    band.  The factor (e - w)**power is taken at the exact node, f =
     J*dw/dk at the node's rounded energy, which next to an edge moves the
     node by up to a quarter of its k; f'(k) dk, f' from the panel's
     interpolant, takes that back.  With e on an edge the integrand goes as

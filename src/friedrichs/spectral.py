@@ -3,10 +3,10 @@
 K and I are exact rational sums over the discrete levels (valid at complex
 arguments).  This is the only module that reads a model's closed-form
 overrides: Sigma, Sigma' and Delta take them when the model carries them.
-Otherwise a finite band takes graded Gauss-Legendre rules, one energy at a
-time for Sigma and Sigma' (`quadrature.kernel_integral`) and a whole grid
-for Delta (`quadrature.delta_on_grid`); adaptive quadrature serves only a
-(semi-)infinite band.
+Otherwise the band takes graded Gauss-Legendre rules, one energy at a time
+for Sigma and Sigma' (`quadrature.kernel_integral`) and a whole grid for
+Delta (`quadrature.delta_on_grid`); adaptive quadrature is only the
+reference the tests hold these rules to.
 """
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ from . import quadrature as qd
 from .errors import DivergentDerivative, EInsideBand, NonconvergentEdge, PoleHit
 from .model import DIVERGENT, InitialState, ValidatedModel
 
+#: relative accuracy of the fixed Sigma and Sigma' rules (`kernel_integral`)
 SIGMA_EPSREL = 1e-11
 SIGMA_DERIV_EPSREL = 1e-9
-PV_EPSREL = 1e-10
 
 
 def _pole_distances(model: ValidatedModel, z: complex) -> np.ndarray:
@@ -131,7 +131,6 @@ def self_energy(model: ValidatedModel, e: float) -> float:
         _snap_to_edge(model, e, where),
         power=1,
         interior_points=model.interior_zeros,
-        epsrel=SIGMA_EPSREL,
     )
     return val
 
@@ -156,7 +155,6 @@ def self_energy_derivative(model: ValidatedModel, e: float) -> float:
         _snap_to_edge(model, e, where),
         power=2,
         interior_points=model.interior_zeros,
-        epsrel=SIGMA_DERIV_EPSREL,
     )
     return -val
 
@@ -169,8 +167,6 @@ def sigma_inverse_at_edge(model: ValidatedModel, which: str):
     edge = model.omega_low if which == "low" else model.omega_up
     exps = model.continuum.edge_exponents
     s = exps[0] if which == "low" else exps[1]
-    if not math.isfinite(edge):
-        raise NonconvergentEdge("no finite edge on this side")
     if s is DIVERGENT:
         return (-0.0 if which == "low" else +0.0), True
     sig = self_energy(model, edge)
@@ -181,23 +177,17 @@ def _delta(model: ValidatedModel, e):
     """Delta(E), the principal-value part of Sigma, strictly inside the band.
 
     The one route to Delta: the model's closed form when it has one, else
-    `quadrature.delta_on_grid` on a finite band and `principal_value` point
-    by point on a (semi-)infinite one.  e is a float or an array; returns
-    Delta of the same shape and the node count of the `delta_on_grid`
-    rule (0 for the other two).
+    `quadrature.delta_on_grid`.  e is a float or an array; returns Delta of
+    the same shape and the node count of the `delta_on_grid` rule (0 for a
+    closed form).
     """
     ov = model.overrides
     if ov is not None and ov.delta is not None:
         return np.asarray(ov.delta(e), dtype=float), 0
     x = np.atleast_1d(np.asarray(e, dtype=float))
     lo, up = model.omega_low, model.omega_up
-    if model.finite_band:
-        delta = qd.delta_on_grid(model.j, lo, up, x)
-        nodes = qd.delta_rule(lo, up, x)[0].size
-    else:
-        pv = [qd.principal_value(model.j, lo, up, float(v), epsrel=PV_EPSREL)[0] for v in x]
-        delta, nodes = np.array(pv), 0
-    return delta.reshape(np.shape(e)), nodes
+    delta = qd.delta_on_grid(model.j, lo, up, x)
+    return delta.reshape(np.shape(e)), qd.delta_rule(lo, up, x)[0].size
 
 
 def delta_gamma(model: ValidatedModel, e: float) -> tuple[float, float]:

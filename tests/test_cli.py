@@ -43,6 +43,62 @@ def test_config_error_exit_code(tmp_path):
     assert run(["bound-states", "--model", str(bad)]) == 2
 
 
+WAVEGUIDE_DOC = {"kind": "waveguide", "n_atoms": 3, "lambda": 1.0, "kappa": 0.75,
+                 "xi": 0.25, "site": 2}
+
+
+def assert_config_error(capsys, argv, named=None):
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert named is None or named in err["detail"]
+
+
+@pytest.mark.parametrize("key, value", [("site", 2.7), ("site", True), ("site", "abc"),
+                                        ("n_atoms", 2.9)])
+def test_non_integer_in_document_is_a_config_error(tmp_path, capsys, key, value):
+    # no truncation: 2.7 used to run as site 2, true as site 1, 2.9 as N = 2
+    path = tmp_path / "wg.json"
+    path.write_text(json.dumps({**WAVEGUIDE_DOC, key: value}))
+    assert_config_error(capsys, ["bound-states", "--model", str(path)], key)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound-states", "--n-atoms", "2", "--site", "abc"],
+    ["markovian", "--n-atoms", "2", "--gamma", "0.1", "--sweep", "xi", "0", "1", "abc"],
+])
+def test_malformed_flag_value_is_a_config_error(capsys, argv):
+    assert_config_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n-atoms", "2", "--points", "-1"],
+    ["markovian", "--n-atoms", "2", "--gamma", "0.1", "--points", "-2"],
+])
+def test_non_positive_points_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--model", "--config"])
+def test_non_json_file_is_a_config_error(tmp_path, capsys, flag):
+    path = tmp_path / "notes.txt"
+    path.write_text("not JSON {")
+    assert_config_error(capsys, ["bound-states", "--n-atoms", "2", flag, str(path)], str(path))
+
+
+def test_infinite_band_document_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "kind": "generic", "levels": [0.0], "couplings": [0.3], "band": [-math.inf, 1.0],
+        "spectral_density": {"form": "power_edges"},
+    }))
+    assert "-Infinity" in path.read_text()
+    assert_config_error(capsys, ["bound-states", "--model", str(path)], "omega_low=-inf")
+
+
 def test_generic_model_document(tmp_path):
     doc = {
         "kind": "generic",
@@ -117,8 +173,8 @@ def test_dynamics_csv_and_sidecar(tmp_path):
     assert payload["mean"] == pytest.approx(0.4487534626, rel=1e-6)
     meta = payload["meta"]
     assert meta["delta_nodes"] == 0  # the waveguide's closed-form Delta
-    assert 0 < meta["filon_nodes"] < 32769
-    assert 0.0 < meta["filon_thinning_error"] < 1e-10
+    assert 0 < meta["transform_nodes"] < 32769
+    assert 0.0 < meta["transform_error"] < 1e-10
 
 
 def test_oracle_csv(tmp_path):

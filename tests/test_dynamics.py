@@ -180,7 +180,7 @@ def test_error_budget_enforced(fig_cases):
         model, initial, t, bound_states=bound, error_budget=1e-10
     )
     assert series.p.size == 11
-    assert 0.0 < series.meta["filon_thinning_error"] <= 1e-10
+    assert 0.0 < series.meta["transform_error"] <= 1e-10
     assert series.meta["delta_nodes"] == 0  # the waveguide's closed-form Delta
 
 
@@ -192,7 +192,7 @@ def test_delta_node_count_reported():
     coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
     kern, _ = dyn._transform(coeffs, times, None)
     rule, _ = qd.delta_rule(model.omega_low, model.omega_up, kern.e_nodes)
-    assert series.meta["filon_nodes"] == kern.e_nodes.size
+    assert series.meta["transform_nodes"] == kern.e_nodes.size
     assert series.meta["delta_nodes"] == rule.size == kern.delta_nodes
     assert 0 < rule.size < 400
 
@@ -200,7 +200,7 @@ def test_delta_node_count_reported():
 def _finer(model, initial, times, series, factor=4):
     """p(t) on the same panels, each cut into `factor` equal panels."""
     return fr.survival_probability(
-        model, initial, times, n_base_nodes=factor * series.meta["filon_nodes"]
+        model, initial, times, n_base_nodes=factor * series.meta["transform_nodes"]
     )
 
 
@@ -213,13 +213,13 @@ def test_halving_estimate_bounds_error(seed, with_zero):
     times = np.linspace(0.0, rng.uniform(5.0, 60.0), 41)
     series = fr.survival_probability(model, initial, times)
     fine = _finer(model, initial, times, series)
-    assert fine.meta["filon_nodes"] >= 4 * series.meta["filon_nodes"]
+    assert fine.meta["transform_nodes"] >= 4 * series.meta["transform_nodes"]
     # 1e-12: Delta on the finer rule's nodes carries its own rounding, up
     # to about 1e-14, which a resonance of half-width 1e-4 lifts to 1e-13
-    assert np.max(np.abs(series.p - fine.p)) <= series.meta["filon_thinning_error"] + 1e-12
+    assert np.max(np.abs(series.p - fine.p)) <= series.meta["transform_error"] + 1e-12
     # next to a resonance narrower than about 1e-9, the rounding of
     # 1 - Delta*K limits p, and the estimate says so
-    assert abs(series.p[0] - 1.0) <= max(1e-10, series.meta["filon_thinning_error"])
+    assert abs(series.p[0] - 1.0) <= max(1e-10, series.meta["transform_error"])
 
 
 def _power_edges_model(band, s_low, s_up, zeros, amplitude, levels, couplings):
@@ -290,4 +290,4 @@ def test_long_run_matches_oracle(fig_cases):
     oracle = fr.evolve_lattice(params, t_max=200.0, dt_out=0.5)
     series = fr.survival_probability(model, initial, oracle.times, bound_states=bound)
     assert np.max(np.abs(series.p - oracle.p)) < 1e-10
-    assert series.meta["filon_nodes"] < 2100
+    assert series.meta["transform_nodes"] < 2100

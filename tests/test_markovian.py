@@ -25,8 +25,8 @@ def flat_model(levels, couplings, gamma):
         fr.FriedrichsModel(
             discrete=fr.DiscreteSpectrum(np.asarray(levels, float), np.asarray(couplings)),
             continuum=fr.ContinuumBand(
-                -math.inf,
-                math.inf,
+                -100.0,
+                100.0,
                 lambda om: np.full_like(np.asarray(om, dtype=float), gamma / math.pi),
             ),
         )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs.errors import (
+    ConfigError,
     DegenerateLevels,
     EmptyBand,
     NegativeSpectralDensity,
@@ -53,6 +56,20 @@ def test_unnormalized_initial_rejected():
 def test_empty_band_rejected():
     with pytest.raises(EmptyBand):
         fr.ContinuumBand(1.5, -1.5, smooth_j)
+
+
+@pytest.mark.parametrize(
+    "lo, up, error, named",
+    [
+        (-np.inf, 1.0, ConfigError, "omega_low=-inf"),
+        (-1.0, np.inf, ConfigError, "omega_up=inf"),
+        (-np.inf, np.inf, ConfigError, "omega_low=-inf, omega_up=inf"),
+        (np.nan, 1.0, EmptyBand, "omega_low=nan"),
+    ],
+)
+def test_non_finite_band_edge_rejected(lo, up, error, named):
+    with pytest.raises(error, match=re.escape(named)):
+        fr.ContinuumBand(lo, up, smooth_j)
 
 
 def test_negative_density_rejected():

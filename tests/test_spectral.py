@@ -88,22 +88,6 @@ def test_sigma_derivative_divergent_at_sqrt_edge(wg3):
         fr.self_energy_derivative(m, -1.5)
 
 
-def test_delta_gamma_flat_markovian_density():
-    j0 = 0.2 / math.pi
-    m = fr.validate_model(
-        fr.FriedrichsModel(
-            discrete=fr.DiscreteSpectrum(np.array([0.0]), np.array([0.4])),
-            continuum=fr.ContinuumBand(
-                -math.inf, math.inf, lambda om: np.full_like(np.asarray(om, float), j0)
-            ),
-        )
-    )
-    for e in (-3.0, 0.0, 1.7):
-        d, g = fr.delta_gamma(m, e)
-        assert d == pytest.approx(0.0, abs=1e-12)
-        assert g == pytest.approx(math.pi * j0, rel=1e-14)
-
-
 def test_delta_closed_form_matches_quadrature(wg3):
     _, m = wg3
     stripped = without_overrides(m)

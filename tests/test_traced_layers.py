@@ -49,7 +49,7 @@ def test_transform_counts_match_meta():
         spans.uninstall(replaced)
     assert tracer.stats["quadrature.fourier_linear"].calls == 1
     nodes = tracer.counts["quadrature.fourier_linear.nodes"]
-    assert nodes == series.meta["filon_nodes"]
+    assert nodes == series.meta["transform_nodes"]
     assert tracer.counts["quadrature.fourier_linear.node_times"] == nodes * times.size
 
 
@@ -61,8 +61,8 @@ def test_node_floor_of_reference_capture():
     times = np.linspace(0.0, 50.0, 50)
     series = fr.survival_probability(model, initial, times)
     floored = fr.survival_probability(model, initial, times, n_base_nodes=16385)
-    assert floored.meta["filon_nodes"] >= 16385
-    assert np.max(np.abs(floored.p - series.p)) <= series.meta["filon_thinning_error"]
+    assert floored.meta["transform_nodes"] >= 16385
+    assert np.max(np.abs(floored.p - series.p)) <= series.meta["transform_error"]
 
 
 def test_bics_found_once_per_bound_state_call(tmp_path):
