@@ -8,9 +8,7 @@ from .bound_states import (
     all_bound_states,
     count_bound_states,
     find_bics,
-    residual,
     solve_bound_states,
-    total_norm,
 )
 from .dynamics import (
     DecayCoefficients,

@@ -19,10 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from . import quadrature as qd
 from . import spectral as sp
 from .errors import NormalizationFailure, RootNotFound
-from .model import DIVERGENT, ValidatedModel
+from .model import DIVERGENT, ValidatedModel, near_declared_zero
 
 
 class BoundStateKind(enum.Enum):
@@ -221,20 +220,11 @@ def _continuum_profile(model: ValidatedModel, weight: complex, e_m: float) -> Ca
     """Amplitude profile on the orthonormalized continuum basis.
 
     weight is B*K(E_m) for generic states and B*conj(f_m) for a pinned BIC;
-    the omega-dependence is gbar(w)/(E_m - w) with gbar = conj(g)*sqrt(rho)
-    when the factored pair is available, else sqrt(J).
+    the omega-dependence is sqrt(J(w))/(E_m - w).
     """
-    band = model.continuum
-    if band.coupling_profile is not None and band.density_of_states is not None:
-        gbar = lambda om: np.conj(band.coupling_profile(om)) * np.sqrt(
-            np.maximum(band.density_of_states(om), 0.0)
-        )
-    else:
-        gbar = lambda om: np.sqrt(np.maximum(model.j(om), 0.0))
-
     def profile(omega):
         om = np.asarray(omega, dtype=float)
-        return weight * gbar(om) / (e_m - om)
+        return weight * np.sqrt(np.maximum(model.j(om), 0.0)) / (e_m - om)
 
     return profile
 
@@ -295,11 +285,9 @@ def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = 
 def find_bics(model: ValidatedModel):
     """Bound states in the continuum at the declared zeros of J."""
     out: list[BoundState] = []
-    tol_level = 1e-9 * model.scale
     for e0 in model.interior_zeros:
-        dist = np.abs(model.levels - e0)
-        j_near = int(np.argmin(dist))
-        at_level = dist[j_near] <= tol_level
+        j_near = int(np.argmin(np.abs(model.levels - e0)))
+        at_level = near_declared_zero(float(model.levels[j_near]), (e0,), model.scale)
         sig = sp.self_energy(model, e0)
         if at_level:
             f_j = model.couplings[j_near]
@@ -339,32 +327,3 @@ def all_bound_states(model: ValidatedModel):
     states = solve_bound_states(model, _census(model, bics)) + bics
     states.sort(key=lambda s: s.energy)
     return states
-
-
-# ---------------------------------------------------------------------------
-# independent checks used by the test suite
-
-def residual(model: ValidatedModel, state: BoundState) -> float:
-    """Relative plug-back residual |K - 1/Sigma| / |K| at the state energy."""
-    k = float(np.real(sp.k_function(model, state.energy)))
-    sig = sp.self_energy(model, state.energy)
-    return abs(k - 1.0 / sig) / max(abs(k), 1e-300)
-
-
-def total_norm(model: ValidatedModel, state: BoundState) -> float:
-    """Discrete norm plus independent quadrature of the continuum profile."""
-    disc = float(np.sum(np.abs(state.amplitudes) ** 2))
-    prof = state.continuum_profile
-    if prof is None:
-        return disc
-
-    def dens(om):
-        return float(np.abs(prof(np.atleast_1d(np.asarray(om, dtype=float))))[0] ** 2)
-
-    pts = set(model.interior_zeros)
-    if model.inside_band(state.energy):
-        pts.add(state.energy)  # removable point of the profile
-    val, _ = qd.band_integral(
-        dens, model.omega_low, model.omega_up, interior_points=tuple(pts), epsrel=1e-9
-    )
-    return disc + val

@@ -175,8 +175,21 @@ def model_from_doc(doc: dict):
             ),
         )
     )
-    initial = InitialState(_complex_list(doc["initial"])) if "initial" in doc else None
+    initial = _initial_state(doc["initial"], model, "initial") if "initial" in doc else None
     return model, initial, None
+
+
+def _initial_state(values, model, where: str) -> InitialState:
+    """The amplitudes in values (scalars or [re, im] pairs), one per level."""
+    try:
+        amps = _complex_list(values)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"{where} must be a list of amplitudes, got {values!r}") from exc
+    if amps.shape != (model.n_levels,):
+        raise ConfigError(
+            f"{where} has {amps.size} amplitudes for {model.n_levels} levels: {values!r}"
+        )
+    return InitialState(amps)
 
 
 def _load_model(args):
@@ -234,7 +247,10 @@ def _apply_config(argv, by_name):
     _require_keys(doc, set(actions) - {"help", "config"}, "config file")
     for key in doc:
         actions[key].required = False
-    subparser.set_defaults(**doc)
+    # argparse applies a flag's type only to a string default: pass a typed
+    # flag's value as the string a command line would carry (null stays unset)
+    typed = {k: str(v) for k, v in doc.items() if actions[k].type is not None and v is not None}
+    subparser.set_defaults(**{**doc, **typed})
 
 
 def _write_csv(path, header_cols, rows, provenance: dict):
@@ -368,7 +384,11 @@ def _initial_for(args, model, default):
         if default is None:
             raise ConfigError("generic model needs --initial '[c1, c2, ...]'")
         return default
-    return InitialState(_complex_list(json.loads(args.initial)))
+    try:
+        values = json.loads(args.initial)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--initial is not JSON: {args.initial!r}") from exc
+    return _initial_state(values, model, "--initial")
 
 
 def _cmd_dynamics(args):

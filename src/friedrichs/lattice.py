@@ -37,7 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from .dynamics import SurvivalSeries
-from .errors import LightConeViolation, NormDrift
+from .errors import ConfigError, LightConeViolation, NormDrift
 from .waveguide import WaveguideParams
 
 MAX_SITES = 2_000_000
@@ -189,18 +189,30 @@ def evolve(
     the 1e-6 level.  meta holds the lattice size (`n_trunc`), the worst norm
     drift (`norm_drift`), the number of segments (`segments`) and the
     Chebyshev terms per segment (`chebyshev_terms`; a shorter last segment
-    may use fewer).  A segment applies H terms - 1 times.
+    may use fewer).  A segment applies H terms - 1 times.  ConfigError names
+    a t_max or dt_out that is not positive and finite, an initial_site off
+    the chain and an n_trunc short of the attachment site.
     """
+    if not 0.0 < t_max < math.inf:
+        raise ConfigError(f"t_max={t_max} must be positive and finite")
     initial_site = params.n_atoms if initial_site is None else int(initial_site)
     if not 1 <= initial_site <= params.n_atoms:
-        raise ValueError("initial_site must index a chain site")
+        raise ConfigError(
+            f"initial_site={initial_site} must index a chain site 1..{params.n_atoms}"
+        )
     dt_out = t_max / 400.0 if dt_out is None else float(dt_out)
+    if not 0.0 < dt_out < math.inf:
+        raise ConfigError(f"dt_out={dt_out} must be positive and finite")
 
     n_needed, attach = _required_sites(params, t_max)
     if n_trunc is not None:
         if params.infinite:
             attach = int(n_trunc) // 2 + 1
         n_needed = int(n_trunc)
+        if not 1 <= attach <= n_needed:
+            raise ConfigError(
+                f"n_trunc={n_trunc} waveguide sites do not reach the attachment site {attach}"
+            )
     if n_needed > MAX_SITES:
         raise LightConeViolation(
             f"t_max={t_max} needs {n_needed} lattice sites (cap {MAX_SITES})"

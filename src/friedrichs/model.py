@@ -1,10 +1,11 @@
 """Data model: discrete levels factorizably coupled to a single continuum.
 
 Units: hbar = 1; all energies in one arbitrary base unit, times in its
-inverse.  Only the spectral density J(omega) enters any computation; the
-optional factored pair (density_of_states rho, coupling_profile g) with
-J = |g|^2 rho is metadata used to build continuum amplitude profiles of
-bound states.
+inverse.  The spectral density J(omega) is the band's only representation:
+every kernel and every continuum amplitude profile of a bound state is
+built from it.  Where an energy lies (outside the band, on an edge, on a
+declared zero of J, or strictly inside) is decided by `spectral` with the
+two tolerances of `ValidatedModel.is_edge` and `is_interior_zero`.
 """
 from __future__ import annotations
 
@@ -76,8 +77,6 @@ class ContinuumBand:
     spectral_density: Callable
     edge_exponents: tuple = (1.0, 1.0)
     interior_zeros: tuple = ()
-    density_of_states: Optional[Callable] = None
-    coupling_profile: Optional[Callable] = None
 
     def __post_init__(self):
         object.__setattr__(self, "omega_low", float(self.omega_low))
@@ -99,12 +98,17 @@ class AnalyticOverrides:
     """Closed forms used in place of quadrature when a model has them.
 
     Only `spectral` reads them; a missing field falls back to quadrature.
+    `spectral` decides where E lies and calls sigma and sigma_deriv only at
+    the classified point: E outside the band, the edge itself for an E on a
+    convergent edge, or the declared zero itself for an E on a J-zero.  A
+    closed form therefore makes no domain checks of its own.
 
-    sigma(E):        self-energy on real E outside the band or at a J-zero
-    sigma_deriv(E):  its derivative on the same domain (strictly off-edge)
-    delta(E):        principal-value part inside the band; takes a float or
-                     an array of energies (the scattering kernel passes all
-                     its nodes in one call)
+    sigma(E):        self-energy at a classified point
+    sigma_deriv(E):  its derivative there (at an edge only when the edge
+                     exponent exceeds 1; it diverges there otherwise)
+    delta(E):        principal-value part strictly inside the band; takes a
+                     float or an array of energies (the scattering kernel
+                     passes all its nodes in one call)
     """
 
     sigma: Optional[Callable] = None
@@ -198,13 +202,27 @@ class ValidatedModel:
     def inside_band(self, e: float) -> bool:
         return self.omega_low < e < self.omega_up
 
-    def is_interior_zero(self, e: float, tol: float | None = None) -> bool:
-        tol = 1e-12 * self.scale if tol is None else tol
-        return any(abs(e - z) <= tol for z in self.interior_zeros)
+    def is_interior_zero(self, e: float) -> bool:
+        return near_declared_zero(e, self.interior_zeros, self.scale)
 
-    def is_edge(self, e: float, tol: float | None = None) -> bool:
-        tol = 1e-12 * self.scale if tol is None else tol
+    def is_edge(self, e: float) -> bool:
+        tol = 1e-12 * self.scale
         return abs(e - self.omega_low) <= tol or abs(e - self.omega_up) <= tol
+
+
+def energy_scale(levels: np.ndarray, omega_low: float, omega_up: float) -> float:
+    """The extent of the levels and the band together, at least max |eps_n|."""
+    extent = [float(levels[0]), float(levels[-1]), omega_low, omega_up]
+    return max(max(extent) - min(extent), float(np.max(np.abs(levels))), 1e-300)
+
+
+def near_declared_zero(e: float, zeros, scale: float) -> bool:
+    """Whether e lies within 1e-9*scale of one of the declared J-zeros.
+
+    The one J-zero tolerance: `spectral` takes such an e as the zero, and a
+    level that close to a zero is a bound state in the continuum.
+    """
+    return any(abs(e - z) <= 1e-9 * scale for z in zeros)
 
 
 def _sample_points(model: FriedrichsModel) -> np.ndarray:
@@ -234,10 +252,7 @@ def validate_model(model) -> ValidatedModel:
         if abs(float(j(np.array([z]))[0])) > 1e-10 * max(jmax, 1e-300):
             raise NegativeSpectralDensity(f"declared J-zero at {z} has J != 0")
 
-    levels = model.discrete.levels
-    extent = [float(levels[0]), float(levels[-1]), band.omega_low, band.omega_up]
-    scale = max(max(extent) - min(extent), float(np.max(np.abs(levels))), 1e-300)
-
+    scale = energy_scale(model.discrete.levels, band.omega_low, band.omega_up)
     return ValidatedModel(
         discrete=model.discrete,
         continuum=band,

@@ -3,10 +3,14 @@
 K and I are exact rational sums over the discrete levels (valid at complex
 arguments).  This is the only module that reads a model's closed-form
 overrides: Sigma, Sigma' and Delta take them when the model carries them.
-Otherwise the band takes graded Gauss-Legendre rules, one energy at a time
-for Sigma and Sigma' (`quadrature.kernel_integral`) and a whole grid for
-Delta (`quadrature.delta_on_grid`); adaptive quadrature is only the
-reference the tests hold these rules to.
+`_classify` alone decides where an energy lies; Sigma and Sigma' are
+evaluated at the point it returns by either route, so a closed form is
+only ever called outside the band, on a convergent edge or exactly at a
+declared J-zero.  Without a closed form the band takes graded
+Gauss-Legendre rules, one energy at a time for Sigma and Sigma'
+(`quadrature.kernel_integral`) and a whole grid for Delta
+(`quadrature.delta_on_grid`); adaptive quadrature is only the reference
+the tests hold these rules to.
 """
 from __future__ import annotations
 
@@ -94,12 +98,27 @@ def k_zeros(model: ValidatedModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # self-energy
 
-def _classify(model: ValidatedModel, e: float) -> str:
+def _classify(model: ValidatedModel, e: float) -> tuple[str, float]:
+    """Where E lies, and the point at which Sigma and Sigma' are evaluated.
+
+    The one place that decides this: "edge_low"/"edge_up" for E within
+    1e-12*scale of an edge (`ValidatedModel.is_edge`), evaluated at the
+    edge; "zero" for E inside the band within the J-zero tolerance of a
+    declared zero (`ValidatedModel.is_interior_zero`), evaluated at that
+    zero; else "inside" or "outside", evaluated at E.  A closed form and the
+    rule both see the classified point, so the two routes agree there (the
+    rule's nodes, kept one ulp off the edge, could not resolve a pole at an
+    E that close to it).
+    """
     if model.is_edge(e):
-        return "edge_low" if abs(e - model.omega_low) <= abs(e - model.omega_up) else "edge_up"
-    if model.inside_band(e):
-        return "zero" if model.is_interior_zero(e, tol=1e-9 * model.scale) else "inside"
-    return "outside"
+        if abs(e - model.omega_low) <= abs(e - model.omega_up):
+            return "edge_low", model.omega_low
+        return "edge_up", model.omega_up
+    if not model.inside_band(e):
+        return "outside", e
+    if model.is_interior_zero(e):
+        return "zero", min(model.interior_zeros, key=lambda z: abs(e - z))
+    return "inside", e
 
 
 def _edge_exponent(model: ValidatedModel, which: str):
@@ -107,28 +126,22 @@ def _edge_exponent(model: ValidatedModel, which: str):
     return s_low if which == "edge_low" else s_up
 
 
-def _snap_to_edge(model: ValidatedModel, e: float, where: str) -> float:
-    """The edge for an e that `_classify` puts on it (nodes kept one ulp off
-    the edge cannot resolve a pole at e that close to it), else e."""
-    return {"edge_low": model.omega_low, "edge_up": model.omega_up}.get(where, e)
-
-
 def self_energy(model: ValidatedModel, e: float) -> float:
     """Sigma(E) = integral J(w)/(E-w) dw on real E outside the band or at a J-zero."""
     e = float(e)
-    where = _classify(model, e)
+    where, x = _classify(model, e)
     if where == "inside":
         raise EInsideBand(f"E={e} lies strictly inside the band and J(E) != 0")
     if where in ("edge_low", "edge_up") and _edge_exponent(model, where) is DIVERGENT:
         raise NonconvergentEdge(f"Sigma diverges at the band edge E={e}")
     ov = model.overrides
     if ov is not None and ov.sigma is not None:
-        return float(ov.sigma(e))
+        return float(ov.sigma(x))
     val, err = qd.kernel_integral(
         model.j,
         model.omega_low,
         model.omega_up,
-        _snap_to_edge(model, e, where),
+        x,
         power=1,
         interior_points=model.interior_zeros,
     )
@@ -138,7 +151,7 @@ def self_energy(model: ValidatedModel, e: float) -> float:
 def self_energy_derivative(model: ValidatedModel, e: float) -> float:
     """Sigma'(E) = -integral J(w)/(E-w)^2 dw (< 0 wherever it converges)."""
     e = float(e)
-    where = _classify(model, e)
+    where, x = _classify(model, e)
     if where == "inside":
         raise EInsideBand(f"E={e} lies strictly inside the band and J(E) != 0")
     if where in ("edge_low", "edge_up"):
@@ -147,12 +160,12 @@ def self_energy_derivative(model: ValidatedModel, e: float) -> float:
             raise DivergentDerivative(f"Sigma'(E) diverges at the band edge E={e}")
     ov = model.overrides
     if ov is not None and ov.sigma_deriv is not None:
-        return float(ov.sigma_deriv(e))
+        return float(ov.sigma_deriv(x))
     val, err = qd.kernel_integral(
         model.j,
         model.omega_low,
         model.omega_up,
-        _snap_to_edge(model, e, where),
+        x,
         power=2,
         interior_points=model.interior_zeros,
     )

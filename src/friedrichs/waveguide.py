@@ -11,6 +11,12 @@ and closed forms for Sigma, Sigma', Delta and real K.  site=math.inf
 selects the infinite-waveguide limit (flat attachment deep in the bulk): J
 turns into the bare inverse-square-root density with divergent (van Hove)
 edges and no interior zeros.
+
+The closed forms of Sigma, Sigma' and Delta are the model's overrides
+(`_closed_forms`).  They decide nothing about where E lies: `spectral`
+classifies E first and calls them only outside the band, on a convergent
+edge or exactly at a declared J-zero.  The closed K serves the specialized
+census, which also takes its BICs at the model's J-zero tolerance.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound_states import BoundStateCensus
-from .errors import ConfigError, EInsideBand, PoleHit
+from .errors import ConfigError, PoleHit
 from .model import (
     DIVERGENT,
     AnalyticOverrides,
@@ -29,6 +35,8 @@ from .model import (
     FriedrichsModel,
     InitialState,
     ValidatedModel,
+    energy_scale,
+    near_declared_zero,
     validate_model,
 )
 
@@ -129,78 +137,61 @@ def _spectral_density(params: WaveguideParams):
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _sigma_finite_l(e: float, kappa: float, l: int, zeros: tuple) -> float:
-    # outside the band: Sigma = -/+ expm1(-2 l th)/(2 kappa sinh th); edge limit l/kappa
-    if abs(e) >= 2 * kappa:
-        th = np.arccosh(max(abs(e) / (2 * kappa), 1.0))
+def _closed_forms(params: WaveguideParams) -> AnalyticOverrides:
+    """Sigma, Sigma' and Delta in closed form.
+
+    `spectral` calls sigma and sigma_deriv only at a classified energy:
+    outside the band, on a convergent edge (finite sites; the infinite
+    waveguide's van Hove edges are rejected before) or exactly at a
+    declared J-zero.  Strictly inside the band E is therefore a J-zero,
+    where J = 0 leaves Sigma = Delta = 0 and Sigma' = Delta'.
+    """
+    kap = params.kappa
+    if params.infinite:
+        def sigma(e):
+            return math.copysign(1.0, e) / math.sqrt(e * e - 4 * kap**2)
+
+        def sigma_deriv(e):
+            return -abs(e) * (e * e - 4 * kap**2) ** -1.5
+
+        def delta(e):
+            return np.zeros_like(np.asarray(e, dtype=float))
+
+        return AnalyticOverrides(sigma, sigma_deriv, delta)
+
+    l = params.l_int
+
+    def sigma(e):
+        if abs(e) < 2 * kap:
+            return 0.0
+        # -/+ expm1(-2 l th)/(2 kappa sinh th), with the edge limit l/kappa
+        th = np.arccosh(max(abs(e) / (2 * kap), 1.0))
         if th < 1e-12:
-            val = l / kappa
+            val = l / kap
         else:
-            val = -np.expm1(-2 * l * th) / (2 * kappa * np.sinh(th))
+            val = -np.expm1(-2 * l * th) / (2 * kap * np.sinh(th))
         return math.copysign(val, e)
-    if any(abs(e - z) <= 1e-9 * max(kappa, 1.0) for z in zeros):
-        return 0.0
-    raise EInsideBand(f"E={e} strictly inside the band is not a J-zero")
 
-
-def _sigma_deriv_finite_l(e: float, kappa: float, l: int, zeros: tuple) -> float:
-    if abs(e) > 2 * kappa:
-        th = np.arccosh(abs(e) / (2 * kappa))
+    def sigma_deriv(e):
+        if abs(e) < 2 * kap:
+            # derivative of the principal-value part at a J-zero
+            return -2.0 * l / (4 * kap**2 - e**2)
+        th = np.arccosh(abs(e) / (2 * kap))
         if th < 1e-4:
             g = -2.0 * l**2 * th**2 + (8.0 * l**3 - 2.0 * l) * th**3 / 3.0
         else:
             g = 2 * l * math.exp(-2 * l * th) * math.sinh(th) - (
                 -math.expm1(-2 * l * th)
             ) * math.cosh(th)
-        return g / (4 * kappa**2 * math.sinh(th) ** 3)
-    if any(abs(e - z) <= 1e-9 * max(kappa, 1.0) for z in zeros):
-        # derivative of the principal-value part at an interior zero
-        return -2.0 * l / (4 * kappa**2 - e**2)
-    raise EInsideBand(f"E={e} strictly inside the band is not a J-zero")
+        return g / (4 * kap**2 * math.sinh(th) ** 3)
 
+    def delta(e):
+        # strictly inside the band; e may be an array
+        e = np.asarray(e, dtype=float)
+        phi = np.arccos(np.clip(e / (2 * kap), -1.0, 1.0))
+        return np.sin(2 * l * phi) / np.sqrt(4 * kap**2 - e * e)
 
-def _sigma_infinite(e: float, kappa: float) -> float:
-    if abs(e) <= 2 * kappa:
-        raise EInsideBand(f"E={e} inside the band; Sigma has no closed value there")
-    return math.copysign(1.0, e) / math.sqrt(e * e - 4 * kappa**2)
-
-
-def _sigma_deriv_infinite(e: float, kappa: float) -> float:
-    if abs(e) <= 2 * kappa:
-        raise EInsideBand(f"E={e} inside the band")
-    return -abs(e) * (e * e - 4 * kappa**2) ** -1.5
-
-
-def _delta_finite_l(e, kappa: float, l: int):
-    # callers guarantee |e| < 2*kappa strictly; e may be an array
-    e = np.asarray(e, dtype=float)
-    phi = np.arccos(np.clip(e / (2 * kappa), -1.0, 1.0))
-    return np.sin(2 * l * phi) / np.sqrt(4 * kappa**2 - e * e)
-
-
-def closed_form_sigma(params: WaveguideParams):
-    kap = params.kappa
-    if params.infinite:
-        return lambda e: _sigma_infinite(float(e), kap)
-    l, zs = params.l_int, j_zeros(params)
-    return lambda e: _sigma_finite_l(float(e), kap, l, zs)
-
-
-def closed_form_sigma_deriv(params: WaveguideParams):
-    kap = params.kappa
-    if params.infinite:
-        return lambda e: _sigma_deriv_infinite(float(e), kap)
-    l, zs = params.l_int, j_zeros(params)
-    return lambda e: _sigma_deriv_finite_l(float(e), kap, l, zs)
-
-
-def closed_form_delta(params: WaveguideParams):
-    """Delta(E) inside the band; takes a float or an array of energies."""
-    kap = params.kappa
-    if params.infinite:
-        return lambda e: np.zeros_like(np.asarray(e, dtype=float))
-    l = params.l_int
-    return lambda e: _delta_finite_l(e, kap, l)
+    return AnalyticOverrides(sigma, sigma_deriv, delta)
 
 
 def closed_form_k_real(params: WaveguideParams):
@@ -232,39 +223,17 @@ def closed_form_k_real(params: WaveguideParams):
 
 def build_waveguide_model(params: WaveguideParams) -> ValidatedModel:
     kap = params.kappa
-    if params.infinite:
-        edges = (DIVERGENT, DIVERGENT)
-        rho = lambda om: 1.0 / np.sqrt(np.maximum(4 * kap**2 - np.asarray(om) ** 2, 0.0))
-        g = lambda om: np.full_like(np.asarray(om, dtype=float), 1.0 / math.sqrt(math.pi))
-    else:
-        edges = (0.5, 0.5)
-        l = params.l_int
-        rho = lambda om: 1.0 / np.sqrt(np.maximum(4 * kap**2 - np.asarray(om) ** 2, 1e-300))
-
-        def g(om):
-            om = np.asarray(om, dtype=float)
-            return np.sqrt(2.0 / np.pi) * np.sin(
-                l * np.arccos(np.clip(-om / (2 * kap), -1.0, 1.0))
-            )
-
     band = ContinuumBand(
         omega_low=-2 * kap,
         omega_up=2 * kap,
         spectral_density=_spectral_density(params),
-        edge_exponents=edges,
+        edge_exponents=(DIVERGENT, DIVERGENT) if params.infinite else (0.5, 0.5),
         interior_zeros=j_zeros(params),
-        density_of_states=rho,
-        coupling_profile=g,
-    )
-    overrides = AnalyticOverrides(
-        sigma=closed_form_sigma(params),
-        sigma_deriv=closed_form_sigma_deriv(params),
-        delta=closed_form_delta(params),
     )
     model = FriedrichsModel(
         discrete=DiscreteSpectrum(chain_levels(params), chain_couplings(params)),
         continuum=band,
-        overrides=overrides,
+        overrides=_closed_forms(params),
     )
     return validate_model(model)
 
@@ -357,13 +326,11 @@ def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
 
 
 def waveguide_bic_energies(params: WaveguideParams) -> list[float]:
-    """Level energies that coincide with interior J-zeros (exact matches)."""
+    """Level energies on interior J-zeros, within the model's J-zero tolerance
+    (`model.near_declared_zero`), as `bound_states.find_bics` matches them."""
     if params.infinite or params.l_int < 2:
         return []
-    tol = 1e-12 * params.lam
-    zeros = np.asarray(j_zeros(params))
-    out = []
-    for e in chain_levels(params):
-        if np.any(np.abs(zeros - e) <= tol):
-            out.append(float(e))
-    return sorted(out)
+    levels, kap = chain_levels(params), params.kappa
+    scale = energy_scale(levels, -2 * kap, 2 * kap)
+    zeros = j_zeros(params)
+    return [float(e) for e in levels if near_declared_zero(e, zeros, scale)]

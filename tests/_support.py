@@ -144,3 +144,29 @@ def census_bruteforce(model, n_grid=100_000, reach=2.5, collar=1e-6):
     below = count(np.linspace(g_lo, lo - collar * span, n_b))
     above = count(np.linspace(up + collar * span, g_up, n_a))
     return below, above
+
+
+def residual(model, state) -> float:
+    """Relative plug-back residual |K - 1/Sigma| / |K| at the state energy."""
+    k = float(np.real(sp.k_function(model, state.energy)))
+    sig = sp.self_energy(model, state.energy)
+    return abs(k - 1.0 / sig) / max(abs(k), 1e-300)
+
+
+def total_norm(model, state) -> float:
+    """Discrete norm plus independent quadrature of the continuum profile."""
+    disc = float(np.sum(np.abs(state.amplitudes) ** 2))
+    prof = state.continuum_profile
+    if prof is None:
+        return disc
+
+    def dens(om):
+        return float(np.abs(prof(np.atleast_1d(np.asarray(om, dtype=float))))[0] ** 2)
+
+    pts = set(model.interior_zeros)
+    if model.inside_band(state.energy):
+        pts.add(state.energy)  # removable point of the profile
+    val, _ = qd.band_integral(
+        dens, model.omega_low, model.omega_up, interior_points=tuple(pts), epsrel=1e-9
+    )
+    return disc + val

@@ -10,7 +10,7 @@ from friedrichs import bound_states as bs
 from friedrichs.bound_states import BoundStateKind
 from friedrichs.cli import model_from_doc
 
-from _support import census_bruteforce, census_margin, random_model
+from _support import census_bruteforce, census_margin, random_model, residual, total_norm
 
 
 def test_single_far_level_weak_coupling():
@@ -52,7 +52,7 @@ def test_plugback_residual():
     for _ in range(12):
         m = random_model(rng, n_max=4)
         for state in fr.solve_bound_states(m):
-            assert fr.residual(m, state) < 1e-10
+            assert residual(m, state) < 1e-10
             checked += 1
     assert checked >= 5
 
@@ -112,12 +112,12 @@ def test_total_norm_unity():
     for _ in range(8):
         m = random_model(rng, n_max=3)
         for state in fr.solve_bound_states(m):
-            assert fr.total_norm(m, state) == pytest.approx(1.0, abs=1e-6)
+            assert total_norm(m, state) == pytest.approx(1.0, abs=1e-6)
             checked += 1
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2)
     m2 = fr.build_waveguide_model(params)
     for state in fr.find_bics(m2):
-        assert fr.total_norm(m2, state) == pytest.approx(1.0, abs=1e-6)
+        assert total_norm(m2, state) == pytest.approx(1.0, abs=1e-6)
         checked += 1
     assert checked >= 3
 
@@ -180,7 +180,7 @@ def test_generic_bic_at_declared_zero():
     assert len(bics) == 1
     assert bics[0].energy == pytest.approx(z0)
     assert bics[0].level_index is None
-    assert fr.total_norm(m, bics[0]) == pytest.approx(1.0, abs=1e-6)
+    assert total_norm(m, bics[0]) == pytest.approx(1.0, abs=1e-6)
     # detuned level: no BIC
     assert fr.find_bics(build(eps_star + 0.05)) == []
 

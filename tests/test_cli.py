@@ -63,21 +63,56 @@ def test_non_integer_in_document_is_a_config_error(tmp_path, capsys, key, value)
     assert_config_error(capsys, ["bound-states", "--model", str(path)], key)
 
 
-@pytest.mark.parametrize("argv", [
-    ["bound-states", "--n-atoms", "2", "--site", "abc"],
-    ["markovian", "--n-atoms", "2", "--gamma", "0.1", "--sweep", "xi", "0", "1", "abc"],
-])
-def test_malformed_flag_value_is_a_config_error(capsys, argv):
-    assert_config_error(capsys, argv)
+#: the generic model of the `cli` module docstring
+CLI_DOC_GENERIC = {
+    "kind": "generic", "levels": [-1.0, 0.4], "couplings": [0.3, [0.1, -0.2]],
+    "band": [-1.5, 1.5],
+    "spectral_density": {"form": "power_edges", "amplitude": 0.2, "s_low": 0.5,
+                         "s_up": "divergent", "zeros": [0.1]},
+    "initial": [1.0, 0.0],
+}
+ORACLE = ["oracle", "--n-atoms", "2", "--kappa", "1.0", "--xi", "0.3"]
+
+
+def with_files(tmp_path, argv):
+    """argv with each dict in it written to a JSON file and replaced by its path."""
+    out = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+MALFORMED = [
+    (["bound-states", "--n-atoms", "2", "--site", "abc"], "'abc'"),
+    (["markovian", "--n-atoms", "2", "--gamma", "0.1", "--sweep", "xi", "0", "1", "abc"],
+     "abc"),
+    ([*ORACLE, "--initial-site", "5"], "initial_site=5"),
+    ([*ORACLE, "--t-max", "0"], "t_max=0.0"),
+    ([*ORACLE, "--t-max", "-1"], "t_max=-1.0"),
+    ([*ORACLE, "--n-trunc", "1", "--site", "3"], "n_trunc=1"),
+    (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, "], "'[1, '"),
+    (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, 0, 0]"], "[1, 0, 0]"),
+]
+
+
+@pytest.mark.parametrize("argv, named", MALFORMED, ids=[f"argv{i}" for i in range(len(MALFORMED))])
+def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, argv, named):
+    assert_config_error(capsys, with_files(tmp_path, argv), named)
 
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--n-atoms", "2", "--points", "-1"],
     ["markovian", "--n-atoms", "2", "--gamma", "0.1", "--points", "-2"],
+    ["spectrum", "--n-atoms", "2", "--config", {"points": -1}],
+    ["markovian", "--n-atoms", "2", "--gamma", "0.1", "--config", {"points": 0}],
 ])
-def test_non_positive_points_exit_two(capsys, argv):
+def test_non_positive_points_exit_two(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(with_files(tmp_path, argv))
     assert exc.value.code == 2
     assert "--points" in capsys.readouterr().err
 

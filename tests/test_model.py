@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,3 +141,33 @@ def test_random_models_validate():
     for _ in range(10):
         m = random_model(rng, with_zero=bool(rng.integers(2)))
         assert m.n_levels >= 1
+
+
+def _overrides_reads(tree: ast.Module) -> list:
+    """(enclosing function, line) of every `.overrides` attribute read."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "overrides":
+            out.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_spectral_reads_the_overrides():
+    # the AnalyticOverrides contract: spectral classifies E, then calls the
+    # closed forms; validate_model only carries the field to the handle
+    src = Path(fr.__file__).resolve().parent
+    reads = {
+        path.stem: _overrides_reads(ast.parse(path.read_text()))
+        for path in sorted(src.glob("*.py"))
+    }
+    assert reads["spectral"]
+    assert [fn for fn, _ in reads.pop("model")] == ["validate_model"]
+    del reads["spectral"]
+    assert {name: found for name, found in reads.items() if found} == {}

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import friedrichs as fr
 from friedrichs import quadrature as qd
 from friedrichs import spectral as sp
-from friedrichs.waveguide import closed_form_delta
 
 from _support import random_model
 
@@ -93,7 +92,7 @@ def test_delta_matches_waveguide_closed_form(site):
     lo, up = model.omega_low, model.omega_up
     e = np.linspace(lo, up, 2001)
     e = e[(e - lo >= 1e-3 * (up - lo)) & (up - e >= 1e-3 * (up - lo))]
-    ref = closed_form_delta(params)(e)
+    ref = model.overrides.delta(e)
     got = qd.delta_on_grid(model.j, lo, up, e)
     assert np.max(np.abs(got - ref)) <= 5e-12 * np.max(np.abs(ref))
 

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
@@ -280,3 +280,77 @@ def test_rational_sums_equal_direct_sums(seed):
     for z in (*gaps, m.levels[0] - 0.7, m.levels[-1] + 1.3, 0.3 + 0.2j, m.levels[0] - 1e-3j):
         for name in fast:
             assert fast[name](z) == direct[name](z)
+
+
+def both_routes(fn, model, e):
+    """fn at e through the model's closed form and through the rule: each
+    a float, or the type of the typed error it raised."""
+    out = []
+    for m in (model, without_overrides(model)):
+        try:
+            out.append(fn(m, e))
+        except fr.errors.FriedrichsError as exc:
+            out.append(type(exc))
+    return out
+
+
+def assert_routes_agree(model, e):
+    """Sigma within 1e-8 relative (1e-12 absolute on a J-zero) and Sigma'
+    within 1e-8 relative by both routes, or the same typed error from both."""
+    at_zero = model.is_interior_zero(e)
+    for fn in (fr.self_energy, fr.self_energy_derivative):
+        closed, rule = both_routes(fn, model, e)
+        if isinstance(closed, type) or isinstance(rule, type):
+            assert closed is rule, (fn.__name__, e, closed, rule)
+        elif fn is fr.self_energy and at_zero:
+            assert abs(closed - rule) <= 1e-12, (e, closed, rule)
+        else:
+            assert rule == pytest.approx(closed, rel=1e-8), (fn.__name__, e)
+
+
+@pytest.mark.parametrize("e", [-1.5 + 1e-13, 1.5 - 1e-13, 2e-9, -2e-9])
+def test_routes_agree_at_classified_points(e):
+    # scale 3: +-1e-13 of an edge is the edge, 2e-9 of the J-zero at 0 is the
+    # zero; both routes evaluate there, not at e
+    m = fr.build_waveguide_model(fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2))
+    assert_routes_agree(m, e)
+    if abs(e) < 1:
+        for sigp in both_routes(fr.self_energy_derivative, m, e):
+            assert sigp == pytest.approx(-16 / 9, rel=1e-8)
+    else:
+        assert fr.self_energy(m, e) == math.copysign(2 / 0.75, e)
+
+
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, fr.INFINITE]),
+    st.integers(1, 5),
+    st.floats(0.2, 2.0),
+    st.floats(0.05, 2.0),
+    st.sampled_from(["outside", "edge", "zero"]),
+    st.floats(-0.999, 0.999),  # a point on a tolerance's end rounds to either side
+    st.floats(-6.0, 1.0),
+    st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_routes_agree_on_classified_energies(site, n_atoms, kappa, xi, zone, u, log_d, pick):
+    """Outside the band (1e-6 to 10 of the scale from an edge; closer, see
+    `test_closed_sigma_next_to_edge_matches_rule`), within the edge tolerance
+    on either side of an edge, and within the J-zero tolerance of a zero."""
+    m = fr.build_waveguide_model(fr.WaveguideParams(n_atoms, 1.0, kappa, xi, site))
+    edge = (m.omega_low, m.omega_up)[pick % 2]
+    if zone == "outside":
+        e = edge + math.copysign(10.0**log_d * m.scale, edge)
+    elif zone == "edge":
+        e = edge + u * 1e-12 * m.scale
+    else:
+        assume(m.interior_zeros)
+        e = m.interior_zeros[pick % len(m.interior_zeros)] + u * 1e-9 * m.scale
+    assert_routes_agree(m, e)
+
+
+@pytest.mark.xfail(strict=True, reason="closed forms cancel in |E| - 2 kappa next to an edge")
+@pytest.mark.parametrize("site", [3, fr.INFINITE])
+def test_closed_sigma_next_to_edge_matches_rule(site):
+    m = fr.build_waveguide_model(fr.WaveguideParams(3, 1.0, 0.3, 0.25, site))
+    for d in (1.001e-12, 1e-11, 1e-10):
+        assert_routes_agree(m, m.omega_up + d * m.scale)

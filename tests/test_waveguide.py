@@ -131,6 +131,19 @@ def test_specialized_census_matches_generic():
         assert (fast.n_low, fast.n_up) == (generic.n_low, generic.n_up)
 
 
+@pytest.mark.parametrize("kappa", [1 + 1e-10, 1 + 1e-11])
+def test_closed_and_generic_censuses_match_levels_to_zeros_alike(kappa):
+    # levels -sqrt(2), 0, sqrt(2) sit 1.4e-10 and 1.4e-11 from the J-zeros
+    # -sqrt(2) kappa, 0, sqrt(2) kappa: inside the one J-zero tolerance
+    params = fr.WaveguideParams(3, 1.0, kappa, 0.5, 4)
+    fast = fr.waveguide_bound_state_count(params)
+    model = fr.build_waveguide_model(params)
+    generic = fr.count_bound_states(model)
+    counts = lambda c: (c.n_low, c.n_up, c.m_below, c.m_above, c.m_bic)
+    assert counts(fast) == counts(generic) == (0, 0, 0, 0, 3)
+    assert fr.waveguide_bic_energies(params) == list(model.levels)
+
+
 def test_infinite_site_amplitude_criterion_follows_energy_criterion():
     # divergent-edge case: the only remaining condition is the energy criterion
     for kap, xi in ((0.2, 0.01), (0.2, 3.0), (0.9, 0.5)):
