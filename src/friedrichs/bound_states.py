@@ -56,7 +56,13 @@ class BoundStateCensus:
 
 def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
     """Evaluate one Table-style criterion pair at a band edge; sgn is -1 (low)
-    or +1 (up), so that sgn*(E - edge) > 0 lies outside the band."""
+    or +1 (up), so that sgn*(E - edge) > 0 lies outside the band.
+
+    The amplitude criterion sgn*(K - 1/Sigma) > 0 is a tie, and fails, when
+    the margin is within 1e-12 of sum_n |f_n|^2/|edge - eps_n|, the scale of
+    the rounding of K at the edge: where K vanishes at an edge with a
+    divergent Sigma, its sign is rounding alone.
+    """
     side, edge = ("low", model.omega_low) if sgn < 0 else ("up", model.omega_up)
     trace: dict = {"side": side, "edge": edge}
     levels = model.levels
@@ -80,7 +86,7 @@ def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
     trace["k_edge"] = k_edge
     trace["sigma_inv_edge"] = ("0-" if sgn < 0 else "0+") if is_limit else sig_inv
     margin = sgn * (k_edge - sig_inv)
-    tie = abs(margin) <= 1e-12 * max(abs(k_edge), abs(sig_inv), 1e-300)
+    tie = abs(margin) <= 1e-12 * float(np.sum(model._f2 / np.abs(edge - levels)))
     trace["tie"] = bool(tie)
     amplitude_ok = (margin > 0) and not tie
     trace["amplitude_ok"] = bool(amplitude_ok)

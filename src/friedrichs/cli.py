@@ -77,6 +77,13 @@ def _integer(raw, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {raw!r}")
 
 
+def _finite(value: float, flag: str) -> float:
+    """value, or ConfigError naming the flag when it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag}={value} must be finite")
+    return value
+
+
 def _parse_site(raw):
     if raw in ("inf", "infinite", math.inf):
         return INFINITE
@@ -329,7 +336,7 @@ def _cmd_spectrum(args):
     model, _, _ = _load_model(args)
     lo = args.e_min if args.e_min is not None else model.omega_low - 1.0
     hi = args.e_max if args.e_max is not None else model.omega_up + 1.0
-    grid = np.linspace(lo, hi, args.points)
+    grid = np.linspace(_finite(lo, "--e-min"), _finite(hi, "--e-max"), args.points)
     rows = []
     for e in grid:
         e = float(e)
@@ -384,17 +391,19 @@ def _initial_for(args, model, default):
         if default is None:
             raise ConfigError("generic model needs --initial '[c1, c2, ...]'")
         return default
-    try:
-        values = json.loads(args.initial)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--initial is not JSON: {args.initial!r}") from exc
+    values = args.initial
+    if isinstance(values, str):  # a --config file gives the list itself
+        try:
+            values = json.loads(values)
+        except ValueError as exc:
+            raise ConfigError(f"--initial is not JSON: {values!r}") from exc
     return _initial_state(values, model, "--initial")
 
 
 def _cmd_dynamics(args):
     model, default_init, _ = _load_model(args)
     initial = _initial_for(args, model, default_init)
-    times = np.linspace(0.0, args.t_max, args.points)
+    times = np.linspace(0.0, _finite(args.t_max, "--t-max"), args.points)
     bound = bs.all_bound_states(model)
     coeffs = dyn.decay_coefficients(model, initial, bound)
     series = dyn.survival_probability(
@@ -461,7 +470,7 @@ def _cmd_markovian(args):
 
     initial = _initial_for(args, model, default_init)
     h = mk.build_markovian(model, args.gamma)
-    times = np.linspace(0.0, args.t_max, args.points)
+    times = np.linspace(0.0, _finite(args.t_max, "--t-max"), args.points)
     sys_ = mk.resonance_decomposition(h)
     closed = mk.markovian_survival(h, initial, times, system=sys_)
     direct = mk.markovian_survival(h, initial, times, method="expm")

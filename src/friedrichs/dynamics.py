@@ -222,7 +222,9 @@ def _halving_error(coefficients: DecayCoefficients, kern, fine, t) -> float:
     """Twice a bound on |p - p'| at t = 0 (edge and peak error) and max(t)
     (oscillation error), p' from the halved kernel: a rule converging at
     least linearly is off by at most that.  |p - p'| <= |a - a'| (|a| + |a'|)
-    for amplitude vectors a, |a - a'| taking in the rounding of a.
+    for amplitude vectors a, |a - a'| taking in the rounding of a.  The
+    estimate is also at least |a(0) - c| (|a(0)| + |c|), which bounds
+    |p(0) - 1| itself: a(0) = c holds exactly.
     """
     ends = np.array([0.0, float(np.max(t, initial=0.0))])
     bound = _bound_amplitudes(coefficients, ends)
@@ -232,7 +234,9 @@ def _halving_error(coefficients: DecayCoefficients, kern, fine, t) -> float:
     norm = np.linalg.norm
     rounding = norm(kern.rounding + 8.0 * np.finfo(float).eps * np.abs(coefficients.R).sum(axis=1))
     diff = norm(a - a2, axis=0) + rounding
-    return 2.0 * float(np.max(diff * (norm(a, axis=0) + norm(a2, axis=0))))
+    halving = 2.0 * float(np.max(diff * (norm(a, axis=0) + norm(a2, axis=0))))
+    c = coefficients.initial.amplitudes
+    return max(halving, float((norm(a[:, 0] - c) + rounding) * (norm(a[:, 0]) + norm(c))))
 
 
 def survival_probability(
@@ -254,6 +258,8 @@ def survival_probability(
     exceeds error_budget.
     """
     t = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ConfigError(f"times must be finite, got {np.unique(t[~np.isfinite(t)])}")
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):
         raise ConfigError("times must be sorted and non-negative")
     if coefficients is None:

@@ -14,7 +14,7 @@ class NegativeSpectralDensity(FriedrichsError):
 
 
 class EmptyBand(FriedrichsError):
-    """Band edges are not ordered (omega_low >= omega_up)."""
+    """Band edges are not ordered (omega_low >= omega_up), or J vanishes on the band."""
 
 
 class UnnormalizedInitialState(FriedrichsError):

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import SurvivalSeries
-from .errors import ExceptionalPoint, NegativeGamma
+from .errors import ConfigError, ExceptionalPoint, NegativeGamma
 from .model import InitialState, ValidatedModel
 
 EP_GAP_FACTOR = 1e-8
@@ -43,6 +43,8 @@ class EffectiveHamiltonianMarkov:
 
 def build_markovian(model: ValidatedModel, gamma: float) -> EffectiveHamiltonianMarkov:
     """H = diag(eps_n) - i*Gamma * f_n f_{n'}^*  with Gamma = pi*J >= 0."""
+    if not math.isfinite(gamma):
+        raise ConfigError(f"gamma={gamma} must be a finite number")
     if gamma < 0:
         raise NegativeGamma(f"gamma = {gamma} < 0")
     f = model.couplings
@@ -282,6 +284,10 @@ def markovian_survival(
     max|t|; ||U|| <= 1.
     """
     t = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ConfigError(f"times must be finite, got {np.unique(t[~np.isfinite(t)])}")
+    if method not in ("closed", "expm"):
+        raise ConfigError(f"method must be 'closed' or 'expm', got {method!r}")
     c0 = initial.amplitudes
     if method == "expm":
         amps = np.empty((h.n, t.size), dtype=complex)
@@ -296,8 +302,6 @@ def markovian_survival(
             amps[:, k], now = state, t[k]
         p = np.sum(np.abs(amps) ** 2, axis=0)
         return SurvivalSeries(times=t, p=p, meta={"method": "expm"})
-    if method != "closed":
-        raise ValueError("method must be 'closed' or 'expm'")
     sys = system or resonance_decomposition(h)
     if sys.kind is ResonanceKind.DEFECTIVE:
         amps = _defective_amplitudes(h, sys, c0, t)

@@ -245,6 +245,11 @@ def validate_model(model) -> ValidatedModel:
     if np.any(vals < -1e-14):
         worst = pts[int(np.argmin(vals))]
         raise NegativeSpectralDensity(f"J({worst}) = {float(np.min(vals))} < 0")
+    if not np.any(vals > 0):
+        raise EmptyBand(
+            f"J vanishes at every sample point of the band "
+            f"[{band.omega_low}, {band.omega_up}]"
+        )
     jmax = float(np.max(vals)) if vals.size else 1.0
     for z in band.interior_zeros:
         if not band.omega_low < z < band.omega_up:

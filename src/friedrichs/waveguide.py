@@ -7,7 +7,7 @@ basis this is a discrete-levels-plus-continuum model with
     eps_n = -2*lambda*cos(pi n/(N+1)),    f_n = xi*sqrt(2/(N+1))*sin(pi n/(N+1)),
     band [-2 kappa, 2 kappa],             J per a sin^2(l * arccos(w/2kappa)) profile,
 
-and closed forms for Sigma, Sigma', Delta and real K.  site=math.inf
+and closed forms for Sigma, Sigma' and Delta.  site=math.inf
 selects the infinite-waveguide limit (flat attachment deep in the bulk): J
 turns into the bare inverse-square-root density with divergent (van Hove)
 edges and no interior zeros.
@@ -15,8 +15,8 @@ edges and no interior zeros.
 The closed forms of Sigma, Sigma' and Delta are the model's overrides
 (`_closed_forms`).  They decide nothing about where E lies: `spectral`
 classifies E first and calls them only outside the band, on a convergent
-edge or exactly at a declared J-zero.  The closed K serves the specialized
-census, which also takes its BICs at the model's J-zero tolerance.
+edge or exactly at a declared J-zero.  The specialized census reads K only
+at the edge -2 kappa (`_edge_pair`) and BICs at the model's J-zero tolerance.
 """
 from __future__ import annotations
 
@@ -194,30 +194,6 @@ def _closed_forms(params: WaveguideParams) -> AnalyticOverrides:
     return AnalyticOverrides(sigma, sigma_deriv, delta)
 
 
-def closed_form_k_real(params: WaveguideParams):
-    n, lam, xi = params.n_atoms, params.lam, params.xi
-
-    def k(e):
-        e = float(e)
-        x = e / (2 * lam)
-        if x < -1.0:
-            phi = math.acosh(-x)
-            return -(xi**2) * math.sinh(n * phi) / (lam * math.sinh((n + 1) * phi))
-        if x > 1.0:
-            phi = math.acosh(x)
-            return (xi**2) * math.sinh(n * phi) / (lam * math.sinh((n + 1) * phi))
-        # sin(n phi)/sin((n+1) phi) = U_{n-1}(x)/U_n(x): the recurrence stays
-        # exact at x = +-1, where the sines are both zero
-        u_prev, u = 1.0, 2.0 * x
-        for _ in range(n - 1):
-            u_prev, u = u, 2.0 * x * u - u_prev
-        if u == 0.0:
-            raise PoleHit(f"E={e} is a root of U_N: K has a pole at this chain level")
-        return (xi**2) * u_prev / (lam * u)
-
-    return k
-
-
 # ---------------------------------------------------------------------------
 # model construction
 
@@ -249,8 +225,20 @@ def default_initial_state(params: WaveguideParams) -> InitialState:
 # ---------------------------------------------------------------------------
 # specialized bound-state criteria
 
-def _k_at_lower_edge(params: WaveguideParams) -> float:
-    return closed_form_k_real(params)(-2.0 * params.kappa)
+def _edge_pair(params: WaveguideParams) -> tuple[float, float]:
+    """(a, b) with K(-2 kappa) = xi^2 a / (lambda b): (U_{N-1}, U_N) at
+    x = -kappa/lambda, which depend on N and kappa/lambda only."""
+    n, x = params.n_atoms, -params.kappa / params.lam
+    if x < -1.0:
+        phi = math.acosh(-x)
+        return -math.sinh(n * phi), math.sinh((n + 1) * phi)
+    # exact at x = -1, where sin(N phi) and sin((N+1) phi) both vanish
+    u_prev, u = 1.0, 2.0 * x
+    for _ in range(n - 1):
+        u_prev, u = u, 2.0 * x * u - u_prev
+    if u == 0.0:
+        raise PoleHit(f"E={-2.0 * params.kappa} is a root of U_N: K has a pole there")
+    return u_prev, u
 
 
 def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
@@ -259,8 +247,10 @@ def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
     Energy criterion: kappa/lambda < cos(pi*N_out/(2N)) for N_out >= 2
     (vacuous otherwise).  Amplitude criterion: K(-2k) < 1/Sigma(-2k) with
     Sigma(-2k) = -l/kappa for finite l and the signed limit 0- for the
-    infinite waveguide, i.e. l*xi^2 above a kappa,lambda-dependent
-    threshold.
+    infinite waveguide.  With K(-2k) = xi^2 a/(lambda b) from `_edge_pair`,
+    a finite site meets it for l*xi^2 above -kappa*lambda*b/a when a*b < 0.
+    The threshold is None when a*b >= 0 (then K(-2k) >= 0 and no l*xi^2
+    does) and at the infinite site.
     """
     lam, kap = params.lam, params.kappa
     n_tot = params.n_atoms
@@ -276,24 +266,16 @@ def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
         e_boundary = -2 * lam * math.cos(math.pi * n_low / n_tot)  # K-zero at the gap
         energy_ok = kap / lam < math.cos(math.pi * n_out / (2 * n_tot))
 
-    k_edge = _k_at_lower_edge(params)
+    a, b = _edge_pair(params)
+    k_edge = params.xi**2 * a / (lam * b)
     if params.infinite:
         sigma_inv_edge = -0.0
         amplitude_ok = k_edge < 0.0
         threshold = None
     else:
-        l = params.l_int
-        sigma_inv_edge = -kap / l
+        sigma_inv_edge = -kap / params.l_int
         amplitude_ok = k_edge < sigma_inv_edge
-        # threshold on l*xi^2 implied by K(-2k) < -kappa/l
-        x = kap / lam
-        if x <= 1.0:
-            a = math.acos(x)
-            num, den = math.sin((n_tot + 1) * a), math.sin(n_tot * a)
-        else:
-            a = math.acosh(x)
-            num, den = math.sinh((n_tot + 1) * a), math.sinh(n_tot * a)
-        threshold = kap * lam * num / den if den != 0.0 else math.inf
+        threshold = -kap * lam * b / a if a * b < 0 else None
 
     extra = bool(energy_ok and amplitude_ok)
     m_side_low = n_low + (1 if extra else 0)

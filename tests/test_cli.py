@@ -96,6 +96,13 @@ MALFORMED = [
     ([*ORACLE, "--n-trunc", "1", "--site", "3"], "n_trunc=1"),
     (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, "], "'[1, '"),
     (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, 0, 0]"], "[1, 0, 0]"),
+    (["dynamics", "--n-atoms", "2", "--t-max", "nan"], "--t-max=nan"),
+    (["dynamics", "--n-atoms", "2", "--t-max", "inf"], "--t-max=inf"),
+    (["markovian", "--n-atoms", "2", "--gamma", "nan"], "gamma=nan"),
+    (["markovian", "--n-atoms", "2", "--gamma", "inf"], "gamma=inf"),
+    (["markovian", "--n-atoms", "2", "--gamma", "0.1", "--t-max", "nan"], "--t-max=nan"),
+    (["spectrum", "--n-atoms", "2", "--e-min", "nan"], "--e-min=nan"),
+    (["spectrum", "--n-atoms", "2", "--e-max", "inf"], "--e-max=inf"),
 ]
 
 
@@ -281,13 +288,15 @@ REQUIRED_FROM_CONFIG = {
     "markovian": (["--n-atoms", "2", "--kappa", "4.0", "--xi", "4.0", "--site", "inf"],
                   {"gamma": 0.125}),
     "waveguide": ([], {"n_atoms": 3, "kappa": 0.75, "xi": 0.25, "site": 2}),
+    # not a required flag: the file gives the amplitudes as a JSON list
+    "dynamics": (["--n-atoms", "2", "--t-max", "1.0", "--points", "5"], {"initial": [1, 0]}),
 }
 
 
 @pytest.mark.parametrize("cmd", sorted(REQUIRED_FROM_CONFIG))
 def test_config_supplies_required_flags(tmp_path, cmd):
-    # the file stands in for the flags the subcommand requires: the output
-    # is the one the same values give as flags
+    # the file stands in for the flags it names: the output is the one the
+    # same values give as flags
     flags, doc = REQUIRED_FROM_CONFIG[cmd]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import friedrichs as fr
 from friedrichs import dynamics as dyn
 from friedrichs import quadrature as qd
-from friedrichs.errors import QuadratureBudgetExceeded
+from friedrichs.errors import ConfigError, QuadratureBudgetExceeded
 
 from _support import random_model, random_initial
 
@@ -219,7 +219,33 @@ def test_halving_estimate_bounds_error(seed, with_zero):
     assert np.max(np.abs(series.p - fine.p)) <= series.meta["transform_error"] + 1e-12
     # next to a resonance narrower than about 1e-9, the rounding of
     # 1 - Delta*K limits p, and the estimate says so
-    assert abs(series.p[0] - 1.0) <= max(1e-10, series.meta["transform_error"])
+    assert abs(series.p[0] - 1.0) <= series.meta["transform_error"]
+
+
+def test_transform_error_bounds_p0_next_to_a_narrow_resonance():
+    # f_2 = 1e-6 leaves level 2 a resonance of half-width ~1e-13: the
+    # transform misses its weight and p(0) - 1 = 5.1e-3, which halving the
+    # panels does not see (4.1e-5) but a(0) = c does
+    def j(om):
+        om = np.asarray(om, dtype=float)
+        return np.where(np.abs(om) < 1.0, 0.3 * (1.0 - om**2), 0.0)
+
+    model = fr.validate_model(fr.FriedrichsModel(
+        fr.DiscreteSpectrum(np.array([-2.0, 0.3]), np.array([0.3, 1e-6])),
+        fr.ContinuumBand(-1.0, 1.0, j),
+    ))
+    series = fr.survival_probability(
+        model, fr.InitialState(np.array([0.0, 1.0])), np.linspace(0.0, 50.0, 11)
+    )
+    assert abs(series.p[0] - 1.0) > 1e-3
+    assert abs(series.p[0] - 1.0) <= series.meta["transform_error"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_time_rejected(fig_cases, bad):
+    _, model, initial, bound = fig_cases[1]
+    with pytest.raises(ConfigError, match=str(bad)):
+        fr.survival_probability(model, initial, [0.0, 1.0, bad], bound_states=bound)
 
 
 def _power_edges_model(band, s_low, s_up, zeros, amplitude, levels, couplings):

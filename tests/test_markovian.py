@@ -6,7 +6,7 @@ import scipy.linalg
 
 import friedrichs as fr
 from friedrichs import markovian as mk
-from friedrichs.errors import ExceptionalPoint, NegativeGamma
+from friedrichs.errors import ConfigError, ExceptionalPoint, NegativeGamma
 
 from _support import random_initial
 
@@ -64,6 +64,25 @@ def test_negative_gamma_rejected():
     model = fr.build_waveguide_model(params)
     with pytest.raises(NegativeGamma):
         fr.build_markovian(model, -0.1)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_non_finite_gamma_rejected(gamma):
+    # NaN passed gamma < 0 and ended in a singular matrix
+    _, model, _ = two_atom(2.0)
+    with pytest.raises(ConfigError, match=f"gamma={gamma}"):
+        fr.build_markovian(model, gamma)
+
+
+@pytest.mark.parametrize("times, method, named", [
+    ([0.0, math.nan], "closed", "nan"),
+    ([0.0, math.inf], "expm", "inf"),
+    ([0.0, 1.0], "foo", "'foo'"),
+])
+def test_markovian_survival_rejects_bad_input(times, method, named):
+    params, _, h = two_atom(2.0)
+    with pytest.raises(ConfigError, match=named):
+        fr.markovian_survival(h, fr.default_initial_state(params), times, method=method)
 
 
 def test_anti_hermitian_part_negative_semidefinite():

@@ -83,6 +83,16 @@ def test_negative_density_rejected():
         fr.validate_model(bad)
 
 
+def test_vanishing_density_rejected():
+    # J = 0 left K - 1/Sigma to divide by Sigma = 0 (a ZeroDivisionError)
+    bad = fr.FriedrichsModel(
+        discrete=fr.DiscreteSpectrum(np.array([-2.0, 2.5]), np.array([0.3, 0.2])),
+        continuum=fr.ContinuumBand(-1.0, 1.0, lambda om: np.zeros_like(np.asarray(om, float))),
+    )
+    with pytest.raises(EmptyBand, match=re.escape("[-1.0, 1.0]")):
+        fr.validate_model(bad)
+
+
 def test_declared_zero_must_be_zero():
     bad = fr.FriedrichsModel(
         discrete=fr.DiscreteSpectrum(np.array([0.0]), np.array([0.3])),

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs import spectral as sp
 from friedrichs.errors import PoleHit
-from friedrichs.waveguide import closed_form_k_real, j_zeros
+from friedrichs.waveguide import _edge_pair, j_zeros
 
 from _support import without_overrides
 
@@ -37,36 +39,6 @@ def test_j_zero_layout_and_edge_values():
         assert np.allclose(np.asarray(m.j(zeros)), 0.0, atol=1e-14)
         assert fr.self_energy(m, -1.2) == pytest.approx(-l / 0.6, rel=1e-12)
         assert fr.self_energy(m, 1.2) == pytest.approx(l / 0.6, rel=1e-12)
-
-
-def test_closed_k_matches_rational_sum():
-    rng = np.random.default_rng(17)
-    for n_atoms in (1, 2, 4, 5):
-        params = fr.WaveguideParams(n_atoms, 1.0, 0.8, 0.45, 2)
-        m = fr.build_waveguide_model(params)
-        k_closed = closed_form_k_real(params)
-        regions = [(-6.0, -2.001), (-1.999, 1.999), (2.001, 6.0)]
-        for lo, up in regions:
-            count = 0
-            while count < 50:
-                e = float(rng.uniform(lo, up))
-                if np.min(np.abs(e - m.levels)) < 1e-3:
-                    continue
-                zeros = fr.k_zeros(m) if n_atoms > 1 else np.array([])
-                if zeros.size and np.min(np.abs(e - zeros)) < 1e-3:
-                    continue
-                count += 1
-                rational = float(np.real(fr.k_function(m, e)))
-                assert k_closed(e) == pytest.approx(rational, rel=1e-10, abs=1e-12)
-
-
-def test_piecewise_k_continuous_at_corners():
-    params = fr.WaveguideParams(4, 1.0, 0.7, 0.5, 2)
-    k_closed = closed_form_k_real(params)
-    for corner in (-2.0, 2.0):
-        inner = k_closed(corner - math.copysign(1e-9, corner))
-        outer = k_closed(corner + math.copysign(1e-9, corner))
-        assert inner == pytest.approx(outer, abs=1e-7 * max(1, abs(inner)))
 
 
 def test_k_zeros_closed_form():
@@ -200,11 +172,54 @@ def test_closed_k_at_band_edge_when_kappa_equals_lambda(n_atoms):
     for lam in (1.0, 0.7):
         params = fr.WaveguideParams(n_atoms, lam, lam, 1.5, 2)
         m = fr.build_waveguide_model(params)
-        k_closed = closed_form_k_real(params)
-        for edge in (-2.0 * lam, 2.0 * lam):
-            rational = float(np.real(fr.k_function(m, edge)))
-            assert abs(k_closed(edge) - rational) <= 1e-12 * abs(rational)
-            assert abs(abs(rational) - 1.5**2 / lam * n_atoms / (n_atoms + 1)) <= 1e-12
+        k_edge = fr.waveguide_bound_state_count(params).criteria_trace[
+            "amplitude_criterion"
+        ]["k_edge"]
+        rational = float(np.real(fr.k_function(m, -2.0 * lam)))
+        assert abs(k_edge - rational) <= 1e-12 * abs(rational)
+        assert abs(rational + 1.5**2 / lam * n_atoms / (n_atoms + 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_atoms", [1, 3, 10, 40])
+def test_threshold_at_kappa_equals_lambda(n_atoms):
+    # K(-2 kappa) = -(xi^2/lambda) N/(N+1) < -kappa/l  <=>  l xi^2 > kappa lambda (N+1)/N
+    for lam, site in ((1.0, 1), (0.7, 2), (2.5, 5)):
+        for xi in (0.5, 1.5):
+            params = fr.WaveguideParams(n_atoms, lam, lam, xi, site)
+            amp = fr.waveguide_bound_state_count(params).criteria_trace["amplitude_criterion"]
+            assert amp["threshold_on_l_xi_squared"] == pytest.approx(
+                lam * lam * (n_atoms + 1) / n_atoms, rel=1e-15
+            )
+            assert amp["ok"] == (site * xi**2 > amp["threshold_on_l_xi_squared"])
+
+
+@given(
+    st.integers(1, 40),
+    st.one_of(st.just(1.0), st.floats(1e-6, 3.0)),
+    st.floats(0.1, 10.0),
+    st.floats(0.0, 5.0),
+    st.integers(1, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_threshold_decides_amplitude_criterion(n_atoms, ratio, lam, xi, site):
+    params = fr.WaveguideParams(n_atoms, lam, ratio * lam, xi, site)
+    model = fr.build_waveguide_model(params)
+    edge = -2.0 * params.kappa
+    # a level within 1e-3 of the scale from the edge: the rounding of the
+    # levels moves the rational sum by more than 1e-12 of its scale
+    assume(np.min(np.abs(model.levels - edge)) > 1e-3 * model.scale)
+    amp = fr.waveguide_bound_state_count(params).criteria_trace["amplitude_criterion"]
+    a, b = _edge_pair(params)
+    threshold, l_xi2 = amp["threshold_on_l_xi_squared"], amp["l_xi_squared"]
+    assert (threshold is None) == (a * b >= 0)
+    if threshold is None:
+        assert not amp["ok"]
+    elif abs(l_xi2 - threshold) > 1e-12 * threshold:
+        assert amp["ok"] == (l_xi2 > threshold)
+    # relative to the scale of the rational sum's rounding: K may vanish here
+    rational = float(np.real(fr.k_function(model, edge)))
+    k_scale = float(np.sum(np.abs(model.couplings) ** 2 / np.abs(edge - model.levels)))
+    assert abs(amp["k_edge"] - rational) <= 1e-12 * k_scale
 
 
 @pytest.mark.parametrize("n_atoms", [3, 10, 20, 40])
@@ -219,11 +234,22 @@ def test_census_at_kappa_equals_lambda(n_atoms):
             assert (fast.n_low, fast.n_up) == (generic.n_low, generic.n_up)
 
 
+def test_amplitude_tie_when_k_vanishes_on_both_edges():
+    # kappa/lambda = cos(pi/3) puts the gap's K-zero on both edges, where the
+    # infinite waveguide has 1/Sigma = 0: K there is rounding, a tie each side
+    params = fr.WaveguideParams(3, 1.0, 0.5, 1.5, fr.INFINITE)
+    model = fr.build_waveguide_model(params)
+    census = fr.count_bound_states(model)
+    closed = fr.waveguide_bound_state_count(params)
+    assert (census.m_below, census.m_above) == (closed.m_below, closed.m_above) == (1, 1)
+    assert census.criteria_trace["low"]["tie"] and census.criteria_trace["up"]["tie"]
+    energies = [s.energy for s in fr.solve_bound_states(model, census)]
+    assert energies == pytest.approx([-1.985934304926, 1.985934304926], abs=1e-12)
+
+
 def test_closed_k_at_a_chain_level_raises_typed_error():
     # N=5, lambda=1: E = -1 is a root of U_5(E/2), i.e. a chain level; with
     # kappa = 1/2 it is also the band edge the closed census evaluates
     params = fr.WaveguideParams(5, 1.0, 0.5, 1.5, 2)
-    with pytest.raises(PoleHit):
-        closed_form_k_real(params)(-1.0)
     with pytest.raises(PoleHit):
         fr.waveguide_bound_state_count(params)
