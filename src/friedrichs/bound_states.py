@@ -73,7 +73,7 @@ def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
     # energy criterion: the edge must lie past the K-zero in its gap
     if 1 <= n_side <= n_tot - 1:
         j = n_side - 1 if sgn < 0 else n_tot - 1 - n_side
-        zero = sp._k_zero_in_gap(model, levels[j], levels[j + 1])
+        zero = sp._k_zero_in_gap(model, j)
         energy_ok = sgn * (zero - edge) > 0
         trace["k_zero_boundary"] = float(zero)
     else:

@@ -51,10 +51,10 @@ from .model import (
 from .waveguide import (
     INFINITE,
     WaveguideParams,
+    _census_over_xi,
     build_waveguide_model,
     default_initial_state,
     waveguide_bic_energies,
-    waveguide_bound_state_count,
 )
 
 FLOAT_FMT = "%.12e"
@@ -526,17 +526,19 @@ FIG5_KAPPA = 4.0
 
 
 def _reproduce_fig3(outdir: Path):
-    kappas = np.linspace(0.05, 1.5, 40)
-    xis = np.linspace(0.05, 3.0, 40)
+    """Bound-state counts over (kappa/lambda, xi/lambda) for N = 1..6 at site 1:
+    one closed-form census per (N, kappa) over the whole xi axis."""
+    kappas = np.linspace(0.05, 1.5, 40).tolist()
+    xis = np.linspace(0.05, 3.0, 40).tolist()
     rows = []
     for n in range(1, 7):
         for kap in kappas:
-            for xi in xis:
-                params = WaveguideParams(n, 1.0, float(kap), float(xi), 1)
-                census = waveguide_bound_state_count(params)
-                rows.append(
-                    (n, float(kap), float(xi), census.n_low + census.n_up, census.m_outside)
-                )
+            census = _census_over_xi(WaveguideParams(n, 1.0, kap, 0.0, 1), xis)
+            n_out = census.n_low + census.n_up
+            rows += [
+                (n, kap, xi, n_out, lo + up)
+                for xi, lo, up in zip(xis, census.m_below, census.m_above)
+            ]
     _write_csv(
         outdir / "fig3_bound_state_counts.csv",
         ["n_atoms", "kappa_over_lambda", "xi_over_lambda", "n_out", "m_out"],

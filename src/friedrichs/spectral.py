@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import quadrature as qd
-from .errors import DivergentDerivative, EInsideBand, NonconvergentEdge, PoleHit
+from .errors import ConfigError, DivergentDerivative, EInsideBand, NonconvergentEdge, PoleHit
 from .model import DIVERGENT, InitialState, ValidatedModel
 
 #: relative accuracy of the fixed Sigma and Sigma' rules (`kernel_integral`)
@@ -65,10 +65,21 @@ def i_real_grid(model: ValidatedModel, initial: InitialState, e_grid) -> np.ndar
     return (w[None, :] / (e[:, None] - model.levels[None, :])).sum(axis=1)
 
 
-def _k_zero_in_gap(model: ValidatedModel, a: float, b: float) -> float:
-    """The zero of K between the adjacent levels a < b."""
+def _k_zero_in_gap(model: ValidatedModel, j: int) -> float:
+    """The zero of K between the adjacent levels eps_j < eps_{j+1}.
+
+    Raises ConfigError naming a level of the pair with |f|^2 = 0: it has no
+    K-pole, so K need not change sign in the gap.
+    """
     from scipy.optimize import brentq
 
+    for i in (j, j + 1):
+        if model._f2[i] == 0.0:
+            raise ConfigError(
+                f"level {i} at E={model.levels[i]} is uncoupled (|f|^2 = 0): it has "
+                "no K-pole, so the criteria have no K-zero in the gap next to it"
+            )
+    a, b = model.levels[j], model.levels[j + 1]
     gap = b - a
     # K -> +inf at a+, -inf at b-: expand inward until signs certify
     d = 1e-9 * gap
@@ -91,8 +102,7 @@ def _k_zero_in_gap(model: ValidatedModel, a: float, b: float) -> float:
 
 def k_zeros(model: ValidatedModel) -> np.ndarray:
     """The N-1 real zeros of K, one in each gap (eps_n, eps_{n+1})."""
-    eps = model.levels
-    return np.asarray([_k_zero_in_gap(model, a, b) for a, b in zip(eps[:-1], eps[1:])])
+    return np.asarray([_k_zero_in_gap(model, j) for j in range(model.n_levels - 1)])
 
 
 # ---------------------------------------------------------------------------

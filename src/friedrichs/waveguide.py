@@ -17,6 +17,12 @@ The closed forms of Sigma, Sigma' and Delta are the model's overrides
 classifies E first and calls them only outside the band, on a convergent
 edge or exactly at a declared J-zero.  The specialized census reads K only
 at the edge -2 kappa (`_edge_pair`) and BICs at the model's J-zero tolerance.
+Of its criteria only K(-2 kappa) = xi^2 a/(lambda b) depends on xi, so the
+census runs over a whole array of xi at once (`_census_over_xi`): (a, b), the
+level counts, the energy criterion and the BICs once per (N, lambda, kappa,
+site), K(-2 kappa) and the amplitude criterion per xi.
+`waveguide_bound_state_count` is its one-xi call; fig. 3 calls it once per
+(N, kappa).
 """
 from __future__ import annotations
 
@@ -241,8 +247,54 @@ def _edge_pair(params: WaveguideParams) -> tuple[float, float]:
     return u_prev, u
 
 
-def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
-    """Census from the closed-form criteria (spectrally symmetric model).
+@dataclass(frozen=True)
+class _XiCensus:
+    """The closed-form census of one (N, lambda, kappa, site) over an array of
+    xi: the xi-independent parts once, the rest as lists with one entry per xi."""
+
+    params: WaveguideParams  # its xi is not read
+    n_low: int
+    n_up: int
+    energy_criterion: dict
+    sigma_inv_edge: float
+    threshold: float | None
+    m_bic: int
+    xi_squared: list[float]
+    k_edge: list[float]
+    amplitude_ok: list[bool]
+    m_below: list[int]
+    m_above: list[int]
+
+    def census(self, i: int) -> BoundStateCensus:
+        """Entry i as the scalar census, with its criteria trace."""
+        params = self.params
+        trace = {
+            "specialized": True,
+            "n_out": self.n_low + self.n_up,
+            "energy_criterion": dict(self.energy_criterion),
+            "amplitude_criterion": {
+                "k_edge": self.k_edge[i],
+                "sigma_inv_edge": self.sigma_inv_edge,
+                "l_xi_squared": (
+                    None if params.infinite else params.l_int * self.xi_squared[i]
+                ),
+                "threshold_on_l_xi_squared": self.threshold,
+                "ok": self.amplitude_ok[i],
+            },
+        }
+        return BoundStateCensus(
+            n_low=self.n_low,
+            n_up=self.n_up,
+            m_below=self.m_below[i],
+            m_above=self.m_above[i],
+            m_bic=self.m_bic,
+            criteria_trace=trace,
+        )
+
+
+def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
+    """Census from the closed-form criteria (spectrally symmetric model) for
+    (N, lambda, kappa, site) of params and every xi in xis.
 
     Energy criterion: kappa/lambda < cos(pi*N_out/(2N)) for N_out >= 2
     (vacuous otherwise).  Amplitude criterion: K(-2k) < 1/Sigma(-2k) with
@@ -250,7 +302,12 @@ def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
     infinite waveguide.  With K(-2k) = xi^2 a/(lambda b) from `_edge_pair`,
     a finite site meets it for l*xi^2 above -kappa*lambda*b/a when a*b < 0.
     The threshold is None when a*b >= 0 (then K(-2k) >= 0 and no l*xi^2
-    does) and at the infinite site.
+    does) and at the infinite site.  Only K(-2k) depends on xi: (a, b), the
+    level counts and the energy criterion are evaluated once.  The per-xi
+    entries are plain floats: xi^2 is Python's x**2 of each xi and K(-2k)
+    keeps the scalar operation order, so every entry equals the census of
+    that one xi bit for bit (numpy's square and arccosh differ in the last
+    bit, and a one-element array would slow the scalar call).
     """
     lam, kap = params.lam, params.kappa
     n_tot = params.n_atoms
@@ -267,44 +324,41 @@ def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
         energy_ok = kap / lam < math.cos(math.pi * n_out / (2 * n_tot))
 
     a, b = _edge_pair(params)
-    k_edge = params.xi**2 * a / (lam * b)
+    xi_squared = [float(x) ** 2 for x in xis]
+    k_edge = [x2 * a / (lam * b) for x2 in xi_squared]
     if params.infinite:
         sigma_inv_edge = -0.0
-        amplitude_ok = k_edge < 0.0
         threshold = None
     else:
         sigma_inv_edge = -kap / params.l_int
-        amplitude_ok = k_edge < sigma_inv_edge
         threshold = -kap * lam * b / a if a * b < 0 else None
-
-    extra = bool(energy_ok and amplitude_ok)
-    m_side_low = n_low + (1 if extra else 0)
-    m_side_up = n_up + (1 if extra else 0)
-    trace = {
-        "specialized": True,
-        "n_out": n_out,
-        "energy_criterion": {
+    amplitude_ok = [k < sigma_inv_edge for k in k_edge]
+    extra = [int(energy_ok and ok) for ok in amplitude_ok]
+    return _XiCensus(
+        params=params,
+        n_low=n_low,
+        n_up=n_up,
+        energy_criterion={
             "kappa_over_lambda": kap / lam,
             "bound": math.cos(math.pi * n_out / (2 * n_tot)) if n_out else None,
             "k_zero_at_gap": e_boundary,
             "ok": energy_ok,
         },
-        "amplitude_criterion": {
-            "k_edge": k_edge,
-            "sigma_inv_edge": sigma_inv_edge,
-            "l_xi_squared": None if params.infinite else params.l_int * params.xi**2,
-            "threshold_on_l_xi_squared": threshold,
-            "ok": amplitude_ok,
-        },
-    }
-    return BoundStateCensus(
-        n_low=n_low,
-        n_up=n_up,
-        m_below=m_side_low,
-        m_above=m_side_up,
+        sigma_inv_edge=sigma_inv_edge,
+        threshold=threshold,
         m_bic=len(waveguide_bic_energies(params)),
-        criteria_trace=trace,
+        xi_squared=xi_squared,
+        k_edge=k_edge,
+        amplitude_ok=amplitude_ok,
+        m_below=[n_low + e for e in extra],
+        m_above=[n_up + e for e in extra],
     )
+
+
+def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
+    """Census from the closed-form criteria: the one-xi call of
+    `_census_over_xi`, which states them."""
+    return _census_over_xi(params, [params.xi]).census(0)
 
 
 def waveguide_bic_energies(params: WaveguideParams) -> list[float]:

@@ -335,3 +335,25 @@ def test_mirror_symmetry(seed):
     er = [-s.energy for s in reversed(fr.solve_bound_states(r, cr))]
     assert len(em) == len(er)
     assert np.allclose(em, er, rtol=0.0, atol=1e-12 * m.scale)
+
+
+def test_uncoupled_level_next_to_an_edge_gap_is_a_config_error():
+    # f_2 = 0 leaves level 2 (inside the band) without a K-pole, so no K-zero
+    # bounds the gap (-2, 0.3) the low edge's energy criterion reads
+    def j(om):
+        om = np.asarray(om, dtype=float)
+        return np.where(np.abs(om) < 1.0, 0.3 * (1.0 - om**2), 0.0)
+
+    model = fr.validate_model(fr.FriedrichsModel(
+        fr.DiscreteSpectrum(np.array([-2.0, 0.3]), np.array([0.3, 0.0])),
+        fr.ContinuumBand(-1.0, 1.0, j),
+    ))
+    named = r"level 1 at E=0\.3 is uncoupled"
+    with pytest.raises(fr.errors.ConfigError, match=named):
+        fr.count_bound_states(model)
+    with pytest.raises(fr.errors.ConfigError, match=named):
+        fr.survival_probability(model, fr.InitialState(np.array([1.0, 0.0])), [0.0, 1.0])
+    # xi = 0 uncouples every level of the chain
+    waveguide = fr.build_waveguide_model(fr.WaveguideParams(3, 1.0, 0.3, 0.0, 1))
+    with pytest.raises(fr.errors.ConfigError, match=r"level 0 at E=-1\.414213562373095"):
+        fr.count_bound_states(waveguide)

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import friedrichs as fr
+from friedrichs import cli, waveguide
 from friedrichs.cli import main, model_from_doc
 
 
@@ -109,6 +112,12 @@ MALFORMED = [
 @pytest.mark.parametrize("argv, named", MALFORMED, ids=[f"argv{i}" for i in range(len(MALFORMED))])
 def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, argv, named):
     assert_config_error(capsys, with_files(tmp_path, argv), named)
+
+
+def test_uncoupled_chain_is_a_config_error(capsys):
+    # xi = 0: the census's gap next to the low edge has no K-zero
+    argv = ["bound-states", "--n-atoms", "3", "--kappa", "0.3", "--xi", "0", "--site", "1"]
+    assert_config_error(capsys, argv, "level 0 at E=-1.414213562373095")
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,3 +344,44 @@ def test_reproduce_fig5_deterministic(tmp_path):
     assert vals[1] == 0.0 and vals[3] == 0.0
     assert vals[2] == pytest.approx(-1.0, abs=1e-12)
     assert vals[4] == pytest.approx(-1.0, abs=1e-12)
+
+
+FIG3_SHA256 = "420ee1f62d2e14c68928c1ec6f43efa0be6d875b832ae323e98996bb46b2364b"
+
+
+def test_reproduce_fig3_pinned_and_matches_generic_census(tmp_path):
+    assert run(["reproduce", "fig3", "--outdir", str(tmp_path)]) == 0
+    data = (tmp_path / "fig3_bound_state_counts.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FIG3_SHA256
+    rows = [ln.split(",") for ln in data.decode().splitlines()[5:]]
+    assert len(rows) == 6 * 40 * 40
+    kappas, xis = np.linspace(0.05, 1.5, 40), np.linspace(0.05, 3.0, 40)
+    # every 79th row: all N, and kappa and xi indices that both move
+    for r in range(0, len(rows), 79):
+        n, kap, xi = r // 1600 + 1, float(kappas[r // 40 % 40]), float(xis[r % 40])
+        assert [int(rows[r][0]), float(rows[r][1]), float(rows[r][2])] == pytest.approx(
+            [n, kap, xi], rel=1e-12
+        )
+        model = fr.build_waveguide_model(fr.WaveguideParams(n, 1.0, kap, xi, 1))
+        census = fr.count_bound_states(model)
+        assert (int(rows[r][3]), int(rows[r][4])) == (census.n_low + census.n_up, census.m_outside)
+
+
+def test_reproduce_fig3_work(tmp_path, monkeypatch):
+    # one closed-form census per (N, kappa) over the xi axis: 6 x 40 edge pairs
+    # and no scalar census per point
+    pairs = []
+    edge_pair = waveguide._edge_pair
+
+    def counted(params):
+        pairs.append(params)
+        return edge_pair(params)
+
+    def scalar(params):
+        raise AssertionError("reproduce fig3 ran a scalar census")
+
+    monkeypatch.setattr(waveguide, "_edge_pair", counted)
+    monkeypatch.setattr(waveguide, "waveguide_bound_state_count", scalar)
+    monkeypatch.setattr(cli, "waveguide_bound_state_count", scalar, raising=False)
+    assert run(["reproduce", "fig3", "--outdir", str(tmp_path)]) == 0
+    assert 0 < len(pairs) <= 6 * 40

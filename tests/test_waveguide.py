@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import friedrichs as fr
 from friedrichs import spectral as sp
 from friedrichs.errors import PoleHit
-from friedrichs.waveguide import _edge_pair, j_zeros
+from friedrichs.waveguide import _census_over_xi, _edge_pair, j_zeros
 
 from _support import without_overrides
 
@@ -253,3 +254,53 @@ def test_closed_k_at_a_chain_level_raises_typed_error():
     params = fr.WaveguideParams(5, 1.0, 0.5, 1.5, 2)
     with pytest.raises(PoleHit):
         fr.waveguide_bound_state_count(params)
+    with pytest.raises(PoleHit):
+        _census_over_xi(params, [0.0, 1.5])
+
+
+#: x*x (so numpy's square) and Python's x**2 differ in the last bit here
+SQUARE_TRAP = 4.118906791963858
+
+
+@st.composite
+def xi_census_cases(draw):
+    """(N, lambda, kappa, site, xis): kappa/lambda random, 1, cos(pi m/N)
+    (where the energy criterion ties) or cos(pi m/(N+1)) (a level on the
+    edge), and an xi array that holds 0 and SQUARE_TRAP."""
+    n_atoms = draw(st.integers(1, 40))
+    lam = draw(st.one_of(st.just(1.0), st.floats(0.1, 10.0)))  # 1: exact ratios
+    m = draw(st.integers(1, 40)) % n_atoms
+    ratio = draw(st.one_of(
+        st.floats(1e-3, 3.0),
+        st.just(1.0),
+        st.just(math.cos(math.pi * m / n_atoms)),
+        st.just(math.cos(math.pi * m / (n_atoms + 1))),
+    ))
+    assume(ratio > 0.0)
+    site = draw(st.one_of(st.integers(1, 40), st.just(fr.INFINITE)))
+    xis = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12))
+    return n_atoms, lam, ratio * lam, site, [0.0, SQUARE_TRAP, *xis]
+
+
+@given(xi_census_cases())
+@settings(max_examples=200, deadline=None)
+def test_xi_array_census_equals_scalar_census(case):
+    n_atoms, lam, kappa, site, xis = case
+    base = fr.WaveguideParams(n_atoms, lam, kappa, 0.0, site)
+    try:
+        a, b = _edge_pair(base)
+    except PoleHit:  # -2 kappa is a root of U_N: both calls raise
+        with pytest.raises(PoleHit):
+            _census_over_xi(base, xis)
+        with pytest.raises(PoleHit):
+            fr.waveguide_bound_state_count(replace(base, xi=xis[-1]))
+        return
+    over_xi = _census_over_xi(base, xis)
+    counts = lambda c: (c.n_low, c.n_up, c.m_below, c.m_above, c.m_bic)
+    for i, xi in enumerate(xis):
+        scalar = fr.waveguide_bound_state_count(replace(base, xi=xi))
+        entry = over_xi.census(i)
+        assert counts(entry) == counts(scalar)
+        assert entry.criteria_trace == scalar.criteria_trace
+        assert over_xi.k_edge[i] == xi**2 * a / (lam * b)  # the scalar operation order
+        assert over_xi.amplitude_ok[i] == scalar.criteria_trace["amplitude_criterion"]["ok"]
