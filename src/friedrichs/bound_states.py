@@ -3,10 +3,16 @@
 Outside the band the eigenvalue condition reduces to K(E) = 1/Sigma(E);
 K falls monotonically on each branch between its poles while 1/Sigma rises,
 so each branch holds at most one root.  One walk, the same for both sides,
-brackets one root per interval from a band edge through the poles eps_n,
-nearest first, to an expanding far sentinel; the interval at the edge holds
-one only when the census found the extra root, and where Sigma is finite
-there the census has already certified the sign of K - 1/Sigma at the edge.
+brackets one root per interval from a band edge through the coupled levels
+eps_n (the poles of K), nearest first, to an expanding far sentinel; the
+interval at the edge holds one only when the census found the extra root,
+and the census has already certified the sign of K - 1/Sigma at the edge
+(1/Sigma its limit 0 at a divergent edge).  Brent's method then runs on
+the pole-free g = (K - 1/Sigma) * prod_p |E - p| over the bracket's ends p
+on levels, with each pole's term of K taken exactly: g is finite up to the
+poles, and its value at every end is known without evaluating Sigma there.
+An uncoupled level (f_n = 0) is no pole of K: outside the band it is a
+bound state of its own, pinned to that level.
 Inside the band, candidates exist only at the declared zeros of J.
 """
 from __future__ import annotations
@@ -14,14 +20,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import spectral as sp
-from .errors import NormalizationFailure, RootNotFound
-from .model import DIVERGENT, ValidatedModel, near_declared_zero
+from .errors import NonconvergentEdge, NormalizationFailure, RootNotFound
+from .model import ValidatedModel, near_declared_zero
 
 
 class BoundStateKind(enum.Enum):
@@ -119,15 +125,130 @@ def _mismatch(model: ValidatedModel, e: float) -> float:
     return float(np.real(sp.k_function(model, e))) - 1.0 / sp.self_energy(model, e)
 
 
-def _polish(model: ValidatedModel, e: float, a: float, b: float):
-    """Up to two Newton steps on K - 1/Sigma inside (a, b), one Sigma each.
+def _expand_sentinel(model: ValidatedModel, start: float, direction: int):
+    """(e, f) far out, where K - 1/Sigma has the asymptotic sign: direction*f < 0."""
+    e = start
+    step = 10.0 * model.scale
+    for _ in range(60):
+        e = e + direction * step
+        f = _mismatch(model, e)
+        if direction * f < 0:
+            return e, f
+        step *= 2.0
+    raise RootNotFound("sentinel expansion failed")
+
+
+class _Bracket(NamedTuple):
+    """[a, b] around one root, with g(a) > 0 > g(b) (`_pole_free`); poles
+    holds (n, s) for each end on the coupled level n, s = +1 at a, -1 at b."""
+
+    a: float
+    ga: float
+    b: float
+    gb: float
+    poles: tuple
+
+
+def _bracket(model: ValidatedModel, lower: tuple, upper: tuple) -> _Bracket:
+    """The bracket between two walk points (e, n, f): n is the coupled level
+    at e, or None at an edge or sentinel, where f = K - 1/Sigma.  g at a
+    pole end is its exact limit, at another end f times the distance to a
+    pole end."""
+    (a, na, fa), (b, nb, fb) = lower, upper
+    ga = model._f2[na] if na is not None else fa
+    gb = -model._f2[nb] if nb is not None else fb
+    if nb is not None:
+        ga *= b - a
+    if na is not None:
+        gb *= b - a
+    poles = tuple((n, s) for n, s in ((na, 1.0), (nb, -1.0)) if n is not None)
+    return _Bracket(a, float(ga), b, float(gb), poles)
+
+
+def _brackets_one_side(model: ValidatedModel, trace: dict, sgn: int):
+    """Ascending brackets of the roots on one side, from the outward walk
+    [edge, coupled levels nearest-first, far sentinel], and the uncoupled
+    levels on that side.
+
+    The edge starts the walk only when the census found its extra root; it
+    carries the census's K - 1/Sigma there (1/Sigma the limit 0 at a
+    divergent edge), whose sign the census certified.
+    """
+    edge = trace["edge"]
+    levels, f2 = model.levels, model._f2
+    outside = sgn * (levels - edge) > 0
+    walk = [(float(levels[n]), int(n), None) for n in np.flatnonzero(outside & (f2 > 0))[::sgn]]
+    if trace.get("extra_root"):
+        sig_inv = trace["sigma_inv_edge"]
+        f_edge = trace["k_edge"] - (0.0 if isinstance(sig_inv, str) else sig_inv)
+        walk.insert(0, (edge, None, f_edge))
+    if walk:
+        e, f = _expand_sentinel(model, walk[-1][0], sgn)
+        walk.append((e, None, f))
+    brackets = [_bracket(model, *(pair[::sgn])) for pair in zip(walk, walk[1:])]
+    return brackets[::sgn], [int(n) for n in np.flatnonzero(outside & (f2 == 0))]
+
+
+def _pole_free(model: ValidatedModel, br: _Bracket, sigmas: dict) -> Callable:
+    """g(E) = (K(E) - 1/Sigma(E)) * prod_p |E - p| on the bracket br, p = eps_n
+    over its pole ends (n, s), with each pole's term of K taken exactly as
+    s*|f_n|^2 times the product over the other pole ends: g is smooth up to
+    the poles.  At an end g returns the bracket's own value, without Sigma.
+
+    1/Sigma reads as in the census: the limit 0 within the edge tolerance of
+    a divergent edge.  Each Sigma evaluated is kept in sigmas by energy.
+    """
+    levels, f2 = model.levels, model._f2
+    rest = f2 > 0  # the levels whose terms of K are summed as they stand
+    rest[[n for n, _ in br.poles]] = False
+    rest_levels, rest_f2 = levels[rest], f2[rest]
+    ends = [(float(levels[n]), s * float(f2[n])) for n, s in br.poles]
+
+    def g(e: float) -> float:
+        if e == br.a:
+            return br.ga
+        if e == br.b:
+            return br.gb
+        d = [abs(e - p) for p, _ in ends]
+        try:
+            sigmas[e] = sp.self_energy(model, e)
+            sig_inv = 1.0 / sigmas[e]
+        except NonconvergentEdge:
+            sig_inv = 0.0
+        out = (float((rest_f2 / (e - rest_levels)).sum()) - sig_inv) * math.prod(d)
+        for i, (_, term) in enumerate(ends):
+            out += term * math.prod(d[:i] + d[i + 1 :])
+        return out
+
+    return g
+
+
+def _solve_bracket(model: ValidatedModel, br: _Bracket):
+    """The root in br and Sigma there (None if not yet evaluated): Brent on
+    `_pole_free`."""
+    sigmas: dict = {}
+    root = brentq(
+        _pole_free(model, br, sigmas),
+        br.a,
+        br.b,
+        xtol=1e-15 * model.scale,
+        rtol=8.9e-16,
+        maxiter=200,
+    )
+    return _polish(model, root, br.a, br.b, sigmas.get(root))
+
+
+def _polish(model: ValidatedModel, e: float, a: float, b: float, sig: Optional[float]):
+    """Up to two Newton steps on K - 1/Sigma inside (a, b), one Sigma each;
+    sig is Sigma(e) when the caller has it.
 
     Returns the root and Sigma at it, or (root, None) when the last step
     moved off the energy where Sigma was evaluated.
     """
     for _ in range(2):
         k = float(np.real(sp.k_function(model, e)))
-        sig = sp.self_energy(model, e)
+        if sig is None:
+            sig = sp.self_energy(model, e)
         f = k - 1.0 / sig
         df = float(np.real(sp.k_derivative(model, e))) + sp.self_energy_derivative(
             model, e
@@ -144,82 +265,6 @@ def _polish(model: ValidatedModel, e: float, a: float, b: float):
         if abs(step) < 1e-16 * model.scale:
             break
     return e, sig
-
-
-def _near_pole_offset(model: ValidatedModel, pole: float, direction: int):
-    """(e, f) near a K-pole on the given side, where f = K - 1/Sigma has the
-    pole-dominated sign: direction*f > 0."""
-    d = 1e-9 * model.scale
-    floor = 2e-13 * model.scale
-    while d >= floor:
-        e = pole + direction * d
-        f = _mismatch(model, e)
-        if direction * f > 0:
-            return e, f
-        d *= 0.25
-    raise RootNotFound(f"could not approach pole at {pole}")
-
-
-def _edge_endpoint(model: ValidatedModel, trace: dict, sgn: int):
-    """(e, f) at a band edge whose extra root the census found: the edge with
-    f = k_edge - sigma_inv_edge from the trace (the census certified
-    sgn*f > 0), or at a divergent edge the first point outward with sgn*f > 0.
-    """
-    edge = trace["edge"]
-    if model.continuum.edge_exponents[0 if sgn < 0 else 1] is not DIVERGENT:
-        return edge, trace["k_edge"] - trace["sigma_inv_edge"]
-    d = 1e-3 * model.scale
-    for _ in range(60):
-        e = edge + sgn * d
-        f = _mismatch(model, e)
-        if sgn * f > 0:
-            return e, f
-        d *= 0.5
-    raise RootNotFound(f"criterion-promised root not visible near the {trace['side']} edge")
-
-
-def _expand_sentinel(model: ValidatedModel, start: float, direction: int):
-    """(e, f) far out, where K - 1/Sigma has the asymptotic sign: direction*f < 0."""
-    e = start
-    step = 10.0 * model.scale
-    for _ in range(60):
-        e = e + direction * step
-        f = _mismatch(model, e)
-        if direction * f < 0:
-            return e, f
-        step *= 2.0
-    raise RootNotFound("sentinel expansion failed")
-
-
-def _solve_bracket(model: ValidatedModel, a: float, b: float):
-    """The root in (a, b) and Sigma there (None if not yet evaluated)."""
-    root = brentq(
-        lambda e: _mismatch(model, e),
-        a,
-        b,
-        xtol=1e-15 * model.scale,
-        rtol=8.9e-16,
-        maxiter=200,
-    )
-    return _polish(model, root, a, b)
-
-
-def _brackets_one_side(model: ValidatedModel, trace: dict, sgn: int):
-    """Ascending brackets ((a, f(a)), (b, f(b))) of the roots on one side,
-    from the outward walk [edge, poles nearest-first, far sentinel]."""
-    edge = trace["edge"]
-    levels = model.levels
-    poles = [float(p) for p in levels[sgn * (levels - edge) > 0][::sgn]]
-    inner = _edge_endpoint(model, trace, sgn) if trace.get("extra_root") else None
-    brackets = []
-    for pole in poles:
-        if inner is not None:
-            brackets.append((inner, _near_pole_offset(model, pole, -sgn))[::sgn])
-        inner = _near_pole_offset(model, pole, sgn)
-    if inner is not None:
-        outer = _expand_sentinel(model, poles[-1] if poles else edge, sgn)
-        brackets.append((inner, outer)[::sgn])
-    return brackets[::sgn]
 
 
 def _continuum_profile(model: ValidatedModel, weight: complex, e_m: float) -> Callable:
@@ -261,9 +306,26 @@ def _generic_state(
     )
 
 
+def _pinned_state(model: ValidatedModel, n: int, kind: BoundStateKind) -> BoundState:
+    """The uncoupled level n (|f_n|^2 = 0) outside the band: an eigenstate on
+    that level alone, with no continuum part."""
+    amps = np.zeros(model.n_levels, dtype=complex)
+    amps[n] = 1.0
+    e_n = float(model.levels[n])
+    return BoundState(
+        energy=e_n,
+        kind=kind,
+        amplitudes=amps,
+        norm_b2=1.0,
+        continuum_profile=_continuum_profile(model, 0.0, e_n),
+        level_index=n,
+    )
+
+
 def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = None):
-    """All bound states outside the band, ordered by energy, each solved in a
-    bracket whose ends carry the values of K - 1/Sigma that certified them."""
+    """All bound states outside the band, ordered by energy: each coupled
+    root solved in a bracket whose ends carry the values of g that certified
+    them, and each uncoupled level outside the band pinned to itself."""
     census = census or count_bound_states(model)
     states: list[BoundState] = []
     for sgn, kind, want in (
@@ -271,19 +333,21 @@ def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = 
         (+1, BoundStateKind.ABOVE_BAND, census.m_above),
     ):
         trace = census.criteria_trace["low" if sgn < 0 else "up"]
-        brackets = _brackets_one_side(model, trace, sgn)
-        if len(brackets) != want:
+        brackets, uncoupled = _brackets_one_side(model, trace, sgn)
+        if len(brackets) + len(uncoupled) != want:
             raise RootNotFound(
                 f"{trace['side']} side: census promised {want} roots, bracket layout has "
-                f"{len(brackets)}: {[(a, b) for (a, _), (b, _) in brackets]}"
+                f"{len(brackets)}: {[(br.a, br.b) for br in brackets]}, and "
+                f"{len(uncoupled)} uncoupled levels"
             )
-        for (a, fa), (b, fb) in brackets:
-            if not (fa > 0 > fb):
+        for br in brackets:
+            if not (br.ga > 0 > br.gb):
                 raise RootNotFound(
-                    f"bracket ({a}, {b}) not sign-changing: f(a)={fa}, f(b)={fb}"
+                    f"bracket ({br.a}, {br.b}) not sign-changing: g(a)={br.ga}, g(b)={br.gb}"
                 )
-            root, sig = _solve_bracket(model, a, b)
+            root, sig = _solve_bracket(model, br)
             states.append(_generic_state(model, root, kind, sig))
+        states += [_pinned_state(model, n, kind) for n in uncoupled]
     states.sort(key=lambda s: s.energy)
     return states
 

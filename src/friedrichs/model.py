@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import quadrature as qd
 from .errors import (
     ConfigError,
     DegenerateLevels,
@@ -179,6 +180,14 @@ class ValidatedModel:
     def _f2(self) -> np.ndarray:
         """|f_n|^2, formed once for the rational sums K and K'."""
         return np.abs(self.couplings) ** 2
+
+    @functools.cached_property
+    def _far_sigma_rule(self) -> tuple:
+        """The Sigma and Sigma' rule of every energy far from both edges, that
+        of E = inf (`quadrature._kernel_rule`), formed once: J is read on its
+        nodes here and nowhere else for those energies."""
+        lo, up = self.omega_low, self.omega_up
+        return qd._kernel_rule(self.j, lo, up, math.inf, self.interior_zeros)
 
     @property
     def n_levels(self) -> int:

@@ -8,11 +8,13 @@ zeros, so one scheme covers every declared edge exponent.
 Composite Gauss-Legendre rules in k whose panels are graded geometrically
 toward both edges do the work: `delta_on_grid` grades down to the grid point
 nearest each edge; `kernel_integral` (Sigma, Sigma') down to the pole that
-an energy outside the band puts at imaginary k; and the scattering transform
-of `dynamics` builds its panels from the same pieces (`graded_breaks`,
-`split_panels`, `panel_rule`) and sums them against exp(-i omega t) in
-`fourier_linear`.  Adaptive `quad` is only the reference the tests compare
-these rules against: `band_integral`, and `principal_value` on top of it.
+an energy outside the band puts at imaginary k, where every energy far from
+both edges shares one rule, which a model forms once; and the scattering
+transform of `dynamics` builds its panels from the same pieces
+(`graded_breaks`, `split_panels`, `panel_rule`) and sums them against
+exp(-i omega t) in `fourier_linear`.  Adaptive `quad` is only the reference
+the tests compare these rules against: `band_integral`, and
+`principal_value` on top of it.
 """
 from __future__ import annotations
 
@@ -217,14 +219,18 @@ def delta_on_grid(j, lo, up, e_grid):
 _EDGE_DEPTH = 0.25
 
 
+def _edge_pole(lo, up, dist):
+    """The k-distance 2*asinh(sqrt(dist/span)) of the pole that an energy
+    dist outside an edge puts at imaginary k; inf for dist < 0 (no pole)."""
+    return 2.0 * math.asinh(math.sqrt(dist / (up - lo))) if dist >= 0.0 else math.inf
+
+
 def _edge_target(lo, up, edge, dist):
-    """The target `_breaks` grades an edge toward: the k-distance
-    2*asinh(sqrt(dist/span)) of the pole that an energy dist outside the
-    edge puts at imaginary k (none for dist < 0), at most _EDGE_DEPTH, over
-    GRADING**2; never so deep that a node comes within one ulp of the edge.
+    """The target `_breaks` grades an edge toward: the `_edge_pole` of an
+    energy dist outside the edge, at most _EDGE_DEPTH, over GRADING**2;
+    never so deep that a node comes within one ulp of the edge.
     """
-    pole = 2.0 * math.asinh(math.sqrt(dist / (up - lo))) if dist >= 0.0 else math.inf
-    return max(min(pole, _EDGE_DEPTH) / GRADING**2, _shallowest(lo, up, edge))
+    return max(min(_edge_pole(lo, up, dist), _EDGE_DEPTH) / GRADING**2, _shallowest(lo, up, edge))
 
 
 @lru_cache(maxsize=1)
@@ -234,35 +240,61 @@ def _differentiation():
     return v[:, :-1] @ np.polynomial.legendre.legder(np.eye(PANEL_NODES)) @ np.linalg.inv(v)
 
 
-def kernel_integral(j, lo, up, e, power=1, interior_points=()):
-    """(value, err) of integral J(w)/(e-w)^power dw over the band.
-
-    e must lie outside (lo, up) or at a point where the integrand is
-    regular (a J-zero of sufficient order).  The rule is fixed: the panels
-    of `delta_rule`, graded toward each edge down to 1/256 of the k-distance
-    2*asinh(sqrt(dist/span)) of the pole that e outside the band puts at
-    imaginary k (at most _EDGE_DEPTH, never so deep that a node comes within
-    one ulp of the edge), and broken at the J-zeros and at e inside the
-    band.  The factor (e - w)**power is taken at the exact node, f =
-    J*dw/dk at the node's rounded energy, which next to an edge moves the
-    node by up to a quarter of its k; f'(k) dk, f' from the panel's
-    interpolant, takes that back.  With e on an edge the integrand goes as
-    k**a, a > -1 unknown, so the innermost panel is replaced by the geometric
-    series its two neighbours start.  err sums both corrections and rounding.
-    """
+def _kernel_rule(j, lo, up, e, interior_points):
+    """All of the `kernel_integral` rule of e but the factor (e - w)**power:
+    the node energies, their rounding, and the weight of integral dk times
+    f - f'(k)*slip, times f'(k)*slip and times f.  e = inf gives the rule of
+    every e in the far field (`_far_field`)."""
     breaks = _breaks(_edge_target(lo, up, lo, lo - e), _edge_target(lo, up, up, e - up))
     inner = [_k_of_omega(p, lo, up) for p in (*interior_points, e) if lo < p < up]
     breaks = np.union1d(breaks, inner) if inner else breaks
     wk, om, jac, slip, rnd = _panels(lo, up, breaks)
     f = np.asarray(j(om.ravel()), dtype=float).reshape(om.shape) * jac
     shift = (f @ _differentiation().T) * slip / (0.5 * np.diff(breaks)[:, None])
+    return om, rnd, wk * (f - shift), wk * shift, wk * f
+
+
+def _far_field(lo, up, e, interior_points):
+    """Whether e has the panels of e = inf: it lies at least
+    span*sinh(_EDGE_DEPTH/2)**2 (1.6% of the band) outside both edges, so
+    both edge targets sit at their cap, and inside the band only on a
+    J-zero, which already cuts the panels."""
+    if lo < e < up and e not in interior_points:
+        return False
+    return _edge_pole(lo, up, lo - e) >= _EDGE_DEPTH and _edge_pole(lo, up, e - up) >= _EDGE_DEPTH
+
+
+def kernel_integral(j, lo, up, e, power=1, interior_points=(), far_rule=None):
+    """(value, err) of integral J(w)/(e-w)^power dw over the band.
+
+    e must lie outside (lo, up) or at a point where the integrand is
+    regular (a J-zero of sufficient order).  The rule is fixed: the panels
+    of `delta_rule`, graded toward each edge down to 1/256 of the k-distance
+    `_edge_pole` of the pole that e outside the band puts at imaginary k
+    (at most _EDGE_DEPTH, never so deep that a node comes within one ulp of
+    the edge), and broken at the J-zeros and at e inside the band.  The
+    factor (e - w)**power is taken at the exact node, f = J*dw/dk at the
+    node's rounded energy, which next to an edge moves the node by up to a
+    quarter of its k; f'(k) dk, f' from the panel's interpolant, takes that
+    back.  With e on an edge the integrand goes as k**a, a > -1 unknown, so
+    the innermost panel is replaced by the geometric series its two
+    neighbours start.  err sums both corrections and rounding.
+
+    far_rule is `_kernel_rule(j, lo, up, inf, interior_points)`, formed once
+    by the caller: an e in the far field then costs only the sum against
+    (e - w)**-power, with the same value and err as a rule built for e.
+    """
+    if far_rule is not None and _far_field(lo, up, e, interior_points):
+        om, rnd, body, shift, whole = far_rule
+    else:
+        om, rnd, body, shift, whole = _kernel_rule(j, lo, up, e, interior_points)
     den = ((e - om) + rnd) ** power  # om - rnd is the exact node
-    panels = (wk * (f - shift) / den).sum(axis=1)
+    panels = (body / den).sum(axis=1)
     tail = 0.0
     for edge, (i0, i1, i2) in ((lo, (0, 1, 2)), (up, (-1, -2, -3))):
         if e == edge and 0.0 < panels[i1] / panels[i2] < 1.0:
             tail = panels[i1] ** 2 / (panels[i2] - panels[i1]) - panels[i0]
-    err = abs((wk * shift / den).sum()) + abs(tail) + 1e-15 * float(np.abs(wk * f / den).sum())
+    err = abs((shift / den).sum()) + abs(tail) + 1e-15 * float(np.abs(whole / den).sum())
     return float(panels.sum() + tail), err
 
 

@@ -8,9 +8,10 @@ evaluated at the point it returns by either route, so a closed form is
 only ever called outside the band, on a convergent edge or exactly at a
 declared J-zero.  Without a closed form the band takes graded
 Gauss-Legendre rules, one energy at a time for Sigma and Sigma'
-(`quadrature.kernel_integral`) and a whole grid for Delta
-(`quadrature.delta_on_grid`); adaptive quadrature is only the reference
-the tests hold these rules to.
+(`quadrature.kernel_integral`, passed the model's cached far-field rule,
+J already read on its nodes, for every energy far from both edges) and a
+whole grid for Delta (`quadrature.delta_on_grid`); adaptive quadrature is
+only the reference the tests hold these rules to.
 """
 from __future__ import annotations
 
@@ -154,6 +155,7 @@ def self_energy(model: ValidatedModel, e: float) -> float:
         x,
         power=1,
         interior_points=model.interior_zeros,
+        far_rule=model._far_sigma_rule,
     )
     return val
 
@@ -178,6 +180,7 @@ def self_energy_derivative(model: ValidatedModel, e: float) -> float:
         x,
         power=2,
         interior_points=model.interior_zeros,
+        far_rule=model._far_sigma_rule,
     )
     return -val
 

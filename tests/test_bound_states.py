@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs import bound_states as bs
+from friedrichs import spectral as sp
 from friedrichs.bound_states import BoundStateKind
 from friedrichs.cli import model_from_doc
 
@@ -294,15 +295,39 @@ def mirrored_doc(doc: dict) -> dict:
 
 
 def assert_brackets_carry_exact_values(m):
+    """Each bracket end carries g = (K - 1/Sigma) * prod_p |E - p| (p the
+    pole ends): the exact limit s*|f_p|^2 at a pole end, the census's K -
+    1/Sigma at the edge and K - 1/Sigma at the far sentinel, each times the
+    distance to a pole end; the solver's g returns these at the ends with no
+    Sigma call, g(a) > 0 > g(b), and inside g is K - 1/Sigma times that
+    distance."""
     census = fr.count_bound_states(m)
     for side, sgn, want in (("low", -1, census.m_below), ("up", +1, census.m_above)):
-        brackets = bs._brackets_one_side(m, census.criteria_trace[side], sgn)
-        assert len(brackets) == want
-        for (a, fa), (b, fb) in brackets:
-            assert a < b
-            assert fa == bs._mismatch(m, a)
-            assert fb == bs._mismatch(m, b)
-            assert fa > 0 > fb
+        trace = census.criteria_trace[side]
+        brackets, uncoupled = bs._brackets_one_side(m, trace, sgn)
+        assert len(brackets) + len(uncoupled) == want
+        for br in brackets:
+            assert br.a < br.b
+            pole_ends = {float(m.levels[n]): n for n, _ in br.poles}
+            for end, other, value, s in ((br.a, br.b, br.ga, 1.0), (br.b, br.a, br.gb, -1.0)):
+                factor = abs(end - other) if other in pole_ends else 1.0
+                if end in pole_ends:
+                    exact = s * m._f2[pole_ends[end]] * factor
+                elif end == trace["edge"]:
+                    sig_inv = trace["sigma_inv_edge"]
+                    exact = (trace["k_edge"] - (0.0 if isinstance(sig_inv, str) else sig_inv)) * factor
+                else:
+                    exact = bs._mismatch(m, end) * factor
+                assert value == exact
+            sigmas = {}
+            g = bs._pole_free(m, br, sigmas)
+            assert g(br.a) == br.ga > 0 > br.gb == g(br.b)
+            assert sigmas == {}
+            mid = 0.5 * (br.a + br.b)
+            got = g(mid)
+            factor = math.prod(abs(mid - m.levels[n]) for n, _ in br.poles)
+            size = float(np.sum(m._f2 / np.abs(mid - m.levels))) + abs(1.0 / sigmas[mid])
+            assert got == pytest.approx(bs._mismatch(m, mid) * factor, abs=1e-12 * size * factor)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -337,17 +362,22 @@ def test_mirror_symmetry(seed):
     assert np.allclose(em, er, rtol=0.0, atol=1e-12 * m.scale)
 
 
-def test_uncoupled_level_next_to_an_edge_gap_is_a_config_error():
-    # f_2 = 0 leaves level 2 (inside the band) without a K-pole, so no K-zero
-    # bounds the gap (-2, 0.3) the low edge's energy criterion reads
+def _uncoupled_level_model(levels, couplings):
+    """Levels and couplings on J = 0.3(1 - w^2) over [-1, 1]."""
     def j(om):
         om = np.asarray(om, dtype=float)
         return np.where(np.abs(om) < 1.0, 0.3 * (1.0 - om**2), 0.0)
 
-    model = fr.validate_model(fr.FriedrichsModel(
-        fr.DiscreteSpectrum(np.array([-2.0, 0.3]), np.array([0.3, 0.0])),
+    return fr.validate_model(fr.FriedrichsModel(
+        fr.DiscreteSpectrum(np.array(levels), np.array(couplings)),
         fr.ContinuumBand(-1.0, 1.0, j),
     ))
+
+
+def test_uncoupled_level_next_to_an_edge_gap_is_a_config_error():
+    # f_2 = 0 leaves level 2 (inside the band) without a K-pole, so no K-zero
+    # bounds the gap (-2, 0.3) the low edge's energy criterion reads
+    model = _uncoupled_level_model([-2.0, 0.3], [0.3, 0.0])
     named = r"level 1 at E=0\.3 is uncoupled"
     with pytest.raises(fr.errors.ConfigError, match=named):
         fr.count_bound_states(model)
@@ -357,3 +387,64 @@ def test_uncoupled_level_next_to_an_edge_gap_is_a_config_error():
     waveguide = fr.build_waveguide_model(fr.WaveguideParams(3, 1.0, 0.3, 0.0, 1))
     with pytest.raises(fr.errors.ConfigError, match=r"level 0 at E=-1\.414213562373095"):
         fr.count_bound_states(waveguide)
+
+
+@pytest.mark.parametrize("levels, couplings", [([-2.0, -1.5], [0.3, 0.0]), ([-1.5], [0.0])])
+def test_uncoupled_level_outside_the_band_is_a_pinned_state(levels, couplings):
+    # f = 0 gives the level no K-pole: it is an eigenstate on its own, which
+    # the census counts and the solve returns pinned to the level
+    model = _uncoupled_level_model(levels, couplings)
+    census = fr.count_bound_states(model)
+    assert (census.m_below, census.m_above) == (len(levels), 0)
+    states = fr.solve_bound_states(model, census)
+    assert len(states) == census.m_outside
+    pinned = [s for s in states if s.level_index is not None]
+    assert len(pinned) == 1
+    n = len(levels) - 1
+    state = pinned[0]
+    assert state.energy == -1.5 and state.kind is BoundStateKind.BELOW_BAND
+    assert state.level_index == n and state.norm_b2 == 1.0
+    assert np.array_equal(state.amplitudes, np.eye(len(levels))[n])
+    assert np.all(state.continuum_profile(np.linspace(-0.9, 0.9, 7)) == 0.0)
+    for other in states:
+        if other is not state:
+            assert residual(model, other) < 1e-10
+
+
+def test_survival_on_an_uncoupled_level_stays_one():
+    model = _uncoupled_level_model([-2.0, -1.5], [0.3, 0.0])
+    series = fr.survival_probability(
+        model, fr.InitialState(np.array([0.0, 1.0])), np.linspace(0.0, 50.0, 26)
+    )
+    assert np.max(np.abs(series.p - 1.0)) <= 1e-12
+
+
+#: N = 40 grid cases at kappa in {0.1, 2}, and the waveguide next to a
+#: divergent edge that used to take 78 Sigma calls for its 2 states
+_WORK_CASES = [
+    (40, 1.0, kappa, xi, site)
+    for kappa in (0.1, 2.0)
+    for xi in (0.01, 0.5, 1.5, 3.0)
+    for site in (1, 2, 5, fr.INFINITE)
+] + [(1, 1.0, 2.0, 0.01, fr.INFINITE)]
+
+
+def test_solve_spends_at_most_ten_sigma_calls_per_state(monkeypatch):
+    calls = []
+    plain = sp.self_energy
+
+    def counted(model, e):
+        calls.append(e)
+        return plain(model, e)
+
+    monkeypatch.setattr(sp, "self_energy", counted)
+    states = 0
+    for case in _WORK_CASES:
+        model = fr.build_waveguide_model(fr.WaveguideParams(*case))
+        census = fr.count_bound_states(model)
+        calls.clear()
+        solved = fr.solve_bound_states(model, census)
+        assert len(solved) == census.m_outside
+        assert len(calls) <= 10 * len(solved), case
+        states += len(solved)
+    assert states > len(_WORK_CASES)

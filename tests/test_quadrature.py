@@ -389,3 +389,65 @@ def test_solver_root_next_to_divergent_edge():
     assert min(abs(s.energy - lo) for s in states) <= 2e-6 * (up - lo)
     for state in states:
         assert _kernel_error(model, density, state.energy, 1, (z,)) <= sp.SIGMA_EPSREL, state.energy
+
+
+# ---------------------------------------------------------------------------
+# the far-field rule a model forms once
+
+_FAR_ZEROS = (-0.4, 0.9)
+
+
+def _far_field_model(counter=None):
+    density = _power_density(0.5, None, _FAR_ZEROS)
+    model = _model(density, (0.5, None), _FAR_ZEROS)
+    if counter is None:
+        return model
+    plain = model.continuum.spectral_density
+
+    def counted(om):
+        counter.append(np.size(om))
+        return plain(om)
+
+    band = fr.ContinuumBand(_LO, _UP, counted, model.continuum.edge_exponents, _FAR_ZEROS)
+    return fr.validate_model(fr.FriedrichsModel(model.discrete, band))
+
+
+def test_far_field_calls_read_j_once():
+    reads = []
+    model = _far_field_model(reads)
+    reads.clear()  # validation samples J
+    span = _UP - _LO
+    far = [_LO - 0.02 * span, _LO - 3.0 * span, _UP + 0.5 * span, *_FAR_ZEROS]
+    for e in far * 3:
+        fr.self_energy(model, e)
+        fr.self_energy_derivative(model, e)
+    assert len(reads) == 1
+    fr.self_energy(model, _UP + 1e-3 * span)  # next to an edge: a rule of its own
+    assert len(reads) == 2
+
+
+@given(
+    st.sampled_from(["low", "up", "zero"]),
+    st.floats(-11.0, 2.0),
+    st.integers(0, 1),
+    st.sampled_from([1, 2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_far_field_rule_matches_a_fresh_model(where, exponent, zero, power):
+    # e outside the band at span * 10**exponent from an edge, or on a J-zero
+    span = _UP - _LO
+    e = {"low": _LO - span * 10**exponent, "up": _UP + span * 10**exponent}.get(
+        where, _FAR_ZEROS[zero]
+    )
+
+    def kernel(model, x):
+        return fr.self_energy(model, x) if power == 1 else fr.self_energy_derivative(model, x)
+
+    used = _far_field_model()
+    for x in (_LO - 2.0 * span, _UP + 0.1 * span, *_FAR_ZEROS):
+        kernel(used, x)
+    fresh = _far_field_model()
+    got = kernel(used, e)
+    assert got == kernel(fresh, e)
+    built, _ = qd.kernel_integral(used.j, _LO, _UP, e, power, _FAR_ZEROS)
+    assert got == (built if power == 1 else -built)
