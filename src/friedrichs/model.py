@@ -49,6 +49,10 @@ class DiscreteSpectrum:
             raise DegenerateLevels("need at least one discrete level")
         if couplings.shape != levels.shape:
             raise DegenerateLevels("levels and couplings must have equal length")
+        for name, values in (("level", levels), ("coupling", couplings)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ConfigError(f"{name} {bad[0]} is {values[bad[0]]}: it must be finite")
         span = float(levels[-1] - levels[0]) if levels.size > 1 else 0.0
         scale = max(span, float(np.max(np.abs(levels))), 1.0)
         if levels.size > 1 and np.min(np.diff(levels)) <= 1e-12 * scale:
@@ -133,7 +137,7 @@ class InitialState:
     def __post_init__(self):
         amps = _readonly(self.amplitudes, complex)
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # NaN amplitudes fail it too
             raise UnnormalizedInitialState(f"sum |c_n|^2 = {norm2!r}, expected 1")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -10,7 +10,8 @@ basis this is a discrete-levels-plus-continuum model with
 and closed forms for Sigma, Sigma' and Delta.  site=math.inf
 selects the infinite-waveguide limit (flat attachment deep in the bulk): J
 turns into the bare inverse-square-root density with divergent (van Hove)
-edges and no interior zeros.
+edges and no interior zeros.  Each kernel is one form for every site l,
+with site inf as l = inf, read from the distance to the nearer band edge.
 
 The closed forms of Sigma, Sigma' and Delta are the model's overrides
 (`_closed_forms`).  They decide nothing about where E lies: `spectral`
@@ -60,12 +61,15 @@ class WaveguideParams:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ConfigError("n_atoms must be >= 1")
+        for name, value in (("lam", self.lam), ("kappa", self.kappa), ("xi", self.xi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}={value} must be finite")
         if self.lam <= 0 or self.kappa <= 0:
             raise ConfigError("hoppings lambda and kappa must be positive")
         if self.xi < 0:
             raise ConfigError("coupling xi must be >= 0")
-        if self.site != INFINITE and (self.site < 1 or int(self.site) != self.site):
-            raise ConfigError("site must be an integer >= 1 or math.inf")
+        if self.site != INFINITE and not (1 <= self.site < INFINITE and int(self.site) == self.site):
+            raise ConfigError(f"site={self.site} must be an integer >= 1 or math.inf")
 
     @property
     def infinite(self) -> bool:
@@ -110,31 +114,24 @@ def j_zeros(params: WaveguideParams) -> tuple:
     return tuple(float(v) for v in _mirrored_cosines(params.kappa, params.l_int))
 
 
+def _band_angle(a, kap):
+    """psi = arccos(a/2 kappa) for 0 <= a = |E| < 2 kappa, read from the
+    distance to the edge, which a/2 kappa would round away next to it."""
+    return 2 * np.arcsin(np.sqrt((2 * kap - a) / (4 * kap)))
+
+
 def _spectral_density(params: WaveguideParams):
-    kap = params.kappa
-    if params.infinite:
-        def j(omega):
-            om = np.asarray(omega, dtype=float)
-            out = np.zeros_like(om)
-            inside = np.abs(om) < 2 * kap
-            # (2k - w)(2k + w), not 4k^2 - w^2: next to an edge the difference
-            # would lose the digits a van Hove divergence magnifies
-            x = om[inside]
-            out[inside] = 1.0 / (np.pi * np.sqrt((2 * kap - x) * (2 * kap + x)))
-            return out if out.ndim else float(out)
-
-        return j
-
-    l = params.l_int
+    kap, l = params.kappa, params.site
 
     def j(omega):
         om = np.asarray(omega, dtype=float)
         out = np.zeros_like(om)
         inside = np.abs(om) < 2 * kap
-        phi = np.arccos(om[inside] / (2 * kap))
-        out[inside] = (2.0 / np.pi) * np.sin(l * phi) ** 2 / np.sqrt(
-            4 * kap**2 - om[inside] ** 2
-        )
+        x = om[inside]
+        # 2 sin^2(l psi), and its bulk average 1 at l = inf; (2k - x)(2k + x),
+        # as 4k^2 - x^2 would lose the digits a van Hove edge magnifies
+        w = 1.0 if params.infinite else 2 * np.sin(l * _band_angle(np.abs(x), kap)) ** 2
+        out[inside] = w / (np.pi * np.sqrt((2 * kap - x) * (2 * kap + x)))
         return out if out.ndim else float(out)
 
     return j
@@ -144,58 +141,59 @@ def _spectral_density(params: WaveguideParams):
 # closed forms
 
 def _closed_forms(params: WaveguideParams) -> AnalyticOverrides:
-    """Sigma, Sigma' and Delta in closed form.
+    """Sigma, Sigma' and Delta in closed form, one of each for every site l.
 
     `spectral` calls sigma and sigma_deriv only at a classified energy:
     outside the band, on a convergent edge (finite sites; the infinite
     waveguide's van Hove edges are rejected before) or exactly at a
     declared J-zero.  Strictly inside the band E is therefore a J-zero,
     where J = 0 leaves Sigma = Delta = 0 and Sigma' = Delta'.
+
+    Outside the band d = |E| - 2 kappa is formed first, exact next to the
+    edge (Sterbenz) where E^2 - 4 kappa^2 and arccosh(|E|/2 kappa) round it
+    away; then s = sqrt(d (|E| + 2 kappa)) = sqrt(E^2 - 4 kappa^2) and
+    |E| = 2 kappa cosh theta, theta = log1p((d + s)/2 kappa).  Site inf is
+    l = inf, where e^{-2 l theta} = 0: only Delta, whose sin(2 l psi)
+    averages to 0 in the bulk, needs a case of its own.
     """
-    kap = params.kappa
-    if params.infinite:
-        def sigma(e):
-            return math.copysign(1.0, e) / math.sqrt(e * e - 4 * kap**2)
+    kap, l = params.kappa, params.site
 
-        def sigma_deriv(e):
-            return -abs(e) * (e * e - 4 * kap**2) ** -1.5
-
-        def delta(e):
-            return np.zeros_like(np.asarray(e, dtype=float))
-
-        return AnalyticOverrides(sigma, sigma_deriv, delta)
-
-    l = params.l_int
+    def outside(a):
+        """(s, theta) at |E| = a >= 2 kappa."""
+        d = a - 2 * kap
+        s = math.sqrt(d * (a + 2 * kap))
+        return s, math.log1p((d + s) / (2 * kap))
 
     def sigma(e):
         if abs(e) < 2 * kap:
             return 0.0
-        # -/+ expm1(-2 l th)/(2 kappa sinh th), with the edge limit l/kappa
-        th = np.arccosh(max(abs(e) / (2 * kap), 1.0))
-        if th < 1e-12:
-            val = l / kap
-        else:
-            val = -np.expm1(-2 * l * th) / (2 * kap * np.sinh(th))
-        return math.copysign(val, e)
+        s, th = outside(abs(e))
+        # (1 - e^{-2 l theta})/s, and the edge value l/kappa of a finite site
+        return math.copysign(l / kap if s == 0 else -math.expm1(-2 * l * th) / s, e)
 
     def sigma_deriv(e):
-        if abs(e) < 2 * kap:
+        a = abs(e)
+        if a < 2 * kap:
             # derivative of the principal-value part at a J-zero
-            return -2.0 * l / (4 * kap**2 - e**2)
-        th = np.arccosh(abs(e) / (2 * kap))
-        if th < 1e-4:
-            g = -2.0 * l**2 * th**2 + (8.0 * l**3 - 2.0 * l) * th**3 / 3.0
+            return -2.0 * l / ((2 * kap - e) * (2 * kap + e))
+        s, th = outside(a)
+        if l * th < 1e-5:
+            # two-term series of the numerator below: its terms cancel to
+            # O(l theta) relative, and the series leaves (l theta)^2
+            num = 2 * kap * (-2.0 * l**2 * th**2 + (8.0 * l**3 - 2.0 * l) * th**3 / 3.0)
         else:
-            g = 2 * l * math.exp(-2 * l * th) * math.sinh(th) - (
-                -math.expm1(-2 * l * th)
-            ) * math.cosh(th)
-        return g / (4 * kap**2 * math.sinh(th) ** 3)
+            ex = math.exp(-2 * l * th)
+            # the first term vanishes with e^{-2 l theta}; 0 * inf at l = inf
+            num = (2 * l * ex * s if ex else 0.0) + math.expm1(-2 * l * th) * a
+        return num / s**3
 
     def delta(e):
         # strictly inside the band; e may be an array
         e = np.asarray(e, dtype=float)
-        phi = np.arccos(np.clip(e / (2 * kap), -1.0, 1.0))
-        return np.sin(2 * l * phi) / np.sqrt(4 * kap**2 - e * e)
+        if params.infinite:
+            return np.zeros_like(e)  # the bulk average of sin(2 l psi)
+        psi = _band_angle(np.abs(e), kap)
+        return np.sign(e) * np.sin(2 * l * psi) / np.sqrt((2 * kap - e) * (2 * kap + e))
 
     return AnalyticOverrides(sigma, sigma_deriv, delta)
 
@@ -298,8 +296,8 @@ def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
 
     Energy criterion: kappa/lambda < cos(pi*N_out/(2N)) for N_out >= 2
     (vacuous otherwise).  Amplitude criterion: K(-2k) < 1/Sigma(-2k) with
-    Sigma(-2k) = -l/kappa for finite l and the signed limit 0- for the
-    infinite waveguide.  With K(-2k) = xi^2 a/(lambda b) from `_edge_pair`,
+    1/Sigma(-2k) = -kappa/l, the signed limit -0.0 for the infinite
+    waveguide.  With K(-2k) = xi^2 a/(lambda b) from `_edge_pair`,
     a finite site meets it for l*xi^2 above -kappa*lambda*b/a when a*b < 0.
     The threshold is None when a*b >= 0 (then K(-2k) >= 0 and no l*xi^2
     does) and at the infinite site.  Only K(-2k) depends on xi: (a, b), the
@@ -326,12 +324,8 @@ def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
     a, b = _edge_pair(params)
     xi_squared = [float(x) ** 2 for x in xis]
     k_edge = [x2 * a / (lam * b) for x2 in xi_squared]
-    if params.infinite:
-        sigma_inv_edge = -0.0
-        threshold = None
-    else:
-        sigma_inv_edge = -kap / params.l_int
-        threshold = -kap * lam * b / a if a * b < 0 else None
+    sigma_inv_edge = -kap / params.site  # 1/Sigma(-2k), -0.0 at l = inf
+    threshold = -kap * lam * b / a if a * b < 0 and not params.infinite else None
     amplitude_ok = [k < sigma_inv_edge for k in k_edge]
     extra = [int(energy_ok and ok) for ok in amplitude_ok]
     return _XiCensus(

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,12 +110,39 @@ MALFORMED = [
     (["markovian", "--n-atoms", "2", "--gamma", "0.1", "--t-max", "nan"], "--t-max=nan"),
     (["spectrum", "--n-atoms", "2", "--e-min", "nan"], "--e-min=nan"),
     (["spectrum", "--n-atoms", "2", "--e-max", "inf"], "--e-max=inf"),
+    (["bound-states", "--n-atoms", "3", "--kappa", "1", "--xi", "nan"], "xi=nan"),
+    (["dynamics", "--n-atoms", "3", "--kappa", "1", "--xi", "nan"], "xi=nan"),
+    (["bound-states", "--n-atoms", "3", "--kappa", "1", "--xi", "inf"], "xi=inf"),
+    (["bound-states", "--n-atoms", "3", "--kappa", "nan", "--xi", "0.5"], "kappa=nan"),
+    (["bound-states", "--n-atoms", "3", "--lambda", "inf", "--xi", "0.5"], "lam=inf"),
+    (["bound-states", "--model", {**CLI_DOC_GENERIC, "couplings": [0.3, math.nan]}],
+     "coupling 1 is (nan+0j)"),
 ]
 
 
 @pytest.mark.parametrize("argv, named", MALFORMED, ids=[f"argv{i}" for i in range(len(MALFORMED))])
 def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, argv, named):
     assert_config_error(capsys, with_files(tmp_path, argv), named)
+
+
+def test_nan_level_in_document_exits_two(tmp_path):
+    # a NaN level used to send the census's K-zero search into an endless
+    # loop; run apart, so a hang fails the test instead of stalling the suite
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "kind": "generic", "levels": [-2.0, math.nan], "couplings": [0.3, 0.3],
+        "band": [-1.0, 1.0], "spectral_density": {"form": "power_edges"},
+    }))
+    assert "NaN" in path.read_text()
+    src = Path(fr.__file__).resolve().parents[1]
+    path_var = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path_var}
+    done = subprocess.run(
+        [sys.executable, "-m", "friedrichs.cli", "bound-states", "--model", str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stderr)["detail"] == "level 1 is nan: it must be finite"
 
 
 def test_uncoupled_chain_is_a_config_error(capsys):

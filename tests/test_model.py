@@ -55,6 +55,25 @@ def test_unnormalized_initial_rejected():
         fr.InitialState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("levels, couplings, named", [
+    ((-2.0, np.nan), (0.3, 0.3), "level 1 is nan"),
+    ((-np.inf, 1.0), (0.3, 0.3), "level 0 is -inf"),
+    ((-2.0, 1.0), (0.3, np.inf), "coupling 1 is (inf+0j)"),
+    ((-2.0, 1.0), (complex(0.3, np.nan), 0.3), "coupling 0 is (0.3+nanj)"),
+])
+def test_non_finite_levels_and_couplings_rejected(levels, couplings, named):
+    # a NaN level used to hang the census's K-zero search, and a non-finite
+    # coupling to end in a PoleHit
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        make_model(levels=levels, couplings=couplings)
+
+
+@pytest.mark.parametrize("amplitudes", [(np.nan, 1.0), (np.nan, np.nan), (np.inf, 0.0)])
+def test_non_finite_initial_amplitudes_rejected(amplitudes):
+    with pytest.raises(UnnormalizedInitialState):
+        fr.InitialState(np.array(amplitudes))
+
+
 def test_empty_band_rejected():
     with pytest.raises(EmptyBand):
         fr.ContinuumBand(1.5, -1.5, smooth_j)

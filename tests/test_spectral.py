@@ -328,14 +328,15 @@ def test_routes_agree_at_classified_points(e):
     st.floats(0.05, 2.0),
     st.sampled_from(["outside", "edge", "zero"]),
     st.floats(-0.999, 0.999),  # a point on a tolerance's end rounds to either side
-    st.floats(-6.0, 1.0),
+    st.floats(-11.0, 1.0),
     st.integers(0, 3),
 )
 @settings(max_examples=60, deadline=None)
 def test_routes_agree_on_classified_energies(site, n_atoms, kappa, xi, zone, u, log_d, pick):
-    """Outside the band (1e-6 to 10 of the scale from an edge; closer, see
-    `test_closed_sigma_next_to_edge_matches_rule`), within the edge tolerance
-    on either side of an edge, and within the J-zero tolerance of a zero."""
+    """Outside the band (1e-11 to 10 of the scale from an edge, where the
+    closed forms read the distance to the edge exactly), within the edge
+    tolerance on either side of an edge, and within the J-zero tolerance of
+    a zero."""
     m = fr.build_waveguide_model(fr.WaveguideParams(n_atoms, 1.0, kappa, xi, site))
     edge = (m.omega_low, m.omega_up)[pick % 2]
     if zone == "outside":
@@ -348,7 +349,6 @@ def test_routes_agree_on_classified_energies(site, n_atoms, kappa, xi, zone, u, 
     assert_routes_agree(m, e)
 
 
-@pytest.mark.xfail(strict=True, reason="closed forms cancel in |E| - 2 kappa next to an edge")
 @pytest.mark.parametrize("site", [3, fr.INFINITE])
 def test_closed_sigma_next_to_edge_matches_rule(site):
     m = fr.build_waveguide_model(fr.WaveguideParams(3, 1.0, 0.3, 0.25, site))

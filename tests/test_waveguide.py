@@ -1,6 +1,9 @@
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,10 +11,20 @@ from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs import spectral as sp
-from friedrichs.errors import PoleHit
+from friedrichs.errors import ConfigError, PoleHit
 from friedrichs.waveguide import _census_over_xi, _edge_pair, j_zeros
 
 from _support import without_overrides
+
+GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "generator.py"
+
+
+def load_generator():
+    """The benchmark's input generator (numpy only), for its waveguide grid."""
+    spec = importlib.util.spec_from_file_location("perfbench_generator", GENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_levels_n3():
@@ -306,3 +319,113 @@ def test_xi_array_census_equals_scalar_census(case):
         assert entry.criteria_trace == scalar.criteria_trace
         assert over_xi.k_edge[i] == xi**2 * a / (lam * b)  # the scalar operation order
         assert over_xi.amplitude_ok[i] == scalar.criteria_trace["amplitude_criterion"]["ok"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", math.nan), ("lam", math.inf), ("kappa", math.nan), ("kappa", math.inf),
+    ("xi", math.nan), ("xi", math.inf), ("site", math.nan), ("site", -math.inf),
+])
+def test_non_finite_params_are_a_config_error(field, value):
+    # xi = nan used to give both censuses (0, 0, 0) and xi = inf two different
+    # ones; site = nan raised a bare ValueError
+    args = {"n_atoms": 3, "lam": 1.0, "kappa": 1.0, "xi": 0.5, "site": 1, field: value}
+    with pytest.raises(ConfigError, match=f"{field}={value}"):
+        fr.WaveguideParams(**args)
+
+
+# ---------------------------------------------------------------------------
+# closed forms against 40-digit mpmath, written in the textbook variables
+
+SITES = [1, 2, 5, 40, fr.INFINITE]
+
+
+def mp_sigma_pair(l, kappa, e):
+    """(Sigma, Sigma') at E outside the band: with |E| = 2 kappa cosh th,
+    Sigma = sign(E) (1 - e^{-2 l th}) / (2 kappa sinh th)."""
+    with mp.workdps(40):
+        a, k = abs(mp.mpf(e)), mp.mpf(kappa)
+        th = mp.acosh(a / (2 * k))
+        s = 2 * k * mp.sinh(th)
+        ex = 0 if l == fr.INFINITE else mp.exp(-2 * l * th)
+        sigma = (1 - ex) / s
+        sigma_deriv = (2 * l * ex * s - (1 - ex) * a) / s**3 if ex else -a / s**3
+        return float(mp.sign(e) * sigma), float(sigma_deriv)
+
+
+def mp_j_delta(l, kappa, e):
+    """(J, Delta) strictly inside the band, each times the envelope
+    sqrt(4 kappa^2 - E^2): with E = 2 kappa cos phi, (2/pi) sin^2(l phi) and
+    sin(2 l phi); at site inf 1/pi and 0."""
+    if l == fr.INFINITE:
+        return 1 / math.pi, 0.0
+    with mp.workdps(40):
+        phi = mp.acos(mp.mpf(e) / (2 * mp.mpf(kappa)))
+        return float(2 * mp.sin(l * phi) ** 2 / mp.pi), float(mp.sin(2 * l * phi))
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.75, 2.0])
+@pytest.mark.parametrize("site", SITES)
+def test_closed_sigma_pair_matches_mpmath(site, kappa):
+    # from just past the edge tolerance (1e-12 * scale) to 100 band widths;
+    # E^2 - 4 kappa^2 and arccosh(|E|/2 kappa) used to lose up to 6 digits
+    m = fr.build_waveguide_model(fr.WaveguideParams(1, 1.0, kappa, 0.1, site))
+    ov = m.overrides
+    for d in np.geomspace(1.0001e-12 * m.scale, 100 * 4 * kappa, 60):
+        for e in (2 * kappa + d, -2 * kappa - d):
+            sigma, sigma_deriv = mp_sigma_pair(site, kappa, e)
+            assert ov.sigma(e) == pytest.approx(sigma, rel=1e-15, abs=0), (e, d)
+            assert ov.sigma_deriv(e) == pytest.approx(
+                sigma_deriv, rel=sp.SIGMA_DERIV_EPSREL, abs=0
+            ), (e, d)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.75, 2.0])
+@pytest.mark.parametrize("site", SITES)
+def test_closed_j_and_delta_match_mpmath(site, kappa):
+    """J and Delta within 1e-14 of the envelope 1/sqrt(4 kappa^2 - E^2) from
+    one ulp inside each edge to the middle of the band.  Across the band the
+    floor is the rounding of the angle 2 l psi (up to l pi) itself: a few
+    l * eps, which at site 40 is above 1e-14."""
+    m = fr.build_waveguide_model(fr.WaveguideParams(1, 1.0, kappa, 0.1, site))
+    edge = 2 * kappa
+    inner = np.nextafter(edge, 0.0)
+    to_middle = [inner, *(edge - np.geomspace(edge - inner, edge, 40)[1:])]
+    across = np.linspace(-edge, edge, 401)[1:-1]
+    eps = np.finfo(float).eps
+    for points, tol in ((to_middle, 1e-14), (across, max(1e-14, 2 * math.pi * site * eps))):
+        e = np.concatenate([points, np.negative(points)])
+        envelope = 1 / np.sqrt((edge - e) * (edge + e))
+        j, delta = m.j(e) / envelope, m.overrides.delta(e) / envelope
+        for i, ei in enumerate(e):
+            j_ref, delta_ref = mp_j_delta(site, kappa, ei)
+            assert abs(j[i] - j_ref) <= tol, (ei, j[i], j_ref)
+            assert abs(delta[i] - delta_ref) <= tol, (ei, delta[i], delta_ref)
+
+
+def test_norm_b2_on_the_grid_matches_mpmath():
+    """|B|^2 = -Sigma / (K' Sigma + K Sigma') of every state solved on the
+    waveguide grid with xi = 0.01, against 40-digit arithmetic at the solved
+    energy: the bound states closest to the edges.  The site-inf Sigma' used
+    to cancel there and left |B|^2 off by 1.2e-7."""
+    grid = [c for c in load_generator().waveguide_grid() if c["xi"] == 0.01]
+    solved = 0
+    for case in grid:
+        site = fr.INFINITE if case["site"] == "inf" else case["site"]
+        params = fr.WaveguideParams(case["n_atoms"], 1.0, case["kappa"], case["xi"], site)
+        m = fr.build_waveguide_model(params)
+        try:
+            states = fr.solve_bound_states(m)
+        except fr.errors.FriedrichsError:
+            continue  # the levels on an edge (ROADMAP item 1) solve nothing
+        for state in states:
+            e = state.energy
+            sigma, sigma_deriv = mp_sigma_pair(site, params.kappa, e)
+            with mp.workdps(40):
+                d = [mp.mpf(e) - mp.mpf(float(v)) for v in m.levels]
+                f2 = [mp.mpf(float(v)) for v in m._f2]
+                k = mp.fsum(f / x for f, x in zip(f2, d))
+                kp = -mp.fsum(f / x**2 for f, x in zip(f2, d))
+                b2 = float(-sigma / (kp * sigma + k * sigma_deriv))
+            assert state.norm_b2 == pytest.approx(b2, rel=1e-13, abs=0), (case, e)
+            solved += 1
+    assert solved > 400
