@@ -1,13 +1,16 @@
 """Exact survival-probability dynamics: bound-state sum plus band integral.
 
-The band integral of the scattering weight S_n(E) against exp(-iEt) is a
-plain weighted sum on a composite Gauss-Legendre rule in the
-edge-substituted variable k (E = mid - half*cos k), the panels of
-`quadrature`'s Delta and Sigma rules: graded toward both edges, at most one
-wavelength of exp(-iE t_max) wide, and graded toward each resonance peak
-of S down to a quarter of its half-width.  Panels whose part of s_n(0)
-still moves when they are halved are halved, and the same panels each
-halved once give the error estimate that `survival_probability` reports.
+Each bound state enters through the projection of the initial state on it.
+The scattering weight S_n(E) is formed with every level's pole of K and I
+multiplied out (`_factored`), so it is finite at each level and no node is
+moved off one.  Its band integral against exp(-iEt) is a plain weighted
+sum on a composite Gauss-Legendre rule in the edge-substituted variable k
+(E = mid - half*cos k), the panels of `quadrature`'s Delta and Sigma rules:
+graded toward both edges, at most one wavelength of exp(-iE t_max) wide,
+and graded toward each resonance peak of S down to a quarter of its
+half-width.  Panels whose part of s_n(0) still moves when they are halved
+are halved, and the same panels each halved once give the error estimate
+that `survival_probability` reports.
 All N levels share one `quadrature.fourier_linear` call.
 """
 from __future__ import annotations
@@ -45,7 +48,6 @@ class DecayCoefficients:
 
     model: ValidatedModel
     initial: InitialState
-    bound_states: list
     energies: np.ndarray  # (M,)
     R: np.ndarray  # (N, M), R[n, m]
 
@@ -53,30 +55,16 @@ class DecayCoefficients:
 def decay_coefficients(
     model: ValidatedModel, initial: InitialState, bound_states: list
 ) -> DecayCoefficients:
-    """R matrix per bound state plus the scattering weight closure."""
-    n_lev = model.n_levels
-    m = len(bound_states)
-    energies = np.array([s.energy for s in bound_states], dtype=float)
-    r = np.zeros((n_lev, m), dtype=complex)
-    for jm, state in enumerate(bound_states):
-        if state.level_index is not None:
-            # BIC pinned to one level: only that row survives
-            n = state.level_index
-            r[n, jm] = state.norm_b2 * initial.amplitudes[n]
-        else:
-            i_val = sp.i_function(model, initial, state.energy)
-            r[:, jm] = (
-                state.norm_b2
-                * model.couplings
-                * i_val
-                / (state.energy - model.levels)
-            )
+    """R[:, m] = a_m (a_m^H c), the projection of c on the bound state m with
+    level amplitudes a_m: |B|^2 f_n I(E_m)/(E_m - eps_n), and |B|^2 c_n on
+    the one row of a state pinned to level n."""
+    amps = np.array([s.amplitudes for s in bound_states], dtype=complex)
+    amps = amps.reshape(len(bound_states), model.n_levels).T  # (N, M)
     return DecayCoefficients(
         model=model,
         initial=initial,
-        bound_states=list(bound_states),
-        energies=energies,
-        R=r,
+        energies=np.array([s.energy for s in bound_states], dtype=float),
+        R=amps * (amps.conj().T @ initial.amplitudes),
     )
 
 
@@ -92,45 +80,50 @@ class _BandKernel:
     delta_nodes: int = 0  # node count of the Delta rule, 0 for a closed form
 
 
-def _build_kernel(model: ValidatedModel, initial: InitialState, breaks) -> _BandKernel:
-    """S_n = Gamma*I*f_n / (pi*(E - eps_n)*[(1 - Delta*K)^2 + (Gamma*K)^2])
-    times W on the nodes of the k-panels between breaks.
-
-    A node that rounds onto an edge keeps weight 0: S dE/dk vanishes there.
-    Near a narrow resonance 1 - Delta*K cancels; an error of a few ulps of
-    1 + |Delta*K| moves S by that over the root of its denominator.
+def _factored(model: ValidatedModel, x: np.ndarray):
+    """The rational sums on real x in the band with each level's pole
+    multiplied out: (q, h, Sigma, node count of Delta's rule), with
+    q[:, n] = prod_{m != n} (x - eps_m), Q = prod_n (x - eps_n),
+    P = Q*K = q @ |f|^2, h = Q - Sigma*P = Q*(1 - Sigma*K) and
+    Sigma = Delta + i*Gamma.  All are finite at the levels.
     """
-    e, wgt = qd.panel_rule(model.omega_low, model.omega_up, breaks)
-    for eps in model.levels:  # nudge any node off a level (pole of K and I)
-        e[np.abs(e - eps) < 1e-14 * model.scale] += 1e-13 * model.scale
-    inside = (e > model.omega_low) & (e < model.omega_up)
-    x = e[inside]
-    gamma = np.pi * np.asarray(model.j(x), dtype=float)
-    delta, delta_nodes = sp._delta(model, x)
-    k = sp.k_real_grid(model, x)
-    denom = (1.0 - delta * k) ** 2 + (gamma * k) ** 2
-    pref = gamma * sp.i_real_grid(model, initial, x) * wgt[inside] / (np.pi * denom)
-    w = np.zeros((model.n_levels, e.size), dtype=complex)
-    w[:, inside] = pref * model.couplings[:, None] / (x - model.levels[:, None])
-    rel = np.finfo(float).eps * (8.0 + 16.0 * (1.0 + np.abs(delta * k)) / np.sqrt(denom))
-    return _BandKernel(e, w, np.abs(w[:, inside]) @ rel, delta_nodes)
-
-
-def _denominator(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
-    """h = Q - (Delta + i*Gamma) P at real x, with Q = prod (x - eps_n) and
-    P = Q*K finite at the levels: |h/Q|^2 is the denominator of S."""
     d = np.subtract.outer(x, model.levels)
     ones = np.ones((x.size, 1))
     before = np.cumprod(np.hstack([ones, d[:, :-1]]), axis=1)
     after = np.cumprod(np.hstack([ones, d[:, :0:-1]]), axis=1)[:, ::-1]
-    sigma = sp._delta(model, x)[0] + 1j * np.pi * np.asarray(model.j(x), dtype=float)
-    return before[:, -1] * d[:, -1] - sigma * ((before * after) @ model._f2)
+    q = before * after
+    delta, delta_nodes = sp._delta(model, x)
+    sigma = delta + 1j * np.pi * np.asarray(model.j(x), dtype=float)
+    return q, before[:, -1] * d[:, -1] - sigma * (q @ model._f2), sigma, delta_nodes
+
+
+def _build_kernel(model: ValidatedModel, initial: InitialState, breaks) -> _BandKernel:
+    """S_n = Gamma*I*f_n / (pi*(E - eps_n)*|1 - Sigma*K|^2) times W on the
+    nodes of the k-panels between breaks, read from `_factored` as
+    S_n = Gamma*(q @ conj(f)c)*f_n*q_n / (pi*|h|^2): finite at every level.
+    1/|h|^2 is taken as (1/h)(1/conj(h)), one factor on each side, so no
+    square of a product is formed.
+
+    A node that rounds onto an edge keeps weight 0: S dE/dk vanishes there.
+    Next to a resonance Re h = Q - Delta*P cancels; its error of a few ulps
+    of |Q| + |Delta*P| moves S by that relative to |h|.
+    """
+    e, wgt = qd.panel_rule(model.omega_low, model.omega_up, breaks)
+    inside = (e > model.omega_low) & (e < model.omega_up)
+    q, h, sigma, delta_nodes = _factored(model, e[inside])
+    fc = np.conj(model.couplings) * initial.amplitudes
+    left = sigma.imag * wgt[inside] * (q @ fc) / (np.pi * h)
+    w = np.zeros((model.n_levels, e.size), dtype=complex)
+    w[:, inside] = model.couplings[:, None] * q.T * (left / np.conj(h))
+    dp = sigma.real * (q @ model._f2)  # Delta*P, so that Q = Re h + Delta*P
+    rel = np.finfo(float).eps * (8.0 + 16.0 * (np.abs(h.real + dp) + np.abs(dp)) / np.abs(h))
+    return _BandKernel(e, w, np.abs(w[:, inside]) @ rel, delta_nodes)
 
 
 def _peaks(model: ValidatedModel, e: np.ndarray):
     """(energy, half-width) of each resonance peak of S seen on ascending e.
 
-    S is smooth over |h|^2 (`_denominator`): a peak is a zero E_r - i*gamma
+    S is smooth over |h|^2 (`_factored`): a peak is a zero E_r - i*gamma
     of h near the axis.  From each local minimum of |h| on e, Newton steps
     E <- Re(E - h/h') (h' by central differences) reach E_r, and gamma =
     |Im(h/h')|: |Gamma*K / (1 - Delta*K)'| at a zero of 1 - Delta*K.  h
@@ -138,13 +131,13 @@ def _peaks(model: ValidatedModel, e: np.ndarray):
     pair of resonances, where 1 - Delta*K has no zero.
     """
     lo, up = model.omega_low, model.omega_up
-    size = np.abs(_denominator(model, e))
+    size = np.abs(_factored(model, e)[1])
     minima = np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] <= size[2:])) + 1
     out = []
     for x in e[minima]:
         for _ in range(40):
             step = 1e-6 * min(x - lo, up - x)
-            h = _denominator(model, np.array([x - step, x, x + step]))
+            h = _factored(model, np.array([x - step, x, x + step]))[1]
             shift = h[1] * (2.0 * step) / (h[2] - h[0])
             x, last = x - shift.real, x
             if not lo < x < up:
@@ -244,7 +237,6 @@ def survival_probability(
     initial: InitialState,
     times,
     *,
-    bound_states: Optional[list] = None,
     coefficients: Optional[DecayCoefficients] = None,
     n_base_nodes: Optional[int] = None,
     error_budget: Optional[float] = None,
@@ -263,9 +255,7 @@ def survival_probability(
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):
         raise ConfigError("times must be sorted and non-negative")
     if coefficients is None:
-        if bound_states is None:
-            bound_states = all_bound_states(model)
-        coefficients = decay_coefficients(model, initial, bound_states)
+        coefficients = decay_coefficients(model, initial, all_bound_states(model))
 
     kern, fine = _transform(coefficients, t, n_base_nodes)
     s_amp = qd.fourier_linear(kern.e_nodes, kern.w, t)  # int S_n(E) e^{-iEt} dE

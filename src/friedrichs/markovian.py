@@ -235,17 +235,6 @@ def decay_components(h: EffectiveHamiltonianMarkov, initial: InitialState):
     return sys.eigenvalues, d, g
 
 
-def _p_from_components(z, d, g, times):
-    """sum_i D_i e^{2 Im z_i t} + 2 sum_{i > i'} |G_ii'| e^{Im(z_i + z_i') t}
-    cos(Re(z_i - z_i') t - arg G_ii'): the weight/beat form of the decay law."""
-    t = np.asarray(times, dtype=float)
-    i, j = np.tril_indices(z.size, -1)
-    beats = np.exp(np.outer(z[i].imag + z[j].imag, t)) * np.cos(
-        np.outer(z[i].real - z[j].real, t) - np.angle(g[i, j])[:, None]
-    )
-    return d @ np.exp(2.0 * np.outer(z.imag, t)) + 2.0 * np.abs(g[i, j]) @ beats
-
-
 def _defective_amplitudes(h, sys: ResonanceSystem, c0, times):
     """Chain-basis evolution: polynomial-in-t factors per Jordan block."""
     basis = np.hstack([b.vectors for b in sys.blocks])

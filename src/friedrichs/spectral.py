@@ -1,8 +1,12 @@
 """Scalar spectral kernels: Sigma, Sigma', Delta, Gamma, K, K', I.
 
 K and I are exact rational sums over the discrete levels (valid at complex
-arguments).  This is the only module that reads a model's closed-form
-overrides: Sigma, Sigma' and Delta take them when the model carries them.
+arguments).  Next to a level they are read with its pole multiplied out,
+never stepped around: the K-zero of a gap is the root of K(E)(E - a)(b - E)
+over the whole gap, and `dynamics` builds the scattering weight from
+prod_n (E - eps_n) times K and I.  This is the only module that reads a
+model's closed-form overrides: Sigma, Sigma' and Delta take them when the
+model carries them.
 `_classify` alone decides where an energy lies; Sigma and Sigma' are
 evaluated at the point it returns by either route, so a closed form is
 only ever called outside the band, on a convergent edge or exactly at a
@@ -48,27 +52,19 @@ def k_derivative(model: ValidatedModel, z: complex) -> complex:
     return complex(-np.sum(model._f2 / _pole_distances(model, z) ** 2))
 
 
-def k_real_grid(model: ValidatedModel, e_grid) -> np.ndarray:
-    """Vectorized K on a real grid (no pole guard; caller avoids levels)."""
-    e = np.asarray(e_grid, dtype=float)
-    return (model._f2[None, :] / (e[:, None] - model.levels[None, :])).sum(axis=1)
-
-
 def i_function(model: ValidatedModel, initial: InitialState, z: complex) -> complex:
     """I(z) = sum_n f_n^* c_n / (z - eps_n)."""
     w = np.conj(model.couplings) * initial.amplitudes
     return complex(np.sum(w / _pole_distances(model, z)))
 
 
-def i_real_grid(model: ValidatedModel, initial: InitialState, e_grid) -> np.ndarray:
-    e = np.asarray(e_grid, dtype=float)
-    w = np.conj(model.couplings) * initial.amplitudes
-    return (w[None, :] / (e[:, None] - model.levels[None, :])).sum(axis=1)
-
-
 def _k_zero_in_gap(model: ValidatedModel, j: int) -> float:
-    """The zero of K between the adjacent levels eps_j < eps_{j+1}.
+    """The zero of K between the adjacent levels a = eps_j < b = eps_{j+1}.
 
+    Brent runs on the whole gap with both poles multiplied out:
+    g(E) = K(E)(E - a)(b - E) = K_rest(E)(E - a)(b - E) + |f_a|^2 (b - E)
+    - |f_b|^2 (E - a), K_rest the sum over the other levels, is exact at the
+    ends, g(a) > 0 > g(b), however close to a level the zero lies.
     Raises ConfigError naming a level of the pair with |f|^2 = 0: it has no
     K-pole, so K need not change sign in the gap.
     """
@@ -80,25 +76,17 @@ def _k_zero_in_gap(model: ValidatedModel, j: int) -> float:
                 f"level {i} at E={model.levels[i]} is uncoupled (|f|^2 = 0): it has "
                 "no K-pole, so the criteria have no K-zero in the gap next to it"
             )
-    a, b = model.levels[j], model.levels[j + 1]
-    gap = b - a
-    # K -> +inf at a+, -inf at b-: expand inward until signs certify
-    d = 1e-9 * gap
-    while True:
-        fa = float(np.real(k_function(model, a + d)))
-        fb = float(np.real(k_function(model, b - d)))
-        if fa > 0 > fb:
-            break
-        d *= 0.25
-        if d < 1e-15 * gap:
-            raise PoleHit(f"could not bracket K-zero in ({a}, {b})")
-    return brentq(
-        lambda e: float(np.real(k_function(model, e))),
-        a + d,
-        b - d,
-        xtol=1e-15 * model.scale,
-        rtol=8.9e-16,
-    )
+    a, b = float(model.levels[j]), float(model.levels[j + 1])
+    f2a, f2b = float(model._f2[j]), float(model._f2[j + 1])
+    rest = np.ones(model.n_levels, dtype=bool)
+    rest[[j, j + 1]] = False
+    rest_levels, rest_f2 = model.levels[rest], model._f2[rest]
+
+    def g(e: float) -> float:
+        k_rest = float((rest_f2 / (e - rest_levels)).sum())
+        return k_rest * (e - a) * (b - e) + f2a * (b - e) - f2b * (e - a)
+
+    return brentq(g, a, b, xtol=1e-15 * model.scale, rtol=8.9e-16)
 
 
 def k_zeros(model: ValidatedModel) -> np.ndarray:

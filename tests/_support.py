@@ -114,6 +114,12 @@ def sigma_on_grid(j, lo, up, e_grid, n_nodes=600, chunk=4096):
     return out
 
 
+def k_real_grid(model, e_grid) -> np.ndarray:
+    """K on a real grid, with no pole guard: the caller keeps off the levels."""
+    e = np.asarray(e_grid, dtype=float)
+    return (model._f2[None, :] / (e[:, None] - model.levels[None, :])).sum(axis=1)
+
+
 def census_bruteforce(model, n_grid=100_000, reach=2.5, collar=1e-6):
     """Sign-change count of det[E - H_eff(E)] on a dense grid outside the band.
 
@@ -134,7 +140,7 @@ def census_bruteforce(model, n_grid=100_000, reach=2.5, collar=1e-6):
             hit = np.abs(e_grid - eps) < 1e-12 * span
             e_grid[hit] += 3e-12 * span
         sig = sigma_on_grid(model.j, lo, up, e_grid, n_nodes=600)
-        k = sp.k_real_grid(model, e_grid)
+        k = k_real_grid(model, e_grid)
         det = (1.0 - sig * k) * np.prod(
             e_grid[:, None] - model.levels[None, :], axis=1
         )
@@ -170,3 +176,15 @@ def total_norm(model, state) -> float:
         dens, model.omega_low, model.omega_up, interior_points=tuple(pts), epsrel=1e-9
     )
     return disc + val
+
+
+def p_from_components(z, d, g, times):
+    """sum_i D_i e^{2 Im z_i t} + 2 sum_{i > i'} |G_ii'| e^{Im(z_i + z_i') t}
+    cos(Re(z_i - z_i') t - arg G_ii'): the weight/beat form of the Markovian
+    decay law, from `markovian.decay_components`."""
+    t = np.asarray(times, dtype=float)
+    i, j = np.tril_indices(z.size, -1)
+    beats = np.exp(np.outer(z[i].imag + z[j].imag, t)) * np.cos(
+        np.outer(z[i].real - z[j].real, t) - np.angle(g[i, j])[:, None]
+    )
+    return d @ np.exp(2.0 * np.outer(z.imag, t)) + 2.0 * np.abs(g[i, j]) @ beats

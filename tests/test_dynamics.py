@@ -8,7 +8,7 @@ from friedrichs import dynamics as dyn
 from friedrichs import quadrature as qd
 from friedrichs.errors import ConfigError, QuadratureBudgetExceeded
 
-from _support import random_model, random_initial
+from _support import census_bruteforce, random_initial, random_model
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,30 @@ def test_bic_row_structure(fig_cases):
     assert r[1] == pytest.approx(expected, rel=1e-12)
 
 
+def test_decay_coefficients_match_the_paper_formula(fig_cases):
+    # R[n, m] = |B|^2 f_n I(E_m)/(E_m - eps_n), and |B|^2 c_n alone on the
+    # row n of a state pinned to level n (the fig. 4 BIC at site 2)
+    rng = np.random.default_rng(19)
+    cases = [fig_cases[2][1:]]
+    for _ in range(12):
+        model = random_model(rng, n_max=4, with_zero=bool(rng.integers(2)))
+        initial = random_initial(rng, model.n_levels)
+        cases.append((model, initial, fr.all_bound_states(model)))
+    checked = 0
+    for model, initial, bound in cases:
+        r = fr.decay_coefficients(model, initial, bound).R
+        for m, state in enumerate(bound):
+            if state.level_index is not None:
+                paper = np.zeros(model.n_levels, dtype=complex)
+                paper[state.level_index] = state.norm_b2 * initial.amplitudes[state.level_index]
+            else:
+                i_val = fr.i_function(model, initial, state.energy)
+                paper = state.norm_b2 * model.couplings * i_val / (state.energy - model.levels)
+            assert np.max(np.abs(r[:, m] - paper)) <= 1e-13 * np.max(np.abs(paper))
+            checked += 1
+    assert checked >= 12
+
+
 def test_r_column_zero_when_initial_orthogonal():
     # I(E_m) = 0 makes the whole column vanish for a generic bound state
     params = fr.WaveguideParams(2, 1.0, 0.3, 0.8, fr.INFINITE)
@@ -65,7 +89,8 @@ def test_r_column_zero_when_initial_orthogonal():
 def test_p0_equals_one(fig_cases):
     for site in (1, 2, fr.INFINITE):
         _, model, initial, bound = fig_cases[site]
-        series = fr.survival_probability(model, initial, np.array([0.0]), bound_states=bound)
+        coeffs = fr.decay_coefficients(model, initial, bound)
+        series = fr.survival_probability(model, initial, np.array([0.0]), coefficients=coeffs)
         assert series.p[0] == pytest.approx(1.0, abs=1e-4)
 
 
@@ -79,7 +104,8 @@ def test_completeness_sum_rule_componentwise(fig_cases):
 def test_parts_recombine_exactly(fig_cases):
     _, model, initial, bound = fig_cases[2]
     t = np.linspace(0.0, 30.0, 40)
-    series = fr.survival_probability(model, initial, t, bound_states=bound)
+    coeffs = fr.decay_coefficients(model, initial, bound)
+    series = fr.survival_probability(model, initial, t, coefficients=coeffs)
     total = series.parts["bound"] + series.parts["scatter"] + series.parts["cross"]
     assert np.max(np.abs(total - series.p)) < 1e-12
 
@@ -88,7 +114,8 @@ def test_probability_range(fig_cases):
     for site in (1, 2, fr.INFINITE):
         _, model, initial, bound = fig_cases[site]
         t = np.linspace(0.0, 40.0, 81)
-        series = fr.survival_probability(model, initial, t, bound_states=bound)
+        coeffs = fr.decay_coefficients(model, initial, bound)
+        series = fr.survival_probability(model, initial, t, coefficients=coeffs)
         assert np.all(series.p >= 0.0)
         assert np.all(series.p <= 1.0 + 1e-6)
 
@@ -120,7 +147,8 @@ def test_match_oracle_all_geometries(fig_cases):
     for site in (1, 2, fr.INFINITE):
         params, model, initial, bound = fig_cases[site]
         t = np.linspace(0.0, 50.0, 201)
-        series = fr.survival_probability(model, initial, t, bound_states=bound)
+        coeffs = fr.decay_coefficients(model, initial, bound)
+        series = fr.survival_probability(model, initial, t, coefficients=coeffs)
         oracle = fr.evolve_lattice(params, t_max=50.0, dt_out=0.25)
         assert np.max(np.abs(series.p - oracle.p)) < 1e-10
 
@@ -173,11 +201,12 @@ def test_sum_rule_random_models():
 def test_error_budget_enforced(fig_cases):
     _, model, initial, bound = fig_cases[1]
     t = np.linspace(0.0, 10.0, 11)
+    coeffs = fr.decay_coefficients(model, initial, bound)
     with pytest.raises(QuadratureBudgetExceeded):
         # the estimate carries the rounding of the sums, so it is never 0
-        fr.survival_probability(model, initial, t, bound_states=bound, error_budget=0.0)
+        fr.survival_probability(model, initial, t, coefficients=coeffs, error_budget=0.0)
     series = fr.survival_probability(
-        model, initial, t, bound_states=bound, error_budget=1e-10
+        model, initial, t, coefficients=coeffs, error_budget=1e-10
     )
     assert series.p.size == 11
     assert 0.0 < series.meta["transform_error"] <= 1e-10
@@ -222,30 +251,54 @@ def test_halving_estimate_bounds_error(seed, with_zero):
     assert abs(series.p[0] - 1.0) <= series.meta["transform_error"]
 
 
-def test_transform_error_bounds_p0_next_to_a_narrow_resonance():
-    # f_2 = 1e-6 leaves level 2 a resonance of half-width ~1e-13: the
-    # transform misses its weight and p(0) - 1 = 5.1e-3, which halving the
-    # panels does not see (4.1e-5) but a(0) = c does
+def _narrow_resonance_model(f_2):
+    """Level 0.3 inside the band [-1, 1] coupled by f_2, a resonance of
+    half-width about pi*J(0.3)*f_2^2 = 0.86*f_2^2, and level -2 below the
+    band coupled by 0.3."""
     def j(om):
         om = np.asarray(om, dtype=float)
         return np.where(np.abs(om) < 1.0, 0.3 * (1.0 - om**2), 0.0)
 
-    model = fr.validate_model(fr.FriedrichsModel(
-        fr.DiscreteSpectrum(np.array([-2.0, 0.3]), np.array([0.3, 1e-6])),
+    return fr.validate_model(fr.FriedrichsModel(
+        fr.DiscreteSpectrum(np.array([-2.0, 0.3]), np.array([0.3, f_2])),
         fr.ContinuumBand(-1.0, 1.0, j),
     ))
+
+
+@pytest.mark.parametrize("f_2", [1e-6, 1e-5])
+def test_transform_error_bounds_p0_next_to_a_narrow_resonance(f_2):
+    # half-widths 8.6e-13 and 8.6e-11: S is finite on the level with its
+    # pole multiplied out, so the nodes graded onto the peak resolve it
+    model = _narrow_resonance_model(f_2)
     series = fr.survival_probability(
         model, fr.InitialState(np.array([0.0, 1.0])), np.linspace(0.0, 50.0, 11)
     )
-    assert abs(series.p[0] - 1.0) > 1e-3
+    assert abs(series.p[0] - 1.0) <= 1e-6
+    assert abs(series.p[0] - 1.0) <= series.meta["transform_error"]
+
+
+@pytest.mark.parametrize("f_2", [1e-9, 1e-8, 1e-7])
+def test_census_and_p0_estimate_next_to_a_sub_ulp_resonance(f_2):
+    # the K-zero of the gap (-2, 0.3) lies within 2.6e-13 of the level 0.3,
+    # inside the level's pole guard (and on the level itself, to rounding,
+    # at f_2 = 1e-9): the census finds it with both poles multiplied out
+    model = _narrow_resonance_model(f_2)
+    census = fr.count_bound_states(model)
+    assert (census.m_below, census.m_above) == census_bruteforce(model)
+    assert len(fr.solve_bound_states(model, census)) == census.m_outside
+    # a peak narrower than about one ulp of E is beyond any rule on float
+    # nodes (p(0) = 3.26 at f_2 = 1e-8); the a(0) = c term of the estimate
+    # reports that
+    series = fr.survival_probability(model, fr.InitialState(np.array([0.0, 1.0])), [0.0])
     assert abs(series.p[0] - 1.0) <= series.meta["transform_error"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_time_rejected(fig_cases, bad):
     _, model, initial, bound = fig_cases[1]
+    coeffs = fr.decay_coefficients(model, initial, bound)
     with pytest.raises(ConfigError, match=str(bad)):
-        fr.survival_probability(model, initial, [0.0, 1.0, bad], bound_states=bound)
+        fr.survival_probability(model, initial, [0.0, 1.0, bad], coefficients=coeffs)
 
 
 def _power_edges_model(band, s_low, s_up, zeros, amplitude, levels, couplings):
@@ -314,6 +367,7 @@ def test_long_run_matches_oracle(fig_cases):
     # t_max = 200: panels one wavelength of exp(-iE t_max) wide
     params, model, initial, bound = fig_cases[fr.INFINITE]
     oracle = fr.evolve_lattice(params, t_max=200.0, dt_out=0.5)
-    series = fr.survival_probability(model, initial, oracle.times, bound_states=bound)
+    coeffs = fr.decay_coefficients(model, initial, bound)
+    series = fr.survival_probability(model, initial, oracle.times, coefficients=coeffs)
     assert np.max(np.abs(series.p - oracle.p)) < 1e-10
     assert series.meta["transform_nodes"] < 2100

@@ -8,7 +8,7 @@ import friedrichs as fr
 from friedrichs import markovian as mk
 from friedrichs.errors import ConfigError, ExceptionalPoint, NegativeGamma
 
-from _support import random_initial
+from _support import p_from_components, random_initial
 
 LAM, KAP = 1.0, 4.0
 GAMMA = 1.0 / (2 * KAP)  # pi * J(0) of the infinite waveguide
@@ -168,7 +168,7 @@ def test_decay_components_decoupled_level():
     assert np.allclose(d, [0.5, 0.5], rtol=0, atol=1e-15)
     t = np.linspace(0.0, 10.0, 41)
     direct = fr.markovian_survival(h, c0, t, method="expm").p
-    assert np.max(np.abs(mk._p_from_components(z, d, g, t) - direct)) < 1e-13
+    assert np.max(np.abs(p_from_components(z, d, g, t) - direct)) < 1e-13
 
 
 def test_eigenbasis_amplitudes_are_the_residues():
@@ -237,7 +237,7 @@ def test_closed_form_matches_expm_random():
         assert np.max(np.abs(closed.p - direct.p)) < 1e-9
         # the weight/beat regrouping is the same law
         z, d, g = fr.decay_components(h, c0)
-        regrouped = mk._p_from_components(z, d, g, t)
+        regrouped = p_from_components(z, d, g, t)
         assert np.max(np.abs(regrouped - direct.p)) < 1e-9
 
 

@@ -10,7 +10,7 @@ import friedrichs as fr
 from friedrichs import spectral as sp
 from friedrichs.errors import DivergentDerivative, EInsideBand, NonconvergentEdge, PoleHit
 
-from _support import random_model, without_overrides
+from _support import k_real_grid, random_model, without_overrides
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,7 @@ def test_k_monotone_between_poles():
         if b <= a:
             continue
         grid = np.linspace(a, b, 30)
-        vals = sp.k_real_grid(m, grid)
+        vals = k_real_grid(m, grid)
         assert np.all(np.diff(vals) < 0)
 
 

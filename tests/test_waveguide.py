@@ -216,6 +216,7 @@ def test_threshold_at_kappa_equals_lambda(n_atoms):
 )
 @settings(max_examples=200, deadline=None)
 @example(2, 1.0, 1.0, 1.6055793508807068e-156, 1)  # K(-2*kappa) subnormal
+@example(4, 1.0, 1.0, 2.6256795422105356e-158, 1)  # the two routes 2 subnormal spacings apart
 def test_threshold_decides_amplitude_criterion(n_atoms, ratio, lam, xi, site):
     params = fr.WaveguideParams(n_atoms, lam, ratio * lam, xi, site)
     model = fr.build_waveguide_model(params)
@@ -232,10 +233,22 @@ def test_threshold_decides_amplitude_criterion(n_atoms, ratio, lam, xi, site):
     elif abs(l_xi2 - threshold) > 1e-12 * threshold:
         assert amp["ok"] == (l_xi2 > threshold)
     # relative to the scale of the rational sum's rounding: K may vanish
-    # here; where that scale is subnormal, float spacing is the finer bound
+    # here.  Where K is subnormal, each rounding onto the subnormal grid (of
+    # xi^2, of each |f_n|^2, and of every product and quotient after them)
+    # is off by up to half its spacing s, whatever the value's size.  The
+    # sum of the |f_n|^2/|edge - eps_n| then meets K within
+    # s/2 * sum_n (1 + 1/|edge - eps_n|), the closed form xi^2*a/(lam*b),
+    # rounded at xi^2, at xi^2*a and at the quotient, within
+    # s/2 * (|a/(lam*b)| + 1/|lam*b| + 1); a sum of subnormals is exact.
+    # The floor is a few spacings per level, more for a level next to the
+    # edge, so it changes nothing where k_scale is well above the subnormal
+    # range.
     rational = float(np.real(fr.k_function(model, edge)))
-    k_scale = float(np.sum(np.abs(model.couplings) ** 2 / np.abs(edge - model.levels)))
-    assert abs(amp["k_edge"] - rational) <= 1e-12 * k_scale + np.spacing(k_scale)
+    dist = np.abs(edge - model.levels)
+    k_scale = float(np.sum(np.abs(model.couplings) ** 2 / dist))
+    terms = np.sum(1.0 + 1.0 / dist) + (abs(a) + 1.0) / abs(params.lam * b) + 1.0
+    floor = 0.5 * terms * np.spacing(0.0)  # s/2 alone rounds to 0
+    assert abs(amp["k_edge"] - rational) <= 1e-12 * k_scale + floor
 
 
 @pytest.mark.parametrize("n_atoms", [3, 10, 20, 40])
