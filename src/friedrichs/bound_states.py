@@ -11,9 +11,9 @@ and the census has already certified the sign of K - 1/Sigma at the edge
 the pole-free g = (K - 1/Sigma) * prod_p |E - p| over the bracket's ends p
 on levels, with each pole's term of K taken exactly: g is finite up to the
 poles, and its value at every end is known without evaluating Sigma there.
-An uncoupled level (f_n = 0) is no pole of K: outside the band it is a
-bound state of its own, pinned to that level.
-Inside the band, candidates exist only at the declared zeros of J.
+An uncoupled level (f_n = 0) is no pole of K: outside the band, and
+strictly inside it, it is a bound state of its own, pinned to that level.
+Otherwise a state inside the band lies only at a declared zero of J.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import spectral as sp
 from .errors import NonconvergentEdge, NormalizationFailure, RootNotFound
@@ -227,7 +226,7 @@ def _solve_bracket(model: ValidatedModel, br: _Bracket):
     """The root in br and Sigma there (None if not yet evaluated): Brent on
     `_pole_free`."""
     sigmas: dict = {}
-    root = brentq(
+    root = sp._brent(
         _pole_free(model, br, sigmas),
         br.a,
         br.b,
@@ -307,8 +306,8 @@ def _generic_state(
 
 
 def _pinned_state(model: ValidatedModel, n: int, kind: BoundStateKind) -> BoundState:
-    """The uncoupled level n (|f_n|^2 = 0) outside the band: an eigenstate on
-    that level alone, with no continuum part."""
+    """The uncoupled level n (|f_n|^2 = 0): an eigenstate on that level
+    alone, with no continuum part, outside the band or inside it."""
     amps = np.zeros(model.n_levels, dtype=complex)
     amps[n] = 1.0
     e_n = float(model.levels[n])
@@ -353,7 +352,9 @@ def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = 
 
 
 def find_bics(model: ValidatedModel):
-    """Bound states in the continuum at the declared zeros of J."""
+    """Bound states in the continuum: at the declared zeros of J, and on each
+    uncoupled level strictly inside the band (pinned to it; on a zero the
+    zero's own branch pins it)."""
     out: list[BoundState] = []
     for e0 in model.interior_zeros:
         j_near = int(np.argmin(np.abs(model.levels - e0)))
@@ -388,6 +389,10 @@ def find_bics(model: ValidatedModel):
         if abs(sig) < 1e-12 or abs(k0 - 1.0 / sig) > 1e-9 * max(abs(k0), 1.0):
             continue
         out.append(_generic_state(model, e0, BoundStateKind.IN_CONTINUUM, sig))
+    for n in np.flatnonzero(model._f2 == 0):
+        e_n = float(model.levels[n])
+        if model.inside_band(e_n) and not model.is_interior_zero(e_n):
+            out.append(_pinned_state(model, int(n), BoundStateKind.IN_CONTINUUM))
     return out
 
 

@@ -21,6 +21,10 @@ with "divergent" standing for the exponent -1/2 (van Hove edge).
 
 Unknown keys are rejected.  Exit codes: 0 ok, 2 configuration error,
 3 numerical failure (diagnostic JSON on stderr).
+
+The package imports numpy alone: waveguide, spectrum, bound-states and
+dynamics never load scipy; markovian, oracle and reproduce load
+scipy.linalg or scipy.sparse when they reach the routines that use them.
 """
 from __future__ import annotations
 

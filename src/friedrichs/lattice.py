@@ -28,13 +28,13 @@ keeps only what the output times need:
 The grid is uniform, so the times tau_j relative to a segment's start are
 the same in every segment and C is built once per call, by Miller's
 backward recurrence for J_k normalised by J_0 + 2 sum_k J_2k = 1.
+scipy.sparse, for H, is imported when `_hamiltonian` runs.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import SurvivalSeries
 from .errors import ConfigError, LightConeViolation, NormDrift
@@ -75,6 +75,8 @@ def _hamiltonian(params: WaveguideParams, n_sites: int, attach: int):
     between chain site 1 and waveguide site `attach`.  Every row sum of |H|
     is at most 2*max(lambda, kappa) + xi (Gershgorin).
     """
+    from scipy import sparse
+
     n_atoms = params.n_atoms
     dim = n_atoms + n_sites
     hop = np.concatenate(

@@ -8,7 +8,10 @@ that one decomposition (eigenbasis or chain basis).  The paper's residue
 form -I(z_i) f_n / (K'(z_i)(z_i - eps_n)) of the same amplitudes is an
 identity of the eigenbasis, pinned by a test rather than evaluated here.
 The expm reference never uses the decomposition: it steps through the
-sorted times, one exp(-iH dt) per step dt.
+sorted times, one exp(-iH dt) per step dt.  scipy.linalg is imported by
+the routines that call it, when they run: the eigensolver for N > 2 in
+`resonance_decomposition`, the Schur form of `_jordan_blocks` and the expm
+branch of `markovian_survival`.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import SurvivalSeries
 from .errors import ConfigError, ExceptionalPoint, NegativeGamma
@@ -126,6 +128,8 @@ def _jordan_blocks(h: np.ndarray, z: np.ndarray, gap_tol: float):
     least-squares solves give well-scaled chain vectors even when the raw
     shifted system is on the edge of singularity.
     """
+    import scipy.linalg
+
     order = _order(z)
     z = z[order]
     clusters = []
@@ -173,6 +177,8 @@ def resonance_decomposition(h: EffectiveHamiltonianMarkov) -> ResonanceSystem:
     elif n == 2:
         z, vecs = _eig2(mat)
     else:
+        import scipy.linalg
+
         z, vecs = scipy.linalg.eig(mat)
 
     below, above = np.tril_indices(n, -1)
@@ -279,6 +285,8 @@ def markovian_survival(
         raise ConfigError(f"method must be 'closed' or 'expm', got {method!r}")
     c0 = initial.amplitudes
     if method == "expm":
+        import scipy.linalg
+
         amps = np.empty((h.n, t.size), dtype=complex)
         tol = 4.0 * np.spacing(float(np.max(np.abs(t), initial=0.0)))
         state, now, step = c0, 0.0, None

@@ -14,7 +14,8 @@ transform of `dynamics` builds its panels from the same pieces
 (`graded_breaks`, `split_panels`, `panel_rule`) and sums them against
 exp(-i omega t) in `fourier_linear`.  Adaptive `quad` is only the reference
 the tests compare these rules against: `band_integral`, and
-`principal_value` on top of it.
+`principal_value` on top of it.  `band_integral` imports it when called,
+so nothing else here loads scipy.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 _QUAD_LIMIT = 400
 
@@ -44,6 +44,8 @@ def band_integral(f, lo, up, interior_points=(), epsrel=1e-10):
     Adaptive `quad` in k over [0, pi], split at the k of each interior point:
     the reference of the fixed rules, and the route of `principal_value`.
     """
+    from scipy.integrate import quad
+
     mid, half = 0.5 * (lo + up), 0.5 * (up - lo)
 
     def g(k):

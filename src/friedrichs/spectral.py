@@ -3,7 +3,8 @@
 K and I are exact rational sums over the discrete levels (valid at complex
 arguments).  Next to a level they are read with its pole multiplied out,
 never stepped around: the K-zero of a gap is the root of K(E)(E - a)(b - E)
-over the whole gap, and `dynamics` builds the scattering weight from
+over the whole gap (by `_brent`, the package's Brent solve, which the
+bound-state solve uses too), and `dynamics` builds the scattering weight from
 prod_n (E - eps_n) times K and I.  This is the only module that reads a
 model's closed-form overrides: Sigma, Sigma' and Delta take them when the
 model carries them.
@@ -24,7 +25,14 @@ import math
 import numpy as np
 
 from . import quadrature as qd
-from .errors import ConfigError, DivergentDerivative, EInsideBand, NonconvergentEdge, PoleHit
+from .errors import (
+    ConfigError,
+    DivergentDerivative,
+    EInsideBand,
+    NonconvergentEdge,
+    PoleHit,
+    RootNotFound,
+)
 from .model import DIVERGENT, InitialState, ValidatedModel
 
 #: relative accuracy of the fixed Sigma and Sigma' rules (`kernel_integral`)
@@ -58,6 +66,68 @@ def i_function(model: ValidatedModel, initial: InitialState, z: complex) -> comp
     return complex(np.sum(w / _pole_distances(model, z)))
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """The root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of the C routine behind scipy.optimize.brentq (scipy 1.17,
+    optimize/Zeros/brentq.c by Charles Harris, under SciPy's BSD-3-Clause
+    license) that takes the same steps in the same operation order, so
+    every root is bit for bit scipy's.
+    Signs are read from the sign bit, never from a product that may
+    underflow.  Where C's interpolation step divides by zero, giving an
+    infinite or NaN step that fails the step test, this bisects as C does.
+    Converged when |f| = 0 or half the bracket is below (xtol + rtol|x|)/2.
+    Raises RootNotFound naming the bracket for ends of the same sign, a NaN
+    value of f, or no convergence within maxiter steps.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise RootNotFound(f"f is NaN at {x}, bracket [{a}, {b}]")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise RootNotFound(f"f({a}) = {fpre} and f({b}) = {fcur} have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the best point so far
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # fails the step test: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RootNotFound(f"no convergence in {maxiter} steps, bracket [{a}, {b}]")
+
+
 def _k_zero_in_gap(model: ValidatedModel, j: int) -> float:
     """The zero of K between the adjacent levels a = eps_j < b = eps_{j+1}.
 
@@ -68,8 +138,6 @@ def _k_zero_in_gap(model: ValidatedModel, j: int) -> float:
     Raises ConfigError naming a level of the pair with |f|^2 = 0: it has no
     K-pole, so K need not change sign in the gap.
     """
-    from scipy.optimize import brentq
-
     for i in (j, j + 1):
         if model._f2[i] == 0.0:
             raise ConfigError(
@@ -86,7 +154,7 @@ def _k_zero_in_gap(model: ValidatedModel, j: int) -> float:
         k_rest = float((rest_f2 / (e - rest_levels)).sum())
         return k_rest * (e - a) * (b - e) + f2a * (b - e) - f2b * (e - a)
 
-    return brentq(g, a, b, xtol=1e-15 * model.scale, rtol=8.9e-16)
+    return _brent(g, a, b, xtol=1e-15 * model.scale, rtol=8.9e-16, maxiter=100)
 
 
 def k_zeros(model: ValidatedModel) -> np.ndarray:

@@ -256,12 +256,12 @@ class _XiCensus:
     energy_criterion: dict
     sigma_inv_edge: float
     threshold: float | None
-    m_bic: int
     xi_squared: list[float]
     k_edge: list[float]
     amplitude_ok: list[bool]
     m_below: list[int]
     m_above: list[int]
+    m_bic: list[int]
 
     def census(self, i: int) -> BoundStateCensus:
         """Entry i as the scalar census, with its criteria trace."""
@@ -285,7 +285,7 @@ class _XiCensus:
             n_up=self.n_up,
             m_below=self.m_below[i],
             m_above=self.m_above[i],
-            m_bic=self.m_bic,
+            m_bic=self.m_bic[i],
             criteria_trace=trace,
         )
 
@@ -301,7 +301,8 @@ def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
     a finite site meets it for l*xi^2 above -kappa*lambda*b/a when a*b < 0.
     The threshold is None when a*b >= 0 (then K(-2k) >= 0 and no l*xi^2
     does) and at the infinite site.  Only K(-2k) depends on xi: (a, b), the
-    level counts and the energy criterion are evaluated once.  The per-xi
+    level counts and the energy criterion are evaluated once, and the BIC
+    count once for xi > 0 and once for xi = 0 (`_bic_levels`).  The per-xi
     entries are plain floats: xi^2 is Python's x**2 of each xi and K(-2k)
     keeps the scalar operation order, so every entry equals the census of
     that one xi bit for bit (numpy's square and arccosh differ in the last
@@ -328,6 +329,7 @@ def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
     threshold = -kap * lam * b / a if a * b < 0 and not params.infinite else None
     amplitude_ok = [k < sigma_inv_edge for k in k_edge]
     extra = [int(energy_ok and ok) for ok in amplitude_ok]
+    bics = [len(_bic_levels(params, coupled)) for coupled in (False, True)]
     return _XiCensus(
         params=params,
         n_low=n_low,
@@ -340,12 +342,12 @@ def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
         },
         sigma_inv_edge=sigma_inv_edge,
         threshold=threshold,
-        m_bic=len(waveguide_bic_energies(params)),
         xi_squared=xi_squared,
         k_edge=k_edge,
         amplitude_ok=amplitude_ok,
         m_below=[n_low + e for e in extra],
         m_above=[n_up + e for e in extra],
+        m_bic=[bics[x != 0.0] for x in xis],
     )
 
 
@@ -356,11 +358,20 @@ def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
 
 
 def waveguide_bic_energies(params: WaveguideParams) -> list[float]:
-    """Level energies on interior J-zeros, within the model's J-zero tolerance
-    (`model.near_declared_zero`), as `bound_states.find_bics` matches them."""
+    """The chain levels that are bound states in the continuum, as
+    `bound_states.find_bics` finds them (`_bic_levels`)."""
+    return _bic_levels(params, params.xi != 0.0)
+
+
+def _bic_levels(params: WaveguideParams, coupled: bool) -> list[float]:
+    """Coupled levels on interior J-zeros, within the model's J-zero tolerance
+    (`model.near_declared_zero`); uncoupled (xi = 0), every level strictly
+    inside the band, each an eigenstate on its own."""
+    levels, kap = chain_levels(params), params.kappa
+    if not coupled:
+        return [float(e) for e in levels if -2 * kap < e < 2 * kap]
     if params.infinite or params.l_int < 2:
         return []
-    levels, kap = chain_levels(params), params.kappa
     scale = energy_scale(levels, -2 * kap, 2 * kap)
     zeros = j_zeros(params)
     return [float(e) for e in levels if near_declared_zero(e, zeros, scale)]

@@ -362,15 +362,16 @@ def test_mirror_symmetry(seed):
     assert np.allclose(em, er, rtol=0.0, atol=1e-12 * m.scale)
 
 
-def _uncoupled_level_model(levels, couplings):
-    """Levels and couplings on J = 0.3(1 - w^2) over [-1, 1]."""
+def _uncoupled_level_model(levels, couplings, zeros=()):
+    """Levels and couplings on J = 0.3(1 - w^2) prod_z (w - z)^2 over [-1, 1]."""
     def j(om):
         om = np.asarray(om, dtype=float)
-        return np.where(np.abs(om) < 1.0, 0.3 * (1.0 - om**2), 0.0)
+        shape = np.prod([(om - z) ** 2 for z in zeros], axis=0) if zeros else 1.0
+        return np.where(np.abs(om) < 1.0, 0.3 * (1.0 - om**2) * shape, 0.0)
 
     return fr.validate_model(fr.FriedrichsModel(
         fr.DiscreteSpectrum(np.array(levels), np.array(couplings)),
-        fr.ContinuumBand(-1.0, 1.0, j),
+        fr.ContinuumBand(-1.0, 1.0, j, interior_zeros=zeros),
     ))
 
 
@@ -413,6 +414,26 @@ def test_uncoupled_level_outside_the_band_is_a_pinned_state(levels, couplings):
 
 def test_survival_on_an_uncoupled_level_stays_one():
     model = _uncoupled_level_model([-2.0, -1.5], [0.3, 0.0])
+    series = fr.survival_probability(
+        model, fr.InitialState(np.array([0.0, 1.0])), np.linspace(0.0, 50.0, 26)
+    )
+    assert np.max(np.abs(series.p - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("zeros", [(), (0.3,)])
+def test_uncoupled_level_inside_the_band_is_a_pinned_bic(zeros):
+    # f = 0 strictly inside the band: an eigenstate on the level alone, which
+    # used to be lost (p = 0); on a declared J-zero the zero's branch pins it,
+    # and it is counted once
+    model = _uncoupled_level_model([-0.5, 0.3], [0.2, 0.0], zeros)
+    bics = fr.find_bics(model)
+    census = fr.count_bound_states(model)
+    assert len(bics) == census.m_bic == 1
+    state = bics[0]
+    assert state.energy == 0.3 and state.kind is BoundStateKind.IN_CONTINUUM
+    assert state.level_index == 1 and state.norm_b2 == 1.0
+    assert np.array_equal(state.amplitudes, [0.0, 1.0])
+    assert np.all(state.continuum_profile(np.linspace(-0.9, 0.9, 7)) == 0.0)
     series = fr.survival_probability(
         model, fr.InitialState(np.array([0.0, 1.0])), np.linspace(0.0, 50.0, 26)
     )

@@ -153,6 +153,19 @@ def test_match_oracle_all_geometries(fig_cases):
         assert np.max(np.abs(series.p - oracle.p)) < 1e-10
 
 
+def test_uncoupled_level_inside_the_band_matches_the_oracle():
+    # xi = 0 leaves the chain level 0 inside the band uncoupled: p = 1, as the
+    # lattice gives, where the dynamics used to return p = 0
+    params = fr.WaveguideParams(1, 1.0, 0.75, 0.0, 1)
+    model = fr.build_waveguide_model(params)
+    series = fr.survival_probability(
+        model, fr.default_initial_state(params), np.linspace(0.0, 20.0, 81)
+    )
+    oracle = fr.evolve_lattice(params, t_max=20.0, dt_out=0.25)
+    assert np.max(np.abs(series.p - 1.0)) <= 1e-12
+    assert np.max(np.abs(series.p - oracle.p)) <= 1e-12
+
+
 def test_long_time_limit_structure(fig_cases):
     _, model2, initial2, bound2 = fig_cases[2]
     lim2 = fr.long_time_limit(model2, initial2, bound2)

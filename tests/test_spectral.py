@@ -3,12 +3,19 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import friedrichs as fr
 from friedrichs import spectral as sp
-from friedrichs.errors import DivergentDerivative, EInsideBand, NonconvergentEdge, PoleHit
+from friedrichs.errors import (
+    DivergentDerivative,
+    EInsideBand,
+    NonconvergentEdge,
+    PoleHit,
+    RootNotFound,
+)
 
 from _support import k_real_grid, random_model, without_overrides
 
@@ -354,3 +361,119 @@ def test_closed_sigma_next_to_edge_matches_rule(site):
     m = fr.build_waveguide_model(fr.WaveguideParams(3, 1.0, 0.3, 0.25, site))
     for d in (1.001e-12, 1e-11, 1e-10):
         assert_routes_agree(m, m.omega_up + d * m.scale)
+
+
+# ---------------------------------------------------------------------------
+# the in-package Brent solve against scipy.optimize.brentq
+
+#: f(x) = scale * shape((x - root) / width)
+SHAPES = {
+    "linear": lambda u: u,
+    "cubic": lambda u: u**3,
+    "tanh": math.tanh,
+    "steep": lambda u: math.atan(1e6 * u),
+    "staircase": lambda u: math.floor(7.0 * u) + 0.5,
+}
+RTOL = 8.9e-16  # both call sites
+
+
+def _outcome(solve, failures):
+    """The root, or "raised" when the solve fails with one of failures."""
+    try:
+        return solve()
+    except failures:
+        return "raised"
+
+
+def _assert_same_as_brentq(f, a, b, xtol, maxiter):
+    ours = _outcome(lambda: sp._brent(f, a, b, xtol, RTOL, maxiter), RootNotFound)
+    theirs = _outcome(
+        lambda: brentq(f, a, b, xtol=xtol, rtol=RTOL, maxiter=maxiter), (ValueError, RuntimeError)
+    )
+    assert ours == theirs, (ours, theirs)
+    if ours != "raised":  # bit for bit, the sign of a zero included
+        assert math.copysign(1.0, ours) == math.copysign(1.0, theirs)
+
+
+@given(
+    st.sampled_from(sorted(SHAPES)),
+    st.one_of(
+        st.sampled_from([1e-300, 1e-200, 1e200]),
+        st.floats(-250.0, 250.0).map(lambda x: 10.0**x),
+    ),
+    st.floats(-5.0, 5.0),  # root
+    st.floats(-3.0, 1.0).map(lambda x: 10.0**x),  # width
+    st.floats(-10.0, 10.0),  # a
+    st.floats(-10.0, 10.0),  # b
+    st.floats(-3.0, 3.0).map(lambda x: 10.0**x),  # the call sites' model.scale
+    st.sampled_from([100, 200, 3, 10]),
+)
+@settings(max_examples=400, deadline=None)
+@example("cubic", 1e-200, 0.3, 1.0, 0.0, 1.0, 1.0, 100)  # products underflow to 0
+@example("linear", 1e200, 0.123456789, 1.0, -2.0, 4.0, 3.0, 200)
+def test_brent_is_brentq_bit_for_bit(shape, scale, root, width, a, b, x_scale, maxiter):
+    """Every root == scipy's, and a failure wherever scipy fails: ends of one
+    sign, no convergence in maxiter (3 and 10 run out on most draws)."""
+    assume(a != b)
+    h = SHAPES[shape]
+
+    def f(x):
+        return scale * h((x - root) / width)
+
+    _assert_same_as_brentq(f, a, b, 1e-15 * x_scale, maxiter)
+
+
+def test_brent_bisects_where_the_interpolation_divides_by_zero():
+    # at 1e-200 the inverse-quadratic denominator dblk*dpre*(fblk - fpre)
+    # underflows to 0: C's step is +-inf or NaN and fails the step test, so
+    # the port has to bisect too; at scale 1 the same staircase interpolates
+    # and lands on a different root
+    def staircase(scale):
+        return lambda x: scale * (math.floor(8.0 * x) - 2.5)
+
+    for scale in (1e-200, 1e-150, 1.0):
+        _assert_same_as_brentq(staircase(scale), 0.0, 1.0, 1e-15, 100)
+    tiny = sp._brent(staircase(1e-200), 0.0, 1.0, 1e-15, RTOL, 100)
+    assert tiny != sp._brent(staircase(1.0), 0.0, 1.0, 1e-15, RTOL, 100)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (-1.0, 0.0), (0.0, 0.0)])
+def test_brent_returns_an_end_where_f_vanishes(a, b):
+    f = lambda x: x
+    for maxiter in (100, 200):
+        _assert_same_as_brentq(f, a, b, 1e-15, maxiter)
+    assert sp._brent(f, a, b, 1e-15, RTOL, 100) == 0.0
+
+
+@pytest.mark.parametrize("f, a, b, named", [
+    (lambda x: x * x + 1.0, -1.0, 2.0, "same sign"),
+    (lambda x: 1e-200 * (x + 3.0), -1.0, 2.0, "same sign"),
+    (lambda x: math.nan if x == 2.0 else x, -1.0, 2.0, "NaN at 2.0"),
+    (lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, -1.0, 2.0, "NaN at"),
+    (math.atan, -1.0, 2.0, "no convergence in 3 steps"),
+])
+def test_brent_failure_is_root_not_found_naming_the_bracket(f, a, b, named):
+    with pytest.raises(RootNotFound, match=re.escape(named)) as exc:
+        sp._brent(f, a, b, 1e-15, RTOL, 3)
+    assert f"{b}" in str(exc.value) and f"{a}" in str(exc.value)
+
+
+def test_both_call_sites_match_brentq(monkeypatch):
+    """The K-zero search (maxiter 100) and the bound-state solve (200), each
+    call replayed through scipy's brentq on the same function."""
+    settings_seen = set()
+    own = sp._brent
+
+    def checked(f, a, b, xtol, rtol, maxiter):
+        root = own(f, a, b, xtol, rtol, maxiter)
+        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        settings_seen.add((rtol, maxiter))
+        return root
+
+    monkeypatch.setattr(sp, "_brent", checked)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        fr.all_bound_states(random_model(rng, n_max=4, with_zero=True))
+    for site in (1, 2, fr.INFINITE):
+        fr.all_bound_states(fr.build_waveguide_model(fr.WaveguideParams(5, 1.0, 0.4, 0.8, site)))
+    assert settings_seen == {(RTOL, 100), (RTOL, 200)}

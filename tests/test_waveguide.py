@@ -130,6 +130,22 @@ def test_closed_and_generic_censuses_match_levels_to_zeros_alike(kappa):
     assert fr.waveguide_bic_energies(params) == list(model.levels)
 
 
+@pytest.mark.parametrize("site", [1, 2, 4, fr.INFINITE])
+def test_uncoupled_chain_levels_inside_the_band_are_bics_on_both_routes(site):
+    # xi = 0: every level inside the band is an eigenstate of its own; at
+    # sites 2 and 4 the level 0 also sits on a J-zero and counts once
+    params = fr.WaveguideParams(3, 1.0, 0.75, 0.0, site)
+    model = fr.build_waveguide_model(params)
+    closed = fr.waveguide_bound_state_count(params)
+    generic = fr.count_bound_states(model)
+    counts = lambda c: (c.n_low, c.n_up, c.m_below, c.m_above, c.m_bic)
+    assert counts(closed) == counts(generic) == (0, 0, 0, 0, 3)
+    assert fr.waveguide_bic_energies(params) == list(model.levels)
+    assert [s.energy for s in fr.all_bound_states(model)] == list(model.levels)
+    over_xi = _census_over_xi(params, [0.0, 0.25])
+    assert [over_xi.census(i).m_bic for i in (0, 1)] == [3, int(site in (2, 4))]
+
+
 def test_infinite_site_amplitude_criterion_follows_energy_criterion():
     # divergent-edge case: the only remaining condition is the energy criterion
     for kap, xi in ((0.2, 0.01), (0.2, 3.0), (0.9, 0.5)):
