@@ -6,11 +6,13 @@ so each branch holds at most one root.  One walk, the same for both sides,
 brackets one root per interval from a band edge through the coupled levels
 eps_n (the poles of K), nearest first, to an expanding far sentinel; the
 interval at the edge holds one only when the census found the extra root,
-and the census has already certified the sign of K - 1/Sigma at the edge
-(1/Sigma its limit 0 at a divergent edge).  Brent's method then runs on
-the pole-free g = (K - 1/Sigma) * prod_p |E - p| over the bracket's ends p
-on levels, with each pole's term of K taken exactly: g is finite up to the
-poles, and its value at every end is known without evaluating Sigma there.
+and the census has already certified the sign of K - 1/Sigma at the edge.
+Census and solve read 1/Sigma from `spectral.inverse_self_energy`: at a
+divergent edge the float limit -0.0 or +0.0, as the trace's `sigma_inv_edge`
+holds it.  Brent's method then runs on the pole-free
+g = (K - 1/Sigma) * prod_p |E - p| over the bracket's ends p on levels, with
+each pole's term of K taken exactly: g is finite up to the poles, and its
+value at every end is known without evaluating Sigma there.
 An uncoupled level (f_n = 0) is no pole of K: outside the band, and
 strictly inside it, it is a bound state of its own, pinned to that level.
 Otherwise a state inside the band lies only at a declared zero of J.
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import spectral as sp
-from .errors import NonconvergentEdge, NormalizationFailure, RootNotFound
+from .errors import ConfigError, NormalizationFailure, RootNotFound
 from .model import ValidatedModel, near_declared_zero
 
 
@@ -87,9 +89,9 @@ def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
     trace["energy_ok"] = bool(energy_ok)
 
     k_edge = float(np.real(sp.k_function(model, edge)))
-    sig_inv, is_limit = sp.sigma_inverse_at_edge(model, side)
+    sig_inv = sp.inverse_self_energy(model, edge)
     trace["k_edge"] = k_edge
-    trace["sigma_inv_edge"] = ("0-" if sgn < 0 else "0+") if is_limit else sig_inv
+    trace["sigma_inv_edge"] = sig_inv
     margin = sgn * (k_edge - sig_inv)
     tie = abs(margin) <= 1e-12 * float(np.sum(model._f2 / np.abs(edge - levels)))
     trace["tie"] = bool(tie)
@@ -121,7 +123,7 @@ def count_bound_states(model: ValidatedModel) -> BoundStateCensus:
 # root solving
 
 def _mismatch(model: ValidatedModel, e: float) -> float:
-    return float(np.real(sp.k_function(model, e))) - 1.0 / sp.self_energy(model, e)
+    return float(np.real(sp.k_function(model, e))) - sp.inverse_self_energy(model, e)
 
 
 def _expand_sentinel(model: ValidatedModel, start: float, direction: int):
@@ -170,17 +172,14 @@ def _brackets_one_side(model: ValidatedModel, trace: dict, sgn: int):
     levels on that side.
 
     The edge starts the walk only when the census found its extra root; it
-    carries the census's K - 1/Sigma there (1/Sigma the limit 0 at a
-    divergent edge), whose sign the census certified.
+    carries the census's K - 1/Sigma there, whose sign the census certified.
     """
     edge = trace["edge"]
     levels, f2 = model.levels, model._f2
     outside = sgn * (levels - edge) > 0
     walk = [(float(levels[n]), int(n), None) for n in np.flatnonzero(outside & (f2 > 0))[::sgn]]
     if trace.get("extra_root"):
-        sig_inv = trace["sigma_inv_edge"]
-        f_edge = trace["k_edge"] - (0.0 if isinstance(sig_inv, str) else sig_inv)
-        walk.insert(0, (edge, None, f_edge))
+        walk.insert(0, (edge, None, trace["k_edge"] - trace["sigma_inv_edge"]))
     if walk:
         e, f = _expand_sentinel(model, walk[-1][0], sgn)
         walk.append((e, None, f))
@@ -188,14 +187,14 @@ def _brackets_one_side(model: ValidatedModel, trace: dict, sgn: int):
     return brackets[::sgn], [int(n) for n in np.flatnonzero(outside & (f2 == 0))]
 
 
-def _pole_free(model: ValidatedModel, br: _Bracket, sigmas: dict) -> Callable:
+def _pole_free(model: ValidatedModel, br: _Bracket, sig_invs: dict) -> Callable:
     """g(E) = (K(E) - 1/Sigma(E)) * prod_p |E - p| on the bracket br, p = eps_n
     over its pole ends (n, s), with each pole's term of K taken exactly as
     s*|f_n|^2 times the product over the other pole ends: g is smooth up to
     the poles.  At an end g returns the bracket's own value, without Sigma.
 
-    1/Sigma reads as in the census: the limit 0 within the edge tolerance of
-    a divergent edge.  Each Sigma evaluated is kept in sigmas by energy.
+    1/Sigma reads as in the census (`spectral.inverse_self_energy`).  Each
+    1/Sigma evaluated is kept in sig_invs by energy.
     """
     levels, f2 = model.levels, model._f2
     rest = f2 > 0  # the levels whose terms of K are summed as they stand
@@ -209,11 +208,7 @@ def _pole_free(model: ValidatedModel, br: _Bracket, sigmas: dict) -> Callable:
         if e == br.b:
             return br.gb
         d = [abs(e - p) for p, _ in ends]
-        try:
-            sigmas[e] = sp.self_energy(model, e)
-            sig_inv = 1.0 / sigmas[e]
-        except NonconvergentEdge:
-            sig_inv = 0.0
+        sig_inv = sig_invs[e] = sp.inverse_self_energy(model, e)
         out = (float((rest_f2 / (e - rest_levels)).sum()) - sig_inv) * math.prod(d)
         for i, (_, term) in enumerate(ends):
             out += term * math.prod(d[:i] + d[i + 1 :])
@@ -224,17 +219,19 @@ def _pole_free(model: ValidatedModel, br: _Bracket, sigmas: dict) -> Callable:
 
 def _solve_bracket(model: ValidatedModel, br: _Bracket):
     """The root in br and Sigma there (None if not yet evaluated): Brent on
-    `_pole_free`."""
-    sigmas: dict = {}
+    `_pole_free`, whose 1/Sigma at the root gives Sigma unless it is a
+    divergent edge's limit 0."""
+    sig_invs: dict = {}
     root = sp._brent(
-        _pole_free(model, br, sigmas),
+        _pole_free(model, br, sig_invs),
         br.a,
         br.b,
         xtol=1e-15 * model.scale,
         rtol=8.9e-16,
         maxiter=200,
     )
-    return _polish(model, root, br.a, br.b, sigmas.get(root))
+    sig_inv = sig_invs.get(root)
+    return _polish(model, root, br.a, br.b, 1.0 / sig_inv if sig_inv else None)
 
 
 def _polish(model: ValidatedModel, e: float, a: float, b: float, sig: Optional[float]):
@@ -326,6 +323,11 @@ def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = 
     root solved in a bracket whose ends carry the values of g that certified
     them, and each uncoupled level outside the band pinned to itself."""
     census = census or count_bound_states(model)
+    if not {"low", "up"} <= census.criteria_trace.keys():
+        raise ConfigError(
+            "the census has no per-edge criteria trace (a closed-form census?): "
+            "pass count_bound_states(model)"
+        )
     states: list[BoundState] = []
     for sgn, kind, want in (
         (-1, BoundStateKind.BELOW_BAND, census.m_below),

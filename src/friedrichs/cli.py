@@ -117,6 +117,8 @@ def params_from_doc(doc: dict) -> WaveguideParams:
         )
     except KeyError as exc:
         raise ConfigError(f"waveguide model missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed waveguide model: {exc}") from exc
 
 
 def _complex_list(values) -> np.ndarray:
@@ -204,21 +206,17 @@ def _initial_state(values, model, where: str) -> InitialState:
 
 
 def _load_model(args):
+    """`model_from_doc` of the --model file, or of the waveguide flags."""
     if getattr(args, "model", None):
         doc = _read_json(args.model, "--model")
         if not isinstance(doc, dict):
             raise ConfigError("model document must be a JSON object")
-        return model_from_doc(doc)
-    if getattr(args, "n_atoms", None) is not None:
-        params = WaveguideParams(
-            n_atoms=_integer(args.n_atoms, "n_atoms"),
-            lam=args.lam,
-            kappa=args.kappa,
-            xi=args.xi,
-            site=_parse_site(args.site),
-        )
-        return build_waveguide_model(params), default_initial_state(params), params
-    raise ConfigError("provide --model FILE or waveguide flags (--n-atoms ...)")
+    elif getattr(args, "n_atoms", None) is not None:
+        doc = {"kind": "waveguide", "n_atoms": args.n_atoms, "lambda": args.lam,
+               "kappa": args.kappa, "xi": args.xi, "site": args.site}
+    else:
+        raise ConfigError("provide --model FILE or waveguide flags (--n-atoms ...)")
+    return model_from_doc(doc)
 
 
 def _add_model_flags(parser):
@@ -264,24 +262,27 @@ def _apply_config(argv, by_name):
     subparser.set_defaults(**{**doc, **typed})
 
 
-def _write_csv(path, header_cols, rows, provenance: dict):
-    lines = [f"# {k} = {v}" for k, v in provenance.items()]
-    lines.append(",".join(header_cols))
-    for row in rows:
+def _write_csv(path, provenance: dict, columns: dict):
+    """The tool line and provenance as comments, then the named columns
+    (equal-length sequences) as CSV; floats in FLOAT_FMT."""
+    lines = [f"# tool = friedrichs {__version__}"]
+    lines += [f"# {k} = {v}" for k, v in provenance.items()]
+    lines.append(",".join(columns))
+    for row in zip(*columns.values()):
         lines.append(
             ",".join(
                 (FLOAT_FMT % v) if isinstance(v, float) else str(v) for v in row
             )
         )
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _emit(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _emit(path, text: str):
+    """text to the file path, or to standard output when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -299,7 +300,7 @@ def _state_payload(state: bs.BoundState) -> dict:
 
 
 def _provenance(args, extra=None):
-    out = {"tool": f"friedrichs {__version__}", "command": args.cmd}
+    out = {"command": args.cmd}
     if getattr(args, "model", None):
         out["model_file"] = args.model
     elif getattr(args, "n_atoms", None) is not None:
@@ -341,33 +342,34 @@ def _cmd_spectrum(args):
     lo = args.e_min if args.e_min is not None else model.omega_low - 1.0
     hi = args.e_max if args.e_max is not None else model.omega_up + 1.0
     grid = np.linspace(_finite(lo, "--e-min"), _finite(hi, "--e-max"), args.points)
-    rows = []
-    for e in grid:
-        e = float(e)
-        try:
-            k_val = float(np.real(sp.k_function(model, e)))
-            kp_val = float(np.real(sp.k_derivative(model, e)))
-        except PoleHit:
-            k_val = kp_val = math.nan
-        if model.inside_band(e) and not model.is_edge(e):
-            try:
-                d, g = sp.delta_gamma(model, e)
-            except FriedrichsError:
-                d = g = math.nan
-        else:
-            g = 0.0
-            try:
-                d = sp.self_energy(model, e)
-            except (EInsideBand, NonconvergentEdge):
-                d = math.nan
-        rows.append((e, d, g, k_val, kp_val))
+    values = np.array([_spectrum_row(model, float(e)) for e in grid])
+    names = ["E", "sigma_or_delta", "gamma", "k", "k_prime"]
     _write_csv(
-        args.output,
-        ["E", "sigma_or_delta", "gamma", "k", "k_prime"],
-        rows,
-        _provenance(args, {"points": args.points}),
+        args.output, _provenance(args, {"points": args.points}), dict(zip(names, values.T))
     )
     return 0
+
+
+def _spectrum_row(model, e: float) -> tuple:
+    """(E, Sigma outside the band or Delta inside, Gamma, K, K'); nan where
+    one is undefined."""
+    try:
+        k_val = float(np.real(sp.k_function(model, e)))
+        kp_val = float(np.real(sp.k_derivative(model, e)))
+    except PoleHit:
+        k_val = kp_val = math.nan
+    if model.inside_band(e) and not model.is_edge(e):
+        try:
+            d, g = sp.delta_gamma(model, e)
+        except FriedrichsError:
+            d = g = math.nan
+    else:
+        g = 0.0
+        try:
+            d = sp.self_energy(model, e)
+        except (EInsideBand, NonconvergentEdge):
+            d = math.nan
+    return e, d, g, k_val, kp_val
 
 
 def _cmd_bound_states(args):
@@ -377,11 +379,7 @@ def _cmd_bound_states(args):
     states = bs.solve_bound_states(model, census) + bics
     payload = {
         "census": {
-            "n_low": census.n_low,
-            "n_up": census.n_up,
-            "m_below": census.m_below,
-            "m_above": census.m_above,
-            "m_bic": census.m_bic,
+            k: getattr(census, k) for k in ("n_low", "n_up", "m_below", "m_above", "m_bic")
         },
         "criteria_trace": census.criteria_trace,
         "states": [_state_payload(s) for s in sorted(states, key=lambda s: s.energy)],
@@ -413,20 +411,11 @@ def _cmd_dynamics(args):
     series = dyn.survival_probability(
         model, initial, times, coefficients=coeffs, error_budget=args.error_budget
     )
-    rows = list(
-        zip(
-            (float(t) for t in series.times),
-            (float(v) for v in series.p),
-            (float(v) for v in series.parts["bound"]),
-            (float(v) for v in series.parts["scatter"]),
-            (float(v) for v in series.parts["cross"]),
-        )
-    )
     _write_csv(
         args.output,
-        ["t", "p", "p_bound", "p_scatter", "p_cross"],
-        rows,
         _provenance(args, {"t_max": args.t_max, "points": args.points}),
+        {"t": series.times, "p": series.p}
+        | {f"p_{part}": series.parts[part] for part in ("bound", "scatter", "cross")},
     )
     limit = dyn.long_time_limit(model, initial, bound)
     _write_json(
@@ -444,15 +433,19 @@ def _cmd_dynamics(args):
     return 0
 
 
-def _xi_flow(params: WaveguideParams, gamma: float, values) -> list:
-    """Rows (xi, re z1, im z1, re z2, ...) of the Markovian eigenvalues of the
-    waveguide `params` at each xi in `values`."""
-    rows = []
-    for x in values:
-        h = mk.build_markovian(build_waveguide_model(replace(params, xi=float(x))), gamma)
-        z = mk.resonance_decomposition(h).eigenvalues
-        rows.append((float(x), *(v for zi in z for v in (float(zi.real), float(zi.imag)))))
-    return rows
+def _xi_flow(params: WaveguideParams, gamma: float, values, xi_name: str) -> dict:
+    """Columns xi_name, re_z1, im_z1, re_z2, ... of the Markovian eigenvalues
+    of the waveguide `params` at each xi in `values`."""
+    z = np.array([
+        mk.resonance_decomposition(
+            mk.build_markovian(build_waveguide_model(replace(params, xi=float(x))), gamma)
+        ).eigenvalues
+        for x in values
+    ]).reshape(len(values), params.n_atoms)
+    columns = {xi_name: values}
+    for i in range(params.n_atoms):
+        columns |= {f"re_z{i + 1}": z[:, i].real, f"im_z{i + 1}": z[:, i].imag}
+    return columns
 
 
 def _cmd_markovian(args):
@@ -467,9 +460,8 @@ def _cmd_markovian(args):
             values = np.linspace(float(lo), float(hi), int(steps))
         except ValueError as exc:
             raise ConfigError(f"malformed --sweep {lo} {hi} {steps}: {exc}") from exc
-        rows = _xi_flow(params, args.gamma, values)
-        cols = ["xi"] + [f"{p}_z{i+1}" for i in range(model.n_levels) for p in ("re", "im")]
-        _write_csv(args.output, cols, rows, _provenance(args, {"gamma": args.gamma}))
+        columns = _xi_flow(params, args.gamma, values, "xi")
+        _write_csv(args.output, _provenance(args, {"gamma": args.gamma}), columns)
         return 0
 
     initial = _initial_for(args, model, default_init)
@@ -478,12 +470,10 @@ def _cmd_markovian(args):
     sys_ = mk.resonance_decomposition(h)
     closed = mk.markovian_survival(h, initial, times, system=sys_)
     direct = mk.markovian_survival(h, initial, times, method="expm")
-    rows = list(zip(map(float, times), map(float, closed.p), map(float, direct.p)))
     _write_csv(
         args.output,
-        ["t", "p_closed", "p_expm"],
-        rows,
         _provenance(args, {"gamma": args.gamma}),
+        {"t": times, "p_closed": closed.p, "p_expm": direct.p},
     )
     rep = mk.anti_pt_check(h, system=sys_)
     _write_json(
@@ -510,12 +500,10 @@ def _cmd_oracle(args):
         dt_out=args.t_max / max(args.points - 1, 1),
         n_trunc=args.n_trunc,
     )
-    rows = list(zip(map(float, series.times), map(float, series.p)))
     _write_csv(
         args.output,
-        ["t", "p"],
-        rows,
         _provenance(args, {"t_max": args.t_max, "n_trunc": series.meta["n_trunc"]}),
+        {"t": series.times, "p": series.p},
     )
     return 0
 
@@ -523,123 +511,67 @@ def _cmd_oracle(args):
 # ---------------------------------------------------------------------------
 # figure-reproduction datasets
 
-FIG_N = 3
-FIG_KAPPA = 0.75
-FIG_XI = 0.25
-FIG5_KAPPA = 4.0
-
-
-def _reproduce_fig3(outdir: Path):
+def _fig3():
     """Bound-state counts over (kappa/lambda, xi/lambda) for N = 1..6 at site 1:
     one closed-form census per (N, kappa) over the whole xi axis."""
     kappas = np.linspace(0.05, 1.5, 40).tolist()
     xis = np.linspace(0.05, 3.0, 40).tolist()
-    rows = []
-    for n in range(1, 7):
-        for kap in kappas:
-            census = _census_over_xi(WaveguideParams(n, 1.0, kap, 0.0, 1), xis)
-            n_out = census.n_low + census.n_up
-            rows += [
-                (n, kap, xi, n_out, lo + up)
-                for xi, lo, up in zip(xis, census.m_below, census.m_above)
-            ]
-    _write_csv(
-        outdir / "fig3_bound_state_counts.csv",
-        ["n_atoms", "kappa_over_lambda", "xi_over_lambda", "n_out", "m_out"],
-        rows,
-        {"tool": f"friedrichs {__version__}", "dataset": "fig3", "site": 1, "lambda": 1.0},
-    )
-    return [outdir / "fig3_bound_state_counts.csv"]
+    cases = [(n, kap) for n in range(1, 7) for kap in kappas]
+    censuses = [_census_over_xi(WaveguideParams(n, 1.0, kap, 0.0, 1), xis) for n, kap in cases]
+    yield "fig3_bound_state_counts.csv", {"dataset": "fig3", "site": 1, "lambda": 1.0}, {
+        "n_atoms": [n for n, _ in cases for _ in xis],
+        "kappa_over_lambda": [kap for _, kap in cases for _ in xis],
+        "xi_over_lambda": xis * len(cases),
+        "n_out": [c.n_low + c.n_up for c in censuses for _ in xis],
+        "m_out": [lo + up for c in censuses for lo, up in zip(c.m_below, c.m_above)],
+    }
 
 
-def _fig4_case(site):
-    params = WaveguideParams(FIG_N, 1.0, FIG_KAPPA, FIG_XI, site)
+def _survival_case(params: WaveguideParams, t_max: float, points: int, gamma=None):
+    """(times, exact p, lattice-oracle p, Markovian p at gamma or None) of the
+    waveguide `params` from its default initial state, on points times in
+    [0, t_max]."""
     model = build_waveguide_model(params)
     initial = default_initial_state(params)
-    times = np.linspace(0.0, 50.0, 400)
-    series = dyn.survival_probability(model, initial, times)
-    oracle = lattice.evolve(params, t_max=50.0, dt_out=50.0 / 399)
-    return params, times, series, oracle
+    times = np.linspace(0.0, t_max, points)
+    exact = dyn.survival_probability(model, initial, times).p
+    oracle = lattice.evolve(params, t_max=t_max, dt_out=t_max / (points - 1)).p
+    markov = None
+    if gamma is not None:
+        markov = mk.markovian_survival(mk.build_markovian(model, gamma), initial, times).p
+    return times, exact, oracle, markov
 
 
-def _reproduce_fig4(outdir: Path):
-    written = []
+def _case_provenance(dataset: str, params: WaveguideParams, **extra) -> dict:
+    return {"dataset": dataset, "n_atoms": params.n_atoms, "kappa_over_lambda": params.kappa,
+            "xi_over_lambda": params.xi, **extra}
+
+
+def _fig4():
+    """p(t) of N = 3, kappa/lambda = 0.75, xi/lambda = 0.25 at sites 1, 2, inf."""
     for site, tag in ((1, "l1"), (2, "l2"), (INFINITE, "linf")):
-        params, times, series, oracle = _fig4_case(site)
-        rows = list(
-            zip(map(float, times), map(float, series.p), map(float, oracle.p))
-        )
-        path = outdir / f"fig4_survival_{tag}.csv"
-        _write_csv(
-            path,
-            ["t", "p_analytic", "p_oracle"],
-            rows,
-            {
-                "tool": f"friedrichs {__version__}",
-                "dataset": "fig4",
-                "n_atoms": FIG_N,
-                "kappa_over_lambda": FIG_KAPPA,
-                "xi_over_lambda": FIG_XI,
-                "site": "inf" if site == INFINITE else site,
-            },
-        )
-        written.append(path)
-    return written
+        params = WaveguideParams(3, 1.0, 0.75, 0.25, site)
+        times, exact, oracle, _ = _survival_case(params, 50.0, 400)
+        provenance = _case_provenance("fig4", params, site="inf" if site == INFINITE else site)
+        yield f"fig4_survival_{tag}.csv", provenance, {
+            "t": times, "p_analytic": exact, "p_oracle": oracle
+        }
 
 
-def _reproduce_fig5(outdir: Path):
-    written = []
-    gamma = 1.0 / (2.0 * FIG5_KAPPA)
-    params = WaveguideParams(2, 1.0, FIG5_KAPPA, 0.0, INFINITE)
-    rows = _xi_flow(params, gamma, np.linspace(0.0, 8.0, 161))
-    path = outdir / "fig5_eigenvalue_flow.csv"
-    _write_csv(
-        path,
-        ["xi_over_lambda", "re_z1", "im_z1", "re_z2", "im_z2"],
-        rows,
-        {
-            "tool": f"friedrichs {__version__}",
-            "dataset": "fig5",
-            "n_atoms": 2,
-            "kappa_over_lambda": FIG5_KAPPA,
-            "gamma": gamma,
-        },
-    )
-    written.append(path)
-
-    times = np.linspace(0.0, 10.0, 201)
+def _fig5():
+    """Markovian eigenvalue flow over xi of N = 2, kappa/lambda = 4 at site inf,
+    and its decay at xi/lambda = 2, 4, 6 against the exact p(t)."""
+    params = WaveguideParams(2, 1.0, 4.0, 0.0, INFINITE)
+    gamma = 1.0 / (2.0 * params.kappa)
+    provenance = {"dataset": "fig5", "n_atoms": 2, "kappa_over_lambda": 4.0, "gamma": gamma}
+    flow = _xi_flow(params, gamma, np.linspace(0.0, 8.0, 161), "xi_over_lambda")
+    yield "fig5_eigenvalue_flow.csv", provenance, flow
     for xi in (2.0, 4.0, 6.0):
-        params = WaveguideParams(2, 1.0, FIG5_KAPPA, xi, INFINITE)
-        model = build_waveguide_model(params)
-        initial = default_initial_state(params)
-        h = mk.build_markovian(model, gamma)
-        closed = mk.markovian_survival(h, initial, times)
-        exact = dyn.survival_probability(model, initial, times)
-        oracle = lattice.evolve(params, t_max=10.0, dt_out=10.0 / 200)
-        rows = list(
-            zip(
-                map(float, times),
-                map(float, exact.p),
-                map(float, closed.p),
-                map(float, oracle.p),
-            )
-        )
-        path = outdir / f"fig5_decay_xi{xi:g}.csv"
-        _write_csv(
-            path,
-            ["t", "p_exact", "p_markovian", "p_oracle"],
-            rows,
-            {
-                "tool": f"friedrichs {__version__}",
-                "dataset": "fig5",
-                "n_atoms": 2,
-                "kappa_over_lambda": FIG5_KAPPA,
-                "xi_over_lambda": xi,
-                "gamma": gamma,
-            },
-        )
-        written.append(path)
-    return written
+        params = replace(params, xi=xi)
+        times, exact, oracle, markov = _survival_case(params, 10.0, 201, gamma)
+        yield f"fig5_decay_xi{xi:g}.csv", _case_provenance("fig5", params, gamma=gamma), {
+            "t": times, "p_exact": exact, "p_markovian": markov, "p_oracle": oracle
+        }
 
 
 _PLOT_STUB = """\
@@ -662,20 +594,17 @@ plt.show()
 
 
 def _cmd_reproduce(args):
+    """Each dataset of the chosen figures as a CSV file, and the plot stub."""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    which = args.figure
     written = []
-    if which in ("fig3", "all"):
-        written += _reproduce_fig3(outdir)
-    if which in ("fig4", "all"):
-        written += _reproduce_fig4(outdir)
-    if which in ("fig5", "all"):
-        written += _reproduce_fig5(outdir)
-    stub = outdir / "plot_stub.py"
-    stub.write_text(_PLOT_STUB)
-    written.append(stub)
-    for path in written:
+    for figure, datasets in (("fig3", _fig3), ("fig4", _fig4), ("fig5", _fig5)):
+        if args.figure in (figure, "all"):
+            for name, provenance, columns in datasets():
+                _write_csv(outdir / name, provenance, columns)
+                written.append(outdir / name)
+    (outdir / "plot_stub.py").write_text(_PLOT_STUB)
+    for path in written + [outdir / "plot_stub.py"]:
         print(path)
     return 0
 

@@ -232,6 +232,14 @@ def _halving_error(coefficients: DecayCoefficients, kern, fine, t) -> float:
     return max(halving, float((norm(a[:, 0] - c) + rounding) * (norm(a[:, 0]) + norm(c))))
 
 
+def _finite_times(times) -> np.ndarray:
+    """times as a float array; ConfigError naming a NaN or infinite time."""
+    t = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ConfigError(f"times must be finite, got {np.unique(t[~np.isfinite(t)])}")
+    return t
+
+
 def survival_probability(
     model: ValidatedModel,
     initial: InitialState,
@@ -249,9 +257,7 @@ def survival_probability(
     (`transform_error`); QuadratureBudgetExceeded is raised when that
     exceeds error_budget.
     """
-    t = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ConfigError(f"times must be finite, got {np.unique(t[~np.isfinite(t)])}")
+    t = _finite_times(times)
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):
         raise ConfigError("times must be sorted and non-negative")
     if coefficients is None:
@@ -285,7 +291,9 @@ def survival_amplitudes(
     coefficients: Optional[DecayCoefficients] = None,
     n_base_nodes: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-level amplitudes b_n(t) + s_n(t) on an unrestricted time grid."""
+    """Per-level amplitudes b_n(t) + s_n(t) on a grid of finite times, in any
+    order and of either sign."""
+    times = _finite_times(times)
     if coefficients is None:
         coefficients = decay_coefficients(model, initial, all_bound_states(model))
     kern = _transform(coefficients, times, n_base_nodes)[0]

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import SurvivalSeries
+from .dynamics import SurvivalSeries, _finite_times
 from .errors import ConfigError, ExceptionalPoint, NegativeGamma
 from .model import InitialState, ValidatedModel
 
@@ -73,7 +73,6 @@ class ResonanceSystem:
     eigenvalues: np.ndarray  # sorted by Im descending, ties Re ascending
     right: Optional[np.ndarray] = None  # columns |Psi_i+>
     left: Optional[np.ndarray] = None  # rows <Psi_i-| with <Psi-|Psi+> = 1
-    norm_products: Optional[np.ndarray] = None  # V_i W_i^*
     blocks: list = field(default_factory=list)  # JordanBlock entries (defective)
 
 
@@ -104,20 +103,6 @@ def _eig2(h: np.ndarray):
 
 def _order(z: np.ndarray) -> np.ndarray:
     return np.lexsort((z.real, -z.imag))
-
-
-def _norm_products(h: EffectiveHamiltonianMarkov, z, right, left):
-    """V_i W_i^* inferred from the rational eigenvector profile f_n/(z-eps_n).
-
-    Defined only when the coupling vector is nonzero and no resonance sits
-    on a level (true decaying resonances); nan otherwise.
-    """
-    n_star = int(np.argmax(np.abs(h.couplings)))
-    f = h.couplings[n_star]
-    if f == 0:
-        return np.full(z.size, np.nan, dtype=complex)
-    d = z - h.levels[n_star]
-    return np.where(d != 0, (right[n_star] * d / f) * (left[:, n_star] * d / np.conj(f)), np.nan)
 
 
 def _jordan_blocks(h: np.ndarray, z: np.ndarray, gap_tol: float):
@@ -214,7 +199,6 @@ def resonance_decomposition(h: EffectiveHamiltonianMarkov) -> ResonanceSystem:
         eigenvalues=z,
         right=right,
         left=left,
-        norm_products=_norm_products(h, z, right, left),
     )
 
 
@@ -278,9 +262,7 @@ def markovian_survival(
     U = exp(-iH dt), a new U only when dt moves by more than a few ulps of
     max|t|; ||U|| <= 1.
     """
-    t = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ConfigError(f"times must be finite, got {np.unique(t[~np.isfinite(t)])}")
+    t = _finite_times(times)
     if method not in ("closed", "expm"):
         raise ConfigError(f"method must be 'closed' or 'expm', got {method!r}")
     c0 = initial.amplitudes

@@ -102,8 +102,9 @@ class ContinuumBand:
 class AnalyticOverrides:
     """Closed forms used in place of quadrature when a model has them.
 
-    Only `spectral` reads them; a missing field falls back to quadrature.
-    `spectral` decides where E lies and calls sigma and sigma_deriv only at
+    Only `spectral` reads them: sigma and sigma_deriv in its one Sigma
+    kernel, delta in its Delta; a missing field falls back to quadrature.
+    The kernel decides where E lies and calls sigma or sigma_deriv only at
     the classified point: E outside the band, the edge itself for an E on a
     convergent edge, or the declared zero itself for an E on a J-zero.  A
     closed form therefore makes no domain checks of its own.

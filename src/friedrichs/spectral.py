@@ -5,18 +5,20 @@ arguments).  Next to a level they are read with its pole multiplied out,
 never stepped around: the K-zero of a gap is the root of K(E)(E - a)(b - E)
 over the whole gap (by `_brent`, the package's Brent solve, which the
 bound-state solve uses too), and `dynamics` builds the scattering weight from
-prod_n (E - eps_n) times K and I.  This is the only module that reads a
-model's closed-form overrides: Sigma, Sigma' and Delta take them when the
-model carries them.
-`_classify` alone decides where an energy lies; Sigma and Sigma' are
-evaluated at the point it returns by either route, so a closed form is
-only ever called outside the band, on a convergent edge or exactly at a
-declared J-zero.  Without a closed form the band takes graded
-Gauss-Legendre rules, one energy at a time for Sigma and Sigma'
-(`quadrature.kernel_integral`, passed the model's cached far-field rule,
-J already read on its nodes, for every energy far from both edges) and a
-whole grid for Delta (`quadrature.delta_on_grid`); adaptive quadrature is
-only the reference the tests hold these rules to.
+prod_n (E - eps_n) times K and I.
+
+Sigma and Sigma' are one kernel, `_sigma`, which with `_delta` is all that
+reads a model's closed-form overrides.  `_classify` alone decides where an
+energy lies, and the kernel evaluates the closed form or the graded rule at
+the point it returns, so a closed form is only ever called outside the
+band, on a convergent edge or exactly at a declared J-zero.  Without a
+closed form the band takes graded Gauss-Legendre rules, one energy at a
+time for Sigma and Sigma' (`quadrature.kernel_integral`, passed the model's
+cached far-field rule, J already read on its nodes, for every energy far
+from both edges) and a whole grid for Delta (`quadrature.delta_on_grid`);
+adaptive quadrature is only the reference the tests hold these rules to.
+1/Sigma, with its limit -0.0 or +0.0 at a divergent edge, is
+`inverse_self_energy`, a call of `self_energy`.
 """
 from __future__ import annotations
 
@@ -188,71 +190,61 @@ def _classify(model: ValidatedModel, e: float) -> tuple[str, float]:
     return "inside", e
 
 
-def _edge_exponent(model: ValidatedModel, which: str):
-    s_low, s_up = model.continuum.edge_exponents
-    return s_low if which == "edge_low" else s_up
+def _sigma(model: ValidatedModel, e: float, power: int) -> float:
+    """Sigma(E) (power 1) or Sigma'(E) (power 2) at the point `_classify`
+    returns, by the model's closed form when it has one, else the graded rule.
 
-
-def self_energy(model: ValidatedModel, e: float) -> float:
-    """Sigma(E) = integral J(w)/(E-w) dw on real E outside the band or at a J-zero."""
-    e = float(e)
-    where, x = _classify(model, e)
-    if where == "inside":
-        raise EInsideBand(f"E={e} lies strictly inside the band and J(E) != 0")
-    if where in ("edge_low", "edge_up") and _edge_exponent(model, where) is DIVERGENT:
-        raise NonconvergentEdge(f"Sigma diverges at the band edge E={e}")
-    ov = model.overrides
-    if ov is not None and ov.sigma is not None:
-        return float(ov.sigma(x))
-    val, err = qd.kernel_integral(
-        model.j,
-        model.omega_low,
-        model.omega_up,
-        x,
-        power=1,
-        interior_points=model.interior_zeros,
-        far_rule=model._far_sigma_rule,
-    )
-    return val
-
-
-def self_energy_derivative(model: ValidatedModel, e: float) -> float:
-    """Sigma'(E) = -integral J(w)/(E-w)^2 dw (< 0 wherever it converges)."""
-    e = float(e)
+    Raises EInsideBand strictly inside the band off a J-zero; at an edge,
+    NonconvergentEdge (Sigma, divergent edge) or DivergentDerivative
+    (Sigma', edge exponent DIVERGENT or at most 1).
+    """
     where, x = _classify(model, e)
     if where == "inside":
         raise EInsideBand(f"E={e} lies strictly inside the band and J(E) != 0")
     if where in ("edge_low", "edge_up"):
-        s = _edge_exponent(model, where)
-        if s is DIVERGENT or s <= 1.0:
+        s_low, s_up = model.continuum.edge_exponents
+        s = s_low if where == "edge_low" else s_up
+        if power == 1 and s is DIVERGENT:
+            raise NonconvergentEdge(f"Sigma diverges at the band edge E={e}")
+        if power == 2 and (s is DIVERGENT or s <= 1.0):
             raise DivergentDerivative(f"Sigma'(E) diverges at the band edge E={e}")
     ov = model.overrides
-    if ov is not None and ov.sigma_deriv is not None:
-        return float(ov.sigma_deriv(x))
-    val, err = qd.kernel_integral(
+    closed = None if ov is None else (ov.sigma, ov.sigma_deriv)[power - 1]
+    if closed is not None:
+        return float(closed(x))
+    val, _ = qd.kernel_integral(
         model.j,
         model.omega_low,
         model.omega_up,
         x,
-        power=2,
+        power=power,
         interior_points=model.interior_zeros,
         far_rule=model._far_sigma_rule,
     )
-    return -val
+    return val if power == 1 else -val
 
 
-def sigma_inverse_at_edge(model: ValidatedModel, which: str):
-    """1/Sigma at a band edge; divergent edges give the signed limit 0-/0+.
+def self_energy(model: ValidatedModel, e: float) -> float:
+    """Sigma(E) = integral J(w)/(E-w) dw on real E outside the band or at a J-zero."""
+    return _sigma(model, float(e), 1)
 
-    Returns (value, is_limit) where is_limit marks the divergent case.
+
+def self_energy_derivative(model: ValidatedModel, e: float) -> float:
+    """Sigma'(E) = -integral J(w)/(E-w)^2 dw (< 0 wherever it converges)."""
+    return _sigma(model, float(e), 2)
+
+
+def inverse_self_energy(model: ValidatedModel, e: float) -> float:
+    """1/Sigma(E), and its limit -0.0 (low) or +0.0 (up) within the edge
+    tolerance of a divergent edge, where Sigma itself diverges.
+
+    Sigma is reached only through `self_energy`, so that every evaluation is
+    one call of it.
     """
-    edge = model.omega_low if which == "low" else model.omega_up
-    exps = model.continuum.edge_exponents
-    s = exps[0] if which == "low" else exps[1]
-    if s is DIVERGENT:
-        return (-0.0 if which == "low" else +0.0), True
-    sig = self_energy(model, edge)
-    return 1.0 / sig, False
+    try:
+        return 1.0 / self_energy(model, e)
+    except NonconvergentEdge:
+        return -0.0 if abs(e - model.omega_low) <= abs(e - model.omega_up) else 0.0
 
 
 def _delta(model: ValidatedModel, e):

@@ -17,11 +17,11 @@ The closed forms of Sigma, Sigma' and Delta are the model's overrides
 (`_closed_forms`).  They decide nothing about where E lies: `spectral`
 classifies E first and calls them only outside the band, on a convergent
 edge or exactly at a declared J-zero.  The specialized census reads K only
-at the edge -2 kappa (`_edge_pair`) and BICs at the model's J-zero tolerance.
-Of its criteria only K(-2 kappa) = xi^2 a/(lambda b) depends on xi, so the
-census runs over a whole array of xi at once (`_census_over_xi`): (a, b), the
-level counts, the energy criterion and the BICs once per (N, lambda, kappa,
-site), K(-2 kappa) and the amplitude criterion per xi.
+at the edge -2 kappa (`_edge_pair`) and the BICs by `find_bics`'s per-level
+rule (`_bic_mask`).  Of its criteria only K(-2 kappa) = xi^2 a/(lambda b)
+and the BICs depend on xi, so the census runs over a whole array of xi at
+once (`_census_over_xi`): (a, b), the level counts and the energy criterion
+once per (N, lambda, kappa, site), the rest per xi.
 `waveguide_bound_state_count` is its one-xi call; fig. 3 calls it once per
 (N, kappa).
 """
@@ -99,12 +99,19 @@ def chain_levels(params: WaveguideParams) -> np.ndarray:
 
 
 def chain_couplings(params: WaveguideParams) -> np.ndarray:
+    return _couplings_over_xi(params, [params.xi])[0]
+
+
+def _couplings_over_xi(params: WaveguideParams, xis) -> np.ndarray:
+    """f_n for each xi in xis, shape (len(xis), N); params.xi is not read."""
     # sin(pi n/(N+1)) is mirror symmetric; copy the first half exactly
     n_tot = params.n_atoms
     n = np.arange(1, n_tot + 1)
-    out = params.xi * np.sqrt(2.0 / (n_tot + 1)) * np.sin(np.pi * n / (n_tot + 1))
+    out = np.multiply.outer(
+        np.asarray(xis, dtype=float) * np.sqrt(2.0 / (n_tot + 1)), np.sin(np.pi * n / (n_tot + 1))
+    )
     half = n_tot // 2
-    out[n_tot - half :] = out[:half][::-1]
+    out[:, n_tot - half :] = out[:, :half][:, ::-1]
     return out
 
 
@@ -300,10 +307,10 @@ def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
     waveguide.  With K(-2k) = xi^2 a/(lambda b) from `_edge_pair`,
     a finite site meets it for l*xi^2 above -kappa*lambda*b/a when a*b < 0.
     The threshold is None when a*b >= 0 (then K(-2k) >= 0 and no l*xi^2
-    does) and at the infinite site.  Only K(-2k) depends on xi: (a, b), the
-    level counts and the energy criterion are evaluated once, and the BIC
-    count once for xi > 0 and once for xi = 0 (`_bic_levels`).  The per-xi
-    entries are plain floats: xi^2 is Python's x**2 of each xi and K(-2k)
+    does) and at the infinite site.  (a, b), the level counts and the energy
+    criterion are evaluated once; K(-2k) per xi, and the BIC count as one
+    array operation over xi (`_bic_mask`).  The per-xi entries of K(-2k) are
+    plain floats: xi^2 is Python's x**2 of each xi and K(-2k)
     keeps the scalar operation order, so every entry equals the census of
     that one xi bit for bit (numpy's square and arccosh differ in the last
     bit, and a one-element array would slow the scalar call).
@@ -329,7 +336,6 @@ def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
     threshold = -kap * lam * b / a if a * b < 0 and not params.infinite else None
     amplitude_ok = [k < sigma_inv_edge for k in k_edge]
     extra = [int(energy_ok and ok) for ok in amplitude_ok]
-    bics = [len(_bic_levels(params, coupled)) for coupled in (False, True)]
     return _XiCensus(
         params=params,
         n_low=n_low,
@@ -347,7 +353,7 @@ def _census_over_xi(params: WaveguideParams, xis) -> _XiCensus:
         amplitude_ok=amplitude_ok,
         m_below=[n_low + e for e in extra],
         m_above=[n_up + e for e in extra],
-        m_bic=[bics[x != 0.0] for x in xis],
+        m_bic=_bic_mask(params, levels, xis).sum(axis=1).tolist(),
     )
 
 
@@ -359,19 +365,21 @@ def waveguide_bound_state_count(params: WaveguideParams) -> BoundStateCensus:
 
 def waveguide_bic_energies(params: WaveguideParams) -> list[float]:
     """The chain levels that are bound states in the continuum, as
-    `bound_states.find_bics` finds them (`_bic_levels`)."""
-    return _bic_levels(params, params.xi != 0.0)
+    `bound_states.find_bics` finds them (`_bic_mask`)."""
+    levels = chain_levels(params)
+    return [float(e) for e in levels[_bic_mask(params, levels, [params.xi])[0]]]
 
 
-def _bic_levels(params: WaveguideParams, coupled: bool) -> list[float]:
-    """Coupled levels on interior J-zeros, within the model's J-zero tolerance
-    (`model.near_declared_zero`); uncoupled (xi = 0), every level strictly
-    inside the band, each an eigenstate on its own."""
-    levels, kap = chain_levels(params), params.kappa
-    if not coupled:
-        return [float(e) for e in levels if -2 * kap < e < 2 * kap]
-    if params.infinite or params.l_int < 2:
-        return []
-    scale = energy_scale(levels, -2 * kap, 2 * kap)
-    zeros = j_zeros(params)
-    return [float(e) for e in levels if near_declared_zero(e, zeros, scale)]
+def _bic_mask(params: WaveguideParams, levels: np.ndarray, xis) -> np.ndarray:
+    """Whether each level is a BIC at each xi in xis, shape (len(xis), N):
+    strictly inside the band, and uncoupled (|f_n|^2 = 0, f_n formed as
+    `chain_couplings` forms it) or on an interior J-zero within the model's
+    J-zero tolerance (`model.near_declared_zero`).  levels are
+    `chain_levels(params)`; params.xi is not read."""
+    kap, zeros = params.kappa, j_zeros(params)
+    on_zero = False
+    if zeros:
+        scale = energy_scale(levels, -2 * kap, 2 * kap)
+        on_zero = np.array([near_declared_zero(e, zeros, scale) for e in levels])
+    uncoupled = _couplings_over_xi(params, xis) ** 2 == 0.0
+    return ((-2 * kap < levels) & (levels < 2 * kap)) & (uncoupled | on_zero)

@@ -82,7 +82,7 @@ def census_margin(model) -> float:
     for side in ("low", "up"):
         edge = model.omega_low if side == "low" else model.omega_up
         k_edge = float(np.real(sp.k_function(model, edge)))
-        sig_inv, _ = sp.sigma_inverse_at_edge(model, side)
+        sig_inv = sp.inverse_self_energy(model, edge)
         scale = max(abs(k_edge), abs(sig_inv), 1e-12)
         out = min(out, abs(k_edge - sig_inv) / scale)
     return out
@@ -188,3 +188,17 @@ def p_from_components(z, d, g, times):
         np.outer(z[i].real - z[j].real, t) - np.angle(g[i, j])[:, None]
     )
     return d @ np.exp(2.0 * np.outer(z.imag, t)) + 2.0 * np.abs(g[i, j]) @ beats
+
+
+def norm_products(h, system):
+    """V_i W_i^* of a diagonalizable Markovian system, from the rational
+    eigenvector profile f_n/(z - eps_n) at the level n of largest |f_n|:
+    the reference for the c-product normalization -1/K'(z_i).  nan where a
+    resonance sits on that level, or where every coupling is zero."""
+    z, right, left = system.eigenvalues, system.right, system.left
+    n_star = int(np.argmax(np.abs(h.couplings)))
+    f = h.couplings[n_star]
+    if f == 0:
+        return np.full(z.size, np.nan, dtype=complex)
+    d = z - h.levels[n_star]
+    return np.where(d != 0, (right[n_star] * d / f) * (left[:, n_star] * d / np.conj(f)), np.nan)

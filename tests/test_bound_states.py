@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs import bound_states as bs
+from friedrichs import quadrature as qd
 from friedrichs import spectral as sp
 from friedrichs.bound_states import BoundStateKind
 from friedrichs.cli import model_from_doc
+from friedrichs.errors import ConfigError
 
 from _support import census_bruteforce, census_margin, random_model, residual, total_norm
 
@@ -314,19 +317,18 @@ def assert_brackets_carry_exact_values(m):
                 if end in pole_ends:
                     exact = s * m._f2[pole_ends[end]] * factor
                 elif end == trace["edge"]:
-                    sig_inv = trace["sigma_inv_edge"]
-                    exact = (trace["k_edge"] - (0.0 if isinstance(sig_inv, str) else sig_inv)) * factor
+                    exact = (trace["k_edge"] - trace["sigma_inv_edge"]) * factor
                 else:
                     exact = bs._mismatch(m, end) * factor
                 assert value == exact
-            sigmas = {}
-            g = bs._pole_free(m, br, sigmas)
+            sig_invs = {}
+            g = bs._pole_free(m, br, sig_invs)
             assert g(br.a) == br.ga > 0 > br.gb == g(br.b)
-            assert sigmas == {}
+            assert sig_invs == {}
             mid = 0.5 * (br.a + br.b)
             got = g(mid)
             factor = math.prod(abs(mid - m.levels[n]) for n, _ in br.poles)
-            size = float(np.sum(m._f2 / np.abs(mid - m.levels))) + abs(1.0 / sigmas[mid])
+            size = float(np.sum(m._f2 / np.abs(mid - m.levels))) + abs(sig_invs[mid])
             assert got == pytest.approx(bs._mismatch(m, mid) * factor, abs=1e-12 * size * factor)
 
 
@@ -469,3 +471,60 @@ def test_solve_spends_at_most_ten_sigma_calls_per_state(monkeypatch):
         assert len(calls) <= 10 * len(solved), case
         states += len(solved)
     assert states > len(_WORK_CASES)
+
+
+def test_every_sigma_evaluation_is_a_self_energy_call(monkeypatch):
+    # the Sigma counters (the test above, the traced self_energy_per_state)
+    # wrap spectral.self_energy: a Sigma kernel evaluated outside it, by a
+    # closed form or by the graded rule, would go uncounted
+    depth, evaluations, uncounted = [0], [], []
+
+    def counted(model, e):
+        depth[0] += 1
+        try:
+            return plain(model, e)
+        finally:
+            depth[0] -= 1
+
+    def kernel(e):
+        evaluations.append(e)
+        if depth[0] == 0:
+            uncounted.append(e)
+
+    def watched(closed):
+        def sigma(e):
+            kernel(e)
+            return closed(e)
+
+        return sigma
+
+    def rule(*args, **kwargs):
+        if kwargs["power"] == 1:
+            kernel(args[3])
+        return plain_rule(*args, **kwargs)
+
+    plain, plain_rule = sp.self_energy, qd.kernel_integral
+    monkeypatch.setattr(sp, "self_energy", counted)
+    monkeypatch.setattr(qd, "kernel_integral", rule)
+    models = []
+    for case in _WORK_CASES[::3]:  # every site
+        model = fr.build_waveguide_model(fr.WaveguideParams(*case))
+        overrides = replace(model.overrides, sigma=watched(model.overrides.sigma))
+        model = fr.FriedrichsModel(model.discrete, model.continuum, overrides)
+        models.append(fr.validate_model(model))
+    rng = np.random.default_rng(5)
+    models += [model_from_doc(power_edges_doc(rng))[0] for _ in range(8)]
+    for model in models:
+        census = fr.count_bound_states(model)
+        fr.solve_bound_states(model, census)
+        fr.all_bound_states(model)
+    assert len(evaluations) > 100
+    assert uncounted == []
+
+
+def test_closed_census_passed_to_the_solver_is_a_config_error():
+    # the closed census traces its criteria without per-edge entries
+    params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2)
+    model = fr.build_waveguide_model(params)
+    with pytest.raises(ConfigError, match=r"count_bound_states\(model\)"):
+        fr.solve_bound_states(model, fr.waveguide_bound_state_count(params))

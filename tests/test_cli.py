@@ -117,6 +117,8 @@ MALFORMED = [
     (["bound-states", "--n-atoms", "3", "--lambda", "inf", "--xi", "0.5"], "lam=inf"),
     (["bound-states", "--model", {**CLI_DOC_GENERIC, "couplings": [0.3, math.nan]}],
      "coupling 1 is (nan+0j)"),
+    (["bound-states", "--model", {"kind": "waveguide", "n_atoms": 3, "lambda": "abc",
+                                  "kappa": 1, "xi": 0.5, "site": 1}], "'abc'"),
 ]
 
 
@@ -375,6 +377,19 @@ def test_reproduce_fig5_deterministic(tmp_path):
     assert vals[1] == 0.0 and vals[3] == 0.0
     assert vals[2] == pytest.approx(-1.0, abs=1e-12)
     assert vals[4] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_reproduce_all_headers_are_the_plot_stubs(tmp_path):
+    assert run(["reproduce", "all", "--outdir", str(tmp_path)]) == 0
+    documented = [
+        line[2:].split(":") for line in cli._PLOT_STUB.splitlines() if ".csv:" in line
+    ]
+    files = sorted(tmp_path.glob("*.csv"))
+    assert len(files) == 8
+    for path in files:
+        (columns,) = [cols for pattern, cols in documented if path.match(pattern)]
+        header = next(ln for ln in path.read_text().splitlines() if not ln.startswith("#"))
+        assert header.split(",") == [c.strip() for c in columns.split(",")], path.name
 
 
 FIG3_SHA256 = "420ee1f62d2e14c68928c1ec6f43efa0be6d875b832ae323e98996bb46b2364b"

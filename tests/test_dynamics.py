@@ -314,6 +314,25 @@ def test_non_finite_time_rejected(fig_cases, bad):
         fr.survival_probability(model, initial, [0.0, 1.0, bad], coefficients=coeffs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_rejected_by_amplitudes(fig_cases, bad):
+    # it used to warn from the transform's panel layout, then raise a raw ValueError
+    _, model, initial, bound = fig_cases[1]
+    coeffs = fr.decay_coefficients(model, initial, bound)
+    with pytest.raises(ConfigError, match=str(bad)):
+        fr.survival_amplitudes(model, initial, [0.0, 1.0, bad], coefficients=coeffs)
+
+
+def test_amplitudes_take_negative_and_unsorted_times(fig_cases):
+    _, model, initial, bound = fig_cases[1]
+    coeffs = fr.decay_coefficients(model, initial, bound)
+    t = np.array([2.0, -1.0, 0.5])
+    order = np.argsort(t)
+    amps = fr.survival_amplitudes(model, initial, t, coefficients=coeffs)
+    ordered = fr.survival_amplitudes(model, initial, t[order], coefficients=coeffs)
+    assert np.allclose(amps[:, order], ordered, rtol=0.0, atol=1e-15)
+
+
 def _power_edges_model(band, s_low, s_up, zeros, amplitude, levels, couplings):
     """J = A (w-lo)^s_low (up-w)^s_up prod (w-z)^2; s = -1/2 is a van Hove edge."""
     lo, up = band

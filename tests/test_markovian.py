@@ -8,7 +8,7 @@ import friedrichs as fr
 from friedrichs import markovian as mk
 from friedrichs.errors import ConfigError, ExceptionalPoint, NegativeGamma
 
-from _support import p_from_components, random_initial
+from _support import norm_products, p_from_components, random_initial
 
 LAM, KAP = 1.0, 4.0
 GAMMA = 1.0 / (2 * KAP)  # pi * J(0) of the infinite waveguide
@@ -101,7 +101,7 @@ def test_eigenvalue_formula_symmetric_phase():
     assert sys.eigenvalues[0] == pytest.approx(-expected - 1j * a, abs=1e-13)
     assert sys.eigenvalues[1] == pytest.approx(expected - 1j * a, abs=1e-13)
     # c-product normalization against K'
-    for z, vw in zip(sys.eigenvalues, sys.norm_products):
+    for z, vw in zip(sys.eigenvalues, norm_products(h, sys)):
         assert vw == pytest.approx(-1.0 / fr.k_derivative(model, z), rel=1e-8)
 
 
@@ -112,7 +112,7 @@ def test_biorthogonality():
     assert sys.kind is fr.ResonanceKind.DIAGONALIZABLE
     gram = sys.left @ sys.right
     assert np.allclose(gram, np.eye(h.n), atol=1e-10)
-    for z, vw in zip(sys.eigenvalues, sys.norm_products):
+    for z, vw in zip(sys.eigenvalues, norm_products(h, sys)):
         model = flat_model(h.levels, h.couplings, h.gamma)
         assert vw == pytest.approx(-1.0 / fr.k_derivative(model, z), rel=1e-8)
 

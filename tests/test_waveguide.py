@@ -146,6 +146,26 @@ def test_uncoupled_chain_levels_inside_the_band_are_bics_on_both_routes(site):
     assert [over_xi.census(i).m_bic for i in (0, 1)] == [3, int(site in (2, 4))]
 
 
+@pytest.mark.parametrize("params, uncoupled", [
+    # f_n^2 underflows to 0 on every level: each is an eigenstate of its own
+    (fr.WaveguideParams(3, 1.0, 0.75, 1e-162, fr.INFINITE), [0, 1, 2]),
+    # only the two end levels at each side of a long chain underflow
+    (fr.WaveguideParams(50, 0.5, 1.5, 5e-161, fr.INFINITE), [0, 1, 48, 49]),
+])
+def test_levels_whose_coupling_underflows_are_bics_on_both_routes(params, uncoupled):
+    model = fr.build_waveguide_model(params)
+    assert list(np.flatnonzero(model._f2 == 0)) == uncoupled
+    closed = fr.waveguide_bound_state_count(params)
+    generic = fr.count_bound_states(model)
+    counts = lambda c: (c.n_low, c.n_up, c.m_below, c.m_above, c.m_bic)
+    assert counts(closed) == counts(generic)
+    assert closed.m_bic == len(uncoupled)
+    assert fr.waveguide_bic_energies(params) == [s.energy for s in fr.find_bics(model)]
+    assert fr.waveguide_bic_energies(params) == list(model.levels[uncoupled])
+    over_xi = _census_over_xi(params, [0.5, params.xi, 0.0])
+    assert over_xi.m_bic == [0, len(uncoupled), params.n_atoms]
+
+
 def test_infinite_site_amplitude_criterion_follows_energy_criterion():
     # divergent-edge case: the only remaining condition is the energy criterion
     for kap, xi in ((0.2, 0.01), (0.2, 3.0), (0.9, 0.5)):
