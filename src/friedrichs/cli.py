@@ -137,6 +137,8 @@ def _power_edges_density(lo, up, spec: dict):
     for key in ("s_low", "s_up"):
         v = spec.get(key, 1.0)
         exps.append(-0.5 if v == "divergent" else float(v))
+        if not exps[-1] > -1.0:
+            raise ConfigError(f"{key}={v!r}: J must be integrable at the edge (exponent > -1)")
     zeros = [float(z) for z in spec.get("zeros", [])]
 
     def j(omega):
@@ -149,7 +151,7 @@ def _power_edges_density(lo, up, spec: dict):
         out[inside] = v
         return out if out.ndim else float(out)
 
-    edge_exps = tuple(DIVERGENT if e < 0 else e for e in exps)
+    edge_exps = tuple(DIVERGENT if e <= 0 else e for e in exps)
     return j, edge_exps, tuple(zeros)
 
 

@@ -11,6 +11,10 @@ and graded toward each resonance peak of S down to a quarter of its
 half-width.  Panels whose part of s_n(0) still moves when they are halved
 are halved, and the same panels each halved once give the error estimate
 that `survival_probability` reports.
+Delta is formed once at each node energy of a transform (`_DeltaTable`):
+the peak search, the kernel, its halved twin and each round of halving
+read the energies already evaluated and send only new ones to
+`spectral._delta`.
 All N levels share one `quadrature.fourier_linear` call.
 """
 from __future__ import annotations
@@ -77,12 +81,37 @@ class _BandKernel:
     e_nodes: np.ndarray  # (K,) node energies, ascending
     w: np.ndarray  # (N, K) S_n(E) times the rule's weight of integral dE
     rounding: np.ndarray  # (N,) bound on the rounding of the sums over w
-    delta_nodes: int = 0  # node count of the Delta rule, 0 for a closed form
 
 
-def _factored(model: ValidatedModel, x: np.ndarray):
+class _DeltaTable:
+    """Delta on every energy one transform has asked for, so that each is
+    formed once: the peak grid's panels come back in the kernel, the
+    kernel's halves in the next round's kernel.  Energies ascend, with an
+    inf sentinel last, so `searchsorted` finds every finite energy's slot.
+    rule_nodes is the node count of the largest Delta rule read (0 for a
+    closed form)."""
+
+    def __init__(self, model: ValidatedModel):
+        self.model = model
+        self.e, self.delta = np.array([math.inf]), np.array([math.nan])
+        self.rule_nodes = 0
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        slot = np.searchsorted(self.e, x)
+        new = self.e[slot] != x
+        if np.any(new):
+            delta, nodes = sp._delta(self.model, x[new])
+            self.rule_nodes = max(self.rule_nodes, nodes)
+            e, d = np.append(x[new], self.e), np.append(delta, self.delta)
+            order = np.argsort(e, kind="stable")
+            self.e, self.delta = e[order], d[order]
+            slot = np.searchsorted(self.e, x)
+        return self.delta[slot]
+
+
+def _factored(model: ValidatedModel, x: np.ndarray, delta: np.ndarray):
     """The rational sums on real x in the band with each level's pole
-    multiplied out: (q, h, Sigma, node count of Delta's rule), with
+    multiplied out, given Delta on x: (q, h, Sigma), with
     q[:, n] = prod_{m != n} (x - eps_m), Q = prod_n (x - eps_n),
     P = Q*K = q @ |f|^2, h = Q - Sigma*P = Q*(1 - Sigma*K) and
     Sigma = Delta + i*Gamma.  All are finite at the levels.
@@ -92,12 +121,11 @@ def _factored(model: ValidatedModel, x: np.ndarray):
     before = np.cumprod(np.hstack([ones, d[:, :-1]]), axis=1)
     after = np.cumprod(np.hstack([ones, d[:, :0:-1]]), axis=1)[:, ::-1]
     q = before * after
-    delta, delta_nodes = sp._delta(model, x)
     sigma = delta + 1j * np.pi * np.asarray(model.j(x), dtype=float)
-    return q, before[:, -1] * d[:, -1] - sigma * (q @ model._f2), sigma, delta_nodes
+    return q, before[:, -1] * d[:, -1] - sigma * (q @ model._f2), sigma
 
 
-def _build_kernel(model: ValidatedModel, initial: InitialState, breaks) -> _BandKernel:
+def _build_kernel(initial: InitialState, breaks, table: _DeltaTable) -> _BandKernel:
     """S_n = Gamma*I*f_n / (pi*(E - eps_n)*|1 - Sigma*K|^2) times W on the
     nodes of the k-panels between breaks, read from `_factored` as
     S_n = Gamma*(q @ conj(f)c)*f_n*q_n / (pi*|h|^2): finite at every level.
@@ -108,19 +136,20 @@ def _build_kernel(model: ValidatedModel, initial: InitialState, breaks) -> _Band
     Next to a resonance Re h = Q - Delta*P cancels; its error of a few ulps
     of |Q| + |Delta*P| moves S by that relative to |h|.
     """
+    model = table.model
     e, wgt = qd.panel_rule(model.omega_low, model.omega_up, breaks)
     inside = (e > model.omega_low) & (e < model.omega_up)
-    q, h, sigma, delta_nodes = _factored(model, e[inside])
+    q, h, sigma = _factored(model, e[inside], table(e[inside]))
     fc = np.conj(model.couplings) * initial.amplitudes
     left = sigma.imag * wgt[inside] * (q @ fc) / (np.pi * h)
     w = np.zeros((model.n_levels, e.size), dtype=complex)
     w[:, inside] = model.couplings[:, None] * q.T * (left / np.conj(h))
     dp = sigma.real * (q @ model._f2)  # Delta*P, so that Q = Re h + Delta*P
     rel = np.finfo(float).eps * (8.0 + 16.0 * (np.abs(h.real + dp) + np.abs(dp)) / np.abs(h))
-    return _BandKernel(e, w, np.abs(w[:, inside]) @ rel, delta_nodes)
+    return _BandKernel(e, w, np.abs(w[:, inside]) @ rel)
 
 
-def _peaks(model: ValidatedModel, e: np.ndarray):
+def _peaks(table: _DeltaTable, e: np.ndarray):
     """(energy, half-width) of each resonance peak of S seen on ascending e.
 
     S is smooth over |h|^2 (`_factored`): a peak is a zero E_r - i*gamma
@@ -130,14 +159,16 @@ def _peaks(model: ValidatedModel, e: np.ndarray):
     also sees a peak on a level where Delta vanishes, and an overdamped
     pair of resonances, where 1 - Delta*K has no zero.
     """
+    model = table.model
     lo, up = model.omega_low, model.omega_up
-    size = np.abs(_factored(model, e)[1])
+    size = np.abs(_factored(model, e, table(e))[1])
     minima = np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] <= size[2:])) + 1
     out = []
     for x in e[minima]:
         for _ in range(40):
             step = 1e-6 * min(x - lo, up - x)
-            h = _factored(model, np.array([x - step, x, x + step]))[1]
+            near = np.array([x - step, x, x + step])
+            h = _factored(model, near, table(near))[1]
             shift = h[1] * (2.0 * step) / (h[2] - h[0])
             x, last = x - shift.real, x
             if not lo < x < up:
@@ -148,7 +179,7 @@ def _peaks(model: ValidatedModel, e: np.ndarray):
     return out
 
 
-def _transform_breaks(coefficients: DecayCoefficients, t_max: float) -> np.ndarray:
+def _transform_breaks(coefficients: DecayCoefficients, t_max: float, table: _DeltaTable):
     """k-panels of the scattering transform up to the time t_max.
 
     Graded toward each edge as deeply as Sigma's rule is for the bound state
@@ -166,7 +197,7 @@ def _transform_breaks(coefficients: DecayCoefficients, t_max: float) -> np.ndarr
     ))
     waves = np.ceil(np.diff(breaks) * t_max * half / (2.0 * np.pi))
     breaks = qd.split_panels(breaks, np.maximum(waves, 1).astype(int))
-    for e0, width in _peaks(model, qd.panel_rule(lo, up, breaks)[0]):
+    for e0, width in _peaks(table, qd.panel_rule(lo, up, breaks)[0]):
         k0 = math.acos((mid - e0) / half)
         slope = math.sqrt((e0 - lo) * (up - e0))  # dE/dk at the peak
         # nodes of the innermost panels stay some ulps of E apart
@@ -187,28 +218,31 @@ MAX_ROUNDS = 8  # rounds of halving the panels that move more
 
 
 def _transform(coefficients: DecayCoefficients, times, n_base_nodes: Optional[int]):
-    """(kernel, kernel on the same panels halved) of the transform on times.
+    """(kernel, kernel on the same panels halved, node count of the largest
+    Delta rule read) of the transform on times.
 
     The panels of `_transform_breaks`, split evenly up to n_base_nodes; then
     each panel whose part of s_n(0) moves by more than PANEL_TOL when halved
     is halved, which catches what they do not aim at (a resonance off the
-    axis next to an edge).
+    axis next to an edge).  One `_DeltaTable` serves every step, so Delta
+    is formed once at each node energy.
     """
     model, initial = coefficients.model, coefficients.initial
+    table = _DeltaTable(model)
     t = np.asarray(times, dtype=float)
-    breaks = _transform_breaks(coefficients, float(np.max(np.abs(t), initial=0.0)))
+    breaks = _transform_breaks(coefficients, float(np.max(np.abs(t), initial=0.0)), table)
     nodes = (breaks.size - 1) * qd.PANEL_NODES
     if n_base_nodes is not None and n_base_nodes > nodes:
         breaks = qd.split_panels(breaks, math.ceil(n_base_nodes / nodes))
     for _ in range(MAX_ROUNDS):
-        kern = _build_kernel(model, initial, breaks)
-        fine = _build_kernel(model, initial, qd.split_panels(breaks, 2))
+        kern = _build_kernel(initial, breaks, table)
+        fine = _build_kernel(initial, qd.split_panels(breaks, 2), table)
         shape = (model.n_levels, breaks.size - 1, -1)
         moved = np.abs(kern.w.reshape(shape).sum(2) - fine.w.reshape(shape).sum(2)).max(0)
         if not np.any(moved > PANEL_TOL):
             break
         breaks = qd.split_panels(breaks, np.where(moved > PANEL_TOL, 2, 1))
-    return kern, fine
+    return kern, fine, table.rule_nodes
 
 
 def _halving_error(coefficients: DecayCoefficients, kern, fine, t) -> float:
@@ -252,10 +286,12 @@ def survival_probability(
     """p(t) on the requested grid (times >= 0, sorted).
 
     n_base_nodes, when given, is a floor on the transform's node count.
-    meta holds that count (`transform_nodes`), the Delta rule's (`delta_nodes`,
-    0 for a closed-form Delta) and the error estimate of `_halving_error`
-    (`transform_error`); QuadratureBudgetExceeded is raised when that
-    exceeds error_budget.
+    meta holds that count (`transform_nodes`), the node count of the largest
+    Delta rule the transform read (`delta_nodes`, 0 for a closed-form
+    Delta: the rule of the depth class of the new node energies nearest an
+    edge, since each energy's Delta is formed once) and the error estimate
+    of `_halving_error` (`transform_error`); QuadratureBudgetExceeded is
+    raised when that exceeds error_budget.
     """
     t = _finite_times(times)
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):
@@ -263,10 +299,10 @@ def survival_probability(
     if coefficients is None:
         coefficients = decay_coefficients(model, initial, all_bound_states(model))
 
-    kern, fine = _transform(coefficients, t, n_base_nodes)
+    kern, fine, delta_nodes = _transform(coefficients, t, n_base_nodes)
     s_amp = qd.fourier_linear(kern.e_nodes, kern.w, t)  # int S_n(E) e^{-iEt} dE
     est = _halving_error(coefficients, kern, fine, t)
-    meta = dict(transform_nodes=kern.e_nodes.size, delta_nodes=kern.delta_nodes)
+    meta = dict(transform_nodes=kern.e_nodes.size, delta_nodes=delta_nodes)
     meta["transform_error"] = est
     if error_budget is not None and est > error_budget:
         raise QuadratureBudgetExceeded(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -72,7 +73,8 @@ class ContinuumBand:
 
     edge_exponents holds the power-law exponents of J near each edge
     (s > 0 keeps Sigma finite at that edge); DIVERGENT flags an edge where
-    Sigma diverges (e.g. a van Hove 1/sqrt divergence of J).  Interior
+    Sigma diverges (e.g. a van Hove 1/sqrt divergence of J, or J finite and
+    nonzero there, s = 0), and a numeric s <= 0 is rejected.  Interior
     zeros of J must be declared explicitly; they are the only energies at
     which bound states inside the band are sought.
     """
@@ -96,6 +98,12 @@ class ContinuumBand:
                 f"band edges must be finite: omega_low={self.omega_low}, "
                 f"omega_up={self.omega_up}"
             )
+        for name, s in zip(("omega_low", "omega_up"), self.edge_exponents):
+            if s is not DIVERGENT and not (isinstance(s, numbers.Real) and s > 0):
+                raise ConfigError(
+                    f"edge exponent {s!r} at {name}={getattr(self, name)}: a number > 0, "
+                    "or DIVERGENT for an edge where Sigma diverges"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +173,12 @@ def _vectorized(fn: Callable) -> Callable:
 
 @dataclass(frozen=True, eq=False)
 class ValidatedModel:
-    """Immutable, validated handle consumed by every other module."""
+    """Immutable, validated handle consumed by every other module.
+
+    It also holds what the kernels form once per model on first use: |f|^2,
+    the far-field Sigma rule and the Delta rule of each depth class, each
+    with J read on its nodes.
+    """
 
     discrete: DiscreteSpectrum
     continuum: ContinuumBand
@@ -193,6 +206,13 @@ class ValidatedModel:
         nodes here and nowhere else for those energies."""
         lo, up = self.omega_low, self.omega_up
         return qd._kernel_rule(self.j, lo, up, math.inf, self.interior_zeros)
+
+    @functools.cached_property
+    def _delta_rules(self) -> dict:
+        """The Delta rules of `quadrature.delta_on_grid`, keyed by depth class
+        (`quadrature._depth_class`), each with J and -J' on its nodes: built
+        once per class, the first time a grid of that class asks for it."""
+        return {}
 
     @property
     def n_levels(self) -> int:

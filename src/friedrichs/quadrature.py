@@ -6,8 +6,11 @@ inverse-square-root edge divergences (van Hove) and flattens power-law edge
 zeros, so one scheme covers every declared edge exponent.
 
 Composite Gauss-Legendre rules in k whose panels are graded geometrically
-toward both edges do the work: `delta_on_grid` grades down to the grid point
-nearest each edge; `kernel_integral` (Sigma, Sigma') down to the pole that
+toward both edges do the work: `delta_on_grid` grades down to the depth
+class of its grid, the k-distance of the grid point nearest each edge
+rounded down to a power of GRADING, so that a model builds each class's
+rule, J on its nodes included, once (`ValidatedModel._delta_rules`);
+`kernel_integral` (Sigma, Sigma') down to the pole that
 an energy outside the band puts at imaginary k, where every energy far from
 both edges shares one rule, which a model forms once; and the scattering
 transform of `dynamics` builds its panels from the same pieces
@@ -137,21 +140,36 @@ def _panels(lo, up, breaks):
     return 0.5 * np.diff(breaks)[:, None] * w, om, np.sqrt((om - lo) * (up - om)), slip, rnd
 
 
+def _depth_class(lo, up, e_grid):
+    """(d_lo, d_up): the depth class of the targets e_grid, the key of their
+    Delta rule.
+
+    The k-distance of the target nearest each edge, rounded down to a power
+    of GRADING and never below `_shallowest`.  Grading to the class instead
+    of the target itself grades at most one level deeper, and lets every
+    grid of one class share a rule.
+    """
+    e_grid = np.asarray(e_grid, dtype=float)
+    span = up - lo
+    out = []
+    for edge, gap in ((lo, float(e_grid.min()) - lo), (up, up - float(e_grid.max()))):
+        floor = _shallowest(lo, up, edge)
+        d = max(2.0 * math.asin(math.sqrt(min(max(gap / span, 0.0), 1.0))), floor)
+        out.append(max(GRADING ** math.floor(math.log(d, GRADING)), floor))
+    return tuple(out)
+
+
 def delta_rule(lo, up, e_grid):
     """Nodes and weights of the Delta rule for the targets e_grid.
 
     A composite Gauss-Legendre rule in k (omega = mid - half*cos(k)) with
     PANEL_NODES per panel.  Panels shrink by GRADING toward both edges,
-    down to GRADING**-PAST_TARGET times the k-distance of the target
-    nearest that edge, and are at most MID_PANEL wide in the middle.
-    Returns the node energies and the weights of integral dw.
+    down to GRADING**-PAST_TARGET times the `_depth_class` of e_grid at
+    that edge, and are at most MID_PANEL wide in the middle: every grid of
+    one depth class has the same rule.  Returns the node energies, which
+    ascend, and the weights of integral dw.
     """
-    e_grid = np.asarray(e_grid, dtype=float)
-    span = up - lo
-    d_lo = 2.0 * math.asin(math.sqrt(min(max((float(e_grid.min()) - lo) / span, 0.0), 1.0)))
-    d_up = 2.0 * math.asin(math.sqrt(min(max((up - float(e_grid.max())) / span, 0.0), 1.0)))
-    d_lo, d_up = max(d_lo, _shallowest(lo, up, lo)), max(d_up, _shallowest(lo, up, up))
-    return panel_rule(lo, up, _breaks(d_lo, d_up))
+    return panel_rule(lo, up, _breaks(*_depth_class(lo, up, e_grid)))
 
 
 def _shallowest(lo, up, edge):
@@ -168,7 +186,29 @@ def panel_rule(lo, up, breaks):
     return om.ravel(), (wk * jac).ravel()
 
 
-def delta_on_grid(j, lo, up, e_grid):
+def _rule_with_j(j, lo, up, e_grid, rules):
+    """(nodes, weights, J on the nodes, -J' on the nodes) of the Delta rule
+    of e_grid, from rules (a dict keyed by `_depth_class`) when it holds
+    that class, else built and, with rules given, stored there.
+
+    -J' = -(F_k - J w_kk) / w_k^2 comes from the interpolant of F = J w_k on
+    each panel, which stays smooth at a van Hove edge.
+    """
+    depths = _depth_class(lo, up, e_grid)
+    if rules is not None and depths in rules:
+        return rules[depths]
+    om, wgt = panel_rule(lo, up, _breaks(*depths))
+    jv = np.asarray(j(om), dtype=float)
+    dw = np.sqrt((om - lo) * (up - om))
+    f_u = ((jv * dw).reshape(-1, PANEL_NODES) @ _differentiation().T).ravel()
+    w_i = np.tile(_gauss_legendre(PANEL_NODES)[1], om.size // PANEL_NODES)
+    rule = om, wgt, jv, (jv * (0.5 * (lo + up) - om) - f_u * w_i * dw / wgt) / dw**2
+    if rules is not None:
+        rules[depths] = rule
+    return rule
+
+
+def delta_on_grid(j, lo, up, e_grid, rules=None):
     """P.V. part Delta(E) on a grid strictly inside a finite band.
 
     Subtracted form sum_m W_m (J(w_m) - J(E)) / (E - w_m) + J(E) ln((E-lo)/(up-E))
@@ -185,31 +225,30 @@ def delta_on_grid(j, lo, up, e_grid):
     both edges, as the nodes of the scattering transform are, takes about
     280.  A target on a node of the rule takes the limit -J'(E) of the
     subtracted integrand there.
+
+    rules, a model's cache of Delta rules (`ValidatedModel._delta_rules`),
+    holds each depth class's rule with J and -J' on its nodes: a call whose
+    class is there reads J only at its targets.  The result is the same,
+    bit for bit, with rules or without.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if e_grid.size == 0:
         return np.empty_like(e_grid)
-    om, wgt = delta_rule(lo, up, e_grid)
-    jv = np.asarray(j(om), dtype=float)
+    om, wgt, jv, on_node = _rule_with_j(j, lo, up, e_grid, rules)
     je = np.asarray(j(e_grid), dtype=float)
     out = np.empty_like(e_grid)
-    on_node = None
     rows = max(1, 2**14 // om.size)  # (rows, nodes) temporaries stay in cache
-    for i in range(0, e_grid.size, rows):
-        gap = e_grid[i : i + rows, None] - om
-        with np.errstate(invalid="ignore"):
-            terms = (jv - je[i : i + rows, None]) / gap
-        hit = np.nonzero(gap == 0.0)
-        if hit[0].size:
-            if on_node is None:
-                # a target on a node: the limit -J'(E), J' = (F_k - J w_kk) / w_k^2
-                # from the interpolant of F = J w_k, smooth at a van Hove edge
-                dw = np.sqrt((om - lo) * (up - om))
-                f_u = ((jv * dw).reshape(-1, PANEL_NODES) @ _differentiation().T).ravel()
-                w_i = np.tile(_gauss_legendre(PANEL_NODES)[1], om.size // PANEL_NODES)
-                on_node = (jv * (0.5 * (lo + up) - om) - f_u * w_i * dw / wgt) / dw**2
-            terms[hit] = on_node[hit[1]]
-        out[i : i + rows] = terms @ wgt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, e_grid.size, rows):
+            gap = e_grid[i : i + rows, None] - om
+            out[i : i + rows] = ((jv - je[i : i + rows, None]) / gap) @ wgt
+        # a target on a node: that term is 0/0, and its limit is -J'(E)
+        node = np.minimum(np.searchsorted(om, e_grid), om.size - 1)
+        hit = np.flatnonzero(om[node] == e_grid)
+        if hit.size:
+            terms = (jv - je[hit, None]) / (e_grid[hit, None] - om)
+            terms[np.arange(hit.size), node[hit]] = on_node[node[hit]]
+            out[hit] = terms @ wgt
     return out + je * np.log((e_grid - lo) / (up - e_grid))
 
 

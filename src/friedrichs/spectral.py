@@ -251,17 +251,18 @@ def _delta(model: ValidatedModel, e):
     """Delta(E), the principal-value part of Sigma, strictly inside the band.
 
     The one route to Delta: the model's closed form when it has one, else
-    `quadrature.delta_on_grid`.  e is a float or an array; returns Delta of
-    the same shape and the node count of the `delta_on_grid` rule (0 for a
-    closed form).
+    `quadrature.delta_on_grid` on the rule of e's depth class, which the
+    model builds once (`ValidatedModel._delta_rules`).  e is a float or an
+    array; returns Delta of the same shape and the node count of that rule
+    (0 for a closed form).
     """
     ov = model.overrides
     if ov is not None and ov.delta is not None:
         return np.asarray(ov.delta(e), dtype=float), 0
     x = np.atleast_1d(np.asarray(e, dtype=float))
     lo, up = model.omega_low, model.omega_up
-    delta = qd.delta_on_grid(model.j, lo, up, x)
-    return delta.reshape(np.shape(e)), qd.delta_rule(lo, up, x)[0].size
+    delta = qd.delta_on_grid(model.j, lo, up, x, rules=model._delta_rules)
+    return delta.reshape(np.shape(e)), model._delta_rules[qd._depth_class(lo, up, x)][0].size
 
 
 def delta_gamma(model: ValidatedModel, e: float) -> tuple[float, float]:

@@ -12,6 +12,7 @@ import pytest
 import friedrichs as fr
 from friedrichs import cli, waveguide
 from friedrichs.cli import main, model_from_doc
+from friedrichs.errors import NonconvergentEdge
 
 
 def run(argv):
@@ -225,6 +226,36 @@ def test_divergent_edge_document():
     assert model.continuum.edge_exponents == (None, None)
     # J ~ 1/sqrt near both edges
     assert model.j(np.array([0.999]))[0] > model.j(np.array([0.5]))[0]
+
+
+def _linear_edge_doc(s_low):
+    """J = 0.3 (w + 1)^s_low (1 - w) on [-1, 1], one level at -2."""
+    return {
+        "kind": "generic", "levels": [-2.0], "couplings": [0.3], "band": [-1.0, 1.0],
+        "spectral_density": {"form": "power_edges", "amplitude": 0.3, "s_low": s_low,
+                             "s_up": 1.0},
+    }
+
+
+def test_zero_edge_exponent_is_divergent():
+    # J is finite and nonzero at -1, where Sigma diverges logarithmically;
+    # read as a convergent exponent 0, Sigma(-1) came out as -23.27 and the
+    # census's 1/Sigma at the edge as -0.043
+    model, _, _ = model_from_doc(_linear_edge_doc(0))
+    assert model.continuum.edge_exponents == (fr.DIVERGENT, 1.0)
+    with pytest.raises(NonconvergentEdge):
+        fr.self_energy(model, -1.0)
+    inv = fr.count_bound_states(model).criteria_trace["low"]["sigma_inv_edge"]
+    assert inv == 0.0 and math.copysign(1.0, inv) == -1.0
+
+
+@pytest.mark.parametrize("s_low", [-1, -1.5, "nan"])
+def test_non_integrable_edge_exponent_is_a_config_error(tmp_path, capsys, s_low):
+    # J ~ (w + 1)^s_low has no integral for s_low <= -1: Sigma(-1.5) came
+    # out as a finite -30.78 at s_low = -1
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(_linear_edge_doc(s_low)))
+    assert_config_error(capsys, ["bound-states", "--model", str(path)], f"s_low={s_low!r}")
 
 
 def test_spectrum_csv(tmp_path):

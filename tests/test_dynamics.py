@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,17 +228,75 @@ def test_error_budget_enforced(fig_cases):
     assert series.meta["delta_nodes"] == 0  # the waveguide's closed-form Delta
 
 
-def test_delta_node_count_reported():
+def _delta_grids(monkeypatch) -> list:
+    """The energy grids the calls after this one pass to delta_on_grid."""
+    grids = []
+    inner = qd.delta_on_grid
+
+    def recorded(j, lo, up, e_grid, *args, **kwargs):
+        grids.append(np.array(e_grid))
+        return inner(j, lo, up, e_grid, *args, **kwargs)
+
+    monkeypatch.setattr(qd, "delta_on_grid", recorded)
+    return grids
+
+
+def _generic_case():
     model = random_model(np.random.default_rng(5), n_max=2, with_zero=True)
-    initial = random_initial(np.random.default_rng(6), model.n_levels)
+    return model, random_initial(np.random.default_rng(6), model.n_levels)
+
+
+def test_delta_node_count_reported(monkeypatch):
+    # delta_nodes is the node count of the largest Delta rule the
+    # transform read, the rule of the grid nearest an edge
+    model, initial = _generic_case()
     times = np.linspace(0.0, 5.0, 6)
-    series = fr.survival_probability(model, initial, times)
     coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
-    kern, _ = dyn._transform(coeffs, times, None)
-    rule, _ = qd.delta_rule(model.omega_low, model.omega_up, kern.e_nodes)
+    grids = _delta_grids(monkeypatch)
+    series = fr.survival_probability(model, initial, times, coefficients=coeffs)
+    largest = max(qd.delta_rule(model.omega_low, model.omega_up, g)[0].size for g in grids)
+    kern, _, delta_nodes = dyn._transform(coeffs, times, None)
     assert series.meta["transform_nodes"] == kern.e_nodes.size
-    assert series.meta["delta_nodes"] == rule.size == kern.delta_nodes
-    assert 0 < rule.size < 400
+    assert series.meta["delta_nodes"] == largest == delta_nodes
+    assert 0 < largest < 400
+
+
+def test_delta_once_per_node_energy(monkeypatch):
+    # the peak grid's panels come back in the kernel and each round's
+    # kernel holds the halves of the one before: 649 of the 3006 energies
+    # here reached delta_on_grid twice when each step formed Delta afresh
+    model, initial = _generic_case()
+    grids = _delta_grids(monkeypatch)
+    fr.survival_probability(model, initial, np.linspace(0.0, 50.0, 50))
+    e = np.concatenate(grids)
+    assert len(grids) > 1 and np.unique(e).size == e.size
+
+
+def test_delta_rules_built_once_per_model():
+    # J is read on the nodes of each depth class's Delta rule once per
+    # model: the first call builds them, a second call on the model none
+    model, initial = _generic_case()
+    reads = []
+
+    def j(x):
+        reads.append(np.array(x, dtype=float))
+        return model.j(x)
+
+    counted = dataclasses.replace(model, _j=j)
+    times = np.linspace(0.0, 50.0, 50)
+    first = fr.survival_probability(counted, initial, times)
+    rules = [rule[0] for rule in counted._delta_rules.values()]
+    assert rules
+
+    def rule_reads():
+        return [sum(np.array_equal(nodes, x) for x in reads) for nodes in rules]
+
+    assert rule_reads() == [1] * len(rules)
+    reads.clear()
+    again = fr.survival_probability(counted, initial, times)
+    assert rule_reads() == [0] * len(rules)
+    assert len(counted._delta_rules) == len(rules)
+    assert np.array_equal(first.p, again.p)
 
 
 def _finer(model, initial, times, series, factor=4):
@@ -385,7 +445,9 @@ def test_narrow_peaks_away_from_their_levels():
     )
     coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
     lo, up = model.omega_low, model.omega_up
-    peaks = dyn._peaks(model, qd.panel_rule(lo, up, dyn._transform_breaks(coeffs, 60.0))[0])
+    table = dyn._DeltaTable(model)
+    grid = qd.panel_rule(lo, up, dyn._transform_breaks(coeffs, 60.0, table))[0]
+    peaks = dyn._peaks(table, grid)
     narrow = sorted(e for e, width in peaks if width < 1e-3)
     assert narrow == pytest.approx([-0.62943, -0.31572], abs=1e-5)
     times = np.linspace(0.0, 60.0, 61)

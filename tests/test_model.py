@@ -93,6 +93,19 @@ def test_non_finite_band_edge_rejected(lo, up, error, named):
         fr.ContinuumBand(lo, up, smooth_j)
 
 
+@pytest.mark.parametrize(
+    "exponents, named",
+    [((0.0, 1.0), "0.0 at omega_low=-1.5"), ((1.0, -1.0), "-1.0 at omega_up=1.5"),
+     ((1.0, float("nan")), "nan at omega_up=1.5"), (("divergent", 1.0), "'divergent'")],
+)
+def test_non_positive_edge_exponent_rejected(exponents, named):
+    # s = 0 (J finite at the edge) makes Sigma diverge there, and s <= -1
+    # makes J non-integrable; both used to pass for a convergent edge and
+    # give a finite Sigma at the edge; DIVERGENT is the one way to say so
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        fr.ContinuumBand(-1.5, 1.5, smooth_j, edge_exponents=exponents)
+
+
 def test_negative_density_rejected():
     bad = fr.FriedrichsModel(
         discrete=fr.DiscreteSpectrum(np.array([0.0]), np.array([0.3])),

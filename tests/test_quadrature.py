@@ -183,15 +183,48 @@ def test_delta_vanishes_on_infinite_waveguide(kappa, bound):
 
 def test_delta_rule_grading():
     # nodes stay inside the band, the node count follows the log of the
-    # nearest target's k-distance, and the weights integrate dw exactly
+    # nearest target's k-distance, and the weights integrate dw exactly.
+    # The nearest targets sit pi/32768 in k from each edge, in the depth
+    # class 4**-7: per edge a panel [0, 4**-9] and graded ones up to 4**0,
+    # then 2 middle panels on [1, pi - 1]; 22 panels of 12 nodes
     lo, up = -2.0, 3.0
     e = 0.5 - 2.5 * np.cos(np.linspace(0.0, np.pi, 32769)[1:-1])
+    assert qd._depth_class(lo, up, e) == (4.0**-7, 4.0**-7)
     om, wgt = qd.delta_rule(lo, up, e)
-    assert om.size == 252 and om.size % qd.PANEL_NODES == 0
+    assert om.size == 264 and om.size % qd.PANEL_NODES == 0
     assert np.all((om > lo) & (om < up))
     assert abs(wgt.sum() - (up - lo)) <= 1e-14 * (up - lo)
     coarse, _ = qd.delta_rule(lo, up, e[::64])
     assert coarse.size < om.size
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(st.floats(-15.0, -0.5), st.floats(-15.0, -0.5), st.integers(1, 30)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=20, deadline=None)
+def test_delta_rule_cache_keeps_bits(seed, grids):
+    # grids at drawn depths from both edges, with two nodes of their own
+    # rule among the targets, give the same bits from a fresh rule and from
+    # the model's cache, whether the call builds the cached rule or reads it
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, with_zero=bool(seed % 2))
+    lo, up = model.omega_low, model.omega_up
+    span = up - lo
+    rules = model._delta_rules
+    for _ in range(2):
+        for low_exp, up_exp, n in grids:
+            e = np.r_[lo + span * 10.0**low_exp, up - span * 10.0**up_exp, rng.uniform(lo, up, n)]
+            nodes = qd.delta_rule(lo, up, e)[0]
+            inner = nodes[(nodes > e.min()) & (nodes < e.max())]
+            e = np.sort(np.r_[e, rng.choice(inner, 2)])
+            fresh = qd.delta_on_grid(model.j, lo, up, e)
+            assert np.array_equal(qd.delta_on_grid(model.j, lo, up, e, rules=rules), fresh)
+            assert qd._depth_class(lo, up, e) in rules
 
 
 def _van_hove(lo, up):
@@ -233,7 +266,11 @@ def test_delta_targets_on_rule_nodes():
     on = om[(om > -1.2) & (om < 2.0)][[5, 20, 40]]
     grid = np.r_[e, on]
     assert np.array_equal(qd.delta_rule(lo, up, grid)[0], om)
-    other = np.r_[-1.29999, 2.09999, on]  # a rule none of them sits on
+    # targets one ulp off the edges put `other` in the class of the deepest
+    # rule, whose middle panels are not those of the power-of-4 classes: a
+    # rule none of `on` sits on
+    other = np.r_[np.nextafter(lo, up), np.nextafter(up, lo), on]
+    assert qd._depth_class(lo, up, other) != qd._depth_class(lo, up, grid)
     assert not np.any(np.isin(on, qd.delta_rule(lo, up, other)[0]))
     got = qd.delta_on_grid(j, lo, up, grid)[3:]
     ref = qd.delta_on_grid(j, lo, up, other)[2:]
