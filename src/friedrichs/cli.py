@@ -270,12 +270,11 @@ def _write_csv(path, provenance: dict, columns: dict):
     lines = [f"# tool = friedrichs {__version__}"]
     lines += [f"# {k} = {v}" for k, v in provenance.items()]
     lines.append(",".join(columns))
-    for row in zip(*columns.values()):
-        lines.append(
-            ",".join(
-                (FLOAT_FMT % v) if isinstance(v, float) else str(v) for v in row
-            )
-        )
+    text = [
+        [FLOAT_FMT % v if isinstance(v, float) else str(v) for v in column]
+        for column in columns.values()
+    ]
+    lines += map(",".join, zip(*text))
     _emit(path, "\n".join(lines) + "\n")
 
 

@@ -15,7 +15,8 @@ Delta is formed once at each node energy of a transform (`_DeltaTable`):
 the peak search, the kernel, its halved twin and each round of halving
 read the energies already evaluated and send only new ones to
 `spectral._delta`.
-All N levels share one `quadrature.fourier_linear` call.
+All N levels share one `quadrature.fourier_linear` call, which on the
+uniform time grids of the CLI forms about 2*sqrt(T) phases per node, not T.
 """
 from __future__ import annotations
 

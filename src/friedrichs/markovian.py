@@ -166,8 +166,9 @@ def resonance_decomposition(h: EffectiveHamiltonianMarkov) -> ResonanceSystem:
 
         z, vecs = scipy.linalg.eig(mat)
 
-    below, above = np.tril_indices(n, -1)
-    min_gap = float(np.min(np.abs(z[below] - z[above]), initial=np.inf))
+    gaps = np.abs(z[:, None] - z)
+    np.fill_diagonal(gaps, np.inf)
+    min_gap = float(gaps.min())
     defective = False
     # ||H||_2 <= ||H||_F: the SVD runs only when the gap may be below the 2-norm bound
     if min_gap < EP_GAP_FACTOR * max(float(np.linalg.norm(mat)) * (1 + 1e-12), 1e-300):

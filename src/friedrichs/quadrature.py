@@ -15,7 +15,8 @@ an energy outside the band puts at imaginary k, where every energy far from
 both edges shares one rule, which a model forms once; and the scattering
 transform of `dynamics` builds its panels from the same pieces
 (`graded_breaks`, `split_panels`, `panel_rule`) and sums them against
-exp(-i omega t) in `fourier_linear`.  Adaptive `quad` is only the reference
+exp(-i omega t) in `fourier_linear`, which a uniform grid of T times lets
+form 2*sqrt(T) phases per node, not T.  Adaptive `quad` is only the reference
 the tests compare these rules against: `band_integral`, and
 `principal_value` on top of it.  `band_integral` imports it when called,
 so nothing else here loads scipy.
@@ -208,7 +209,7 @@ def _rule_with_j(j, lo, up, e_grid, rules):
     return rule
 
 
-def delta_on_grid(j, lo, up, e_grid, rules=None):
+def delta_on_grid(j, lo, up, e_grid, rule=None):
     """P.V. part Delta(E) on a grid strictly inside a finite band.
 
     Subtracted form sum_m W_m (J(w_m) - J(E)) / (E - w_m) + J(E) ln((E-lo)/(up-E))
@@ -226,15 +227,16 @@ def delta_on_grid(j, lo, up, e_grid, rules=None):
     280.  A target on a node of the rule takes the limit -J'(E) of the
     subtracted integrand there.
 
-    rules, a model's cache of Delta rules (`ValidatedModel._delta_rules`),
-    holds each depth class's rule with J and -J' on its nodes: a call whose
-    class is there reads J only at its targets.  The result is the same,
-    bit for bit, with rules or without.
+    rule, when given, is the `_rule_with_j` of e_grid's depth class, read
+    by the caller from a model's cache of Delta rules
+    (`ValidatedModel._delta_rules`), which holds each class's rule with J
+    and -J' on its nodes: the call then reads J only at its targets.  The
+    result is the same, bit for bit, with rule or without.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if e_grid.size == 0:
         return np.empty_like(e_grid)
-    om, wgt, jv, on_node = _rule_with_j(j, lo, up, e_grid, rules)
+    om, wgt, jv, on_node = _rule_with_j(j, lo, up, e_grid, None) if rule is None else rule
     je = np.asarray(j(e_grid), dtype=float)
     out = np.empty_like(e_grid)
     rows = max(1, 2**14 // om.size)  # (rows, nodes) temporaries stay in cache
@@ -367,15 +369,31 @@ def fourier_linear(x, f, times):
     """sum_k f[..., k] exp(-i x_k t) at each time t: a band integral against
     exp(-i omega t) on the nodes x of a rule whose weights f carries.
 
-    f has shape (K,) or (N, K), the result (T,) or (N, T).  The phases are
-    formed for blocks of times, so the (K, block) temporary stays ~1 MB.
+    f has shape (K,) or (N, K), the result (T,) or (N, T).  When every
+    |t_i - (t_0 + i*h)|, h = (t_{T-1} - t_0)/(T - 1), is at most 4 ulps of
+    max|t| (any `np.linspace`), blocks of b = isqrt(T) times share the
+    phases exp(-i x t_a) of their anchor t_a in t[::b] and exp(-i x jh) of
+    each offset j, which f takes on: 2*sqrt(T) phases per node, not T, each
+    off by at most |x| times 8 ulps of max|t| (2.5 on `np.linspace` grids).
+    Any other grid has b = 1, a phase per node and time.  Anchor phases are
+    formed in blocks whose (K, block) temporary stays ~1 MB.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=complex)
     rows = np.atleast_2d(f)
     t = np.asarray(times, dtype=float)
-    out = np.empty((rows.shape[0], t.size), dtype=complex)
+    n = t.size
+    h = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
+    slip = np.abs(t - (t[:1] + h * np.arange(n)))
+    uniform = np.all(slip <= 4.0 * np.spacing(np.max(np.abs(t), initial=0.0)))
+    b = max(1, math.isqrt(n)) if uniform else 1
+    offsets = np.exp(np.multiply.outer(-1j * h * np.arange(1, b), x))  # (b - 1, K)
+    g = np.concatenate([rows, (rows * offsets[:, None]).reshape(-1, x.size)])  # (b*N, K)
+    anchors = t[::b]
+    out = np.empty((rows.shape[0], anchors.size, b), dtype=complex)
     step = max(1, 2**16 // max(x.size, 1))
-    for i in range(0, t.size, step):
-        out[:, i : i + step] = rows @ np.exp(np.multiply.outer(x, -1j * t[i : i + step]))
+    for i in range(0, anchors.size, step):
+        block = g @ np.exp(np.multiply.outer(x, -1j * anchors[i : i + step]))
+        out[:, i : i + step] = block.reshape(b, rows.shape[0], -1).transpose(1, 2, 0)
+    out = out.reshape(rows.shape[0], -1)[:, :n]
     return out if f.ndim == 2 else out[0]

@@ -261,8 +261,8 @@ def _delta(model: ValidatedModel, e):
         return np.asarray(ov.delta(e), dtype=float), 0
     x = np.atleast_1d(np.asarray(e, dtype=float))
     lo, up = model.omega_low, model.omega_up
-    delta = qd.delta_on_grid(model.j, lo, up, x, rules=model._delta_rules)
-    return delta.reshape(np.shape(e)), model._delta_rules[qd._depth_class(lo, up, x)][0].size
+    rule = qd._rule_with_j(model.j, lo, up, x, model._delta_rules)
+    return qd.delta_on_grid(model.j, lo, up, x, rule=rule).reshape(np.shape(e)), rule[0].size
 
 
 def delta_gamma(model: ValidatedModel, e: float) -> tuple[float, float]:

@@ -399,6 +399,9 @@ def test_reproduce_fig5_deterministic(tmp_path):
     for name in ("fig5_eigenvalue_flow.csv", "fig5_decay_xi2.csv",
                  "fig5_decay_xi4.csv", "fig5_decay_xi6.csv", "plot_stub.py"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    pinned = {"fig5_eigenvalue_flow.csv": FIG5_FLOW_SHA256, "plot_stub.py": STUB_SHA256}
+    for name, digest in pinned.items():
+        assert hashlib.sha256((d1 / name).read_bytes()).hexdigest() == digest, name
     flow = (d1 / "fig5_eigenvalue_flow.csv").read_text().splitlines()
     rows = [ln for ln in flow if not ln.startswith("#")]
     assert len(rows) == 162
@@ -424,6 +427,8 @@ def test_reproduce_all_headers_are_the_plot_stubs(tmp_path):
 
 
 FIG3_SHA256 = "420ee1f62d2e14c68928c1ec6f43efa0be6d875b832ae323e98996bb46b2364b"
+FIG5_FLOW_SHA256 = "9b63214cac53bb6d9f6afdb4151955af7a6f9451bd341b7feabbf7c588623d6d"
+STUB_SHA256 = "b2dcd27a1aaeb817d8f9fd34734cdad7110881d55bb5d63c0eabcbc49156cdf0"
 
 
 def test_reproduce_fig3_pinned_and_matches_generic_census(tmp_path):

@@ -152,7 +152,7 @@ def test_match_oracle_all_geometries(fig_cases):
         coeffs = fr.decay_coefficients(model, initial, bound)
         series = fr.survival_probability(model, initial, t, coefficients=coeffs)
         oracle = fr.evolve_lattice(params, t_max=50.0, dt_out=0.25)
-        assert np.max(np.abs(series.p - oracle.p)) < 1e-10
+        assert np.max(np.abs(series.p - oracle.p)) < 1e-13
 
 
 def test_uncoupled_level_inside_the_band_matches_the_oracle():
@@ -463,5 +463,5 @@ def test_long_run_matches_oracle(fig_cases):
     oracle = fr.evolve_lattice(params, t_max=200.0, dt_out=0.5)
     coeffs = fr.decay_coefficients(model, initial, bound)
     series = fr.survival_probability(model, initial, oracle.times, coefficients=coeffs)
-    assert np.max(np.abs(series.p - oracle.p)) < 1e-10
+    assert np.max(np.abs(series.p - oracle.p)) < 1e-13
     assert series.meta["transform_nodes"] < 2100

@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
@@ -44,6 +44,89 @@ def test_rows_match_single_level_calls(seed, n_rows, n_nodes, uniform):
         assert np.max(np.abs(values - single)) <= 1e-13
         direct = [np.sum(row * np.exp(-1j * x * t)) for t in times]
         assert np.max(np.abs(single - direct)) <= 1e-12 * np.abs(row).sum()
+
+
+def _plain_fourier(x, f, times):
+    """sum_k f[..., k] exp(-i x_k t) with a phase per node and time, in
+    blocks of times: `fourier_linear` on a grid that is not uniform."""
+    rows, t = np.atleast_2d(f), np.asarray(times, dtype=float)
+    out = np.empty((rows.shape[0], t.size), dtype=complex)
+    step = max(1, 2**16 // max(x.size, 1))
+    for i in range(0, t.size, step):
+        out[:, i : i + step] = rows @ np.exp(np.multiply.outer(x, -1j * t[i : i + step]))
+    return out if f.ndim == 2 else out[0]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 2500),
+    st.integers(1, 1000),
+    st.booleans(),
+    st.booleans(),
+)
+@example(seed=0, n_rows=2, n_nodes=300, n_times=1, late=False, descending=False)
+@example(seed=1, n_rows=1, n_nodes=300, n_times=2, late=True, descending=False)
+@example(seed=2, n_rows=2, n_nodes=300, n_times=3, late=False, descending=True)
+@example(seed=3, n_rows=3, n_nodes=300, n_times=4, late=True, descending=False)
+@example(seed=4, n_rows=2, n_nodes=700, n_times=400, late=False, descending=False)
+@example(seed=5, n_rows=2, n_nodes=2500, n_times=1000, late=True, descending=True)
+@settings(max_examples=30, deadline=None)
+def test_uniform_grid_matches_plain_sum(seed, n_rows, n_nodes, n_times, late, descending):
+    # on a linspace grid the phases are an anchor's times an offset's, in
+    # blocks of isqrt(T) times (one short at the end unless T is a square);
+    # 2500 nodes and 1000 times take two blocks of anchor phases
+    rng = np.random.default_rng(seed)
+    x = _band_nodes(rng, n_nodes, rng.uniform(0.1, 5.0)) if n_nodes > 1 else np.array([1.3])
+    f = rng.normal(size=(n_rows, n_nodes)) + 1j * rng.normal(size=(n_rows, n_nodes))
+    t0 = rng.uniform(1.0, 100.0) if late else 0.0
+    times = np.linspace(t0, t0 + rng.uniform(1.0, 300.0), n_times)
+    times = times[::-1] if descending else times
+    got = qd.fourier_linear(x, f, times)
+    assert got.shape == (n_rows, n_times)
+    direct = f @ np.exp(-1j * np.multiply.outer(x, times))
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.abs(f).sum(axis=1).max()
+
+
+@pytest.mark.parametrize("kind", ["sorted", "jittered", "one_off", "descending_jittered"])
+def test_other_grids_keep_the_plain_sum(kind):
+    # a grid more than 4 ulps off uniform takes a phase per node and time,
+    # exactly as the plain sum does
+    rng = np.random.default_rng(7)
+    x = _band_nodes(rng, 900, 2.0)
+    f = rng.normal(size=(2, x.size)) + 1j * rng.normal(size=(2, x.size))
+    times = np.linspace(0.0, 200.0, 400)
+    if kind == "sorted":
+        times = np.sort(rng.uniform(0.0, 200.0, 400))
+    elif kind == "jittered":
+        times = times * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, times.size))
+    elif kind == "one_off":
+        times[123] = np.nextafter(times[123] + 8.0 * np.spacing(200.0), np.inf)
+    else:
+        times = (times * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, times.size)))[::-1]
+    assert np.array_equal(qd.fourier_linear(x, f, times), _plain_fourier(x, f, times))
+    assert np.array_equal(qd.fourier_linear(x, f[1], times), _plain_fourier(x, f[1], times))
+
+
+def test_phases_per_node_on_uniform_grid(monkeypatch):
+    # 400 times in 20 blocks of 20: 20 anchor phases and 19 offset phases
+    # per node, where a phase per node and time makes 400
+    rng = np.random.default_rng(8)
+    x = _band_nodes(rng, 1000, 2.0)
+    f = rng.normal(size=(3, x.size)) + 1j * rng.normal(size=(3, x.size))
+    times = np.linspace(0.0, 200.0, 400)
+    formed = []
+    exp = np.exp
+
+    def counted(z, *args, **kwargs):
+        formed.append(np.size(z))
+        return exp(z, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    got = qd.fourier_linear(x, f, times)
+    monkeypatch.undo()
+    assert sum(formed) <= x.size * (20 + 20)
+    assert np.max(np.abs(got - _plain_fourier(x, f, times))) <= 1e-12 * np.abs(f).sum(axis=1).max()
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +306,8 @@ def test_delta_rule_cache_keeps_bits(seed, grids):
             inner = nodes[(nodes > e.min()) & (nodes < e.max())]
             e = np.sort(np.r_[e, rng.choice(inner, 2)])
             fresh = qd.delta_on_grid(model.j, lo, up, e)
-            assert np.array_equal(qd.delta_on_grid(model.j, lo, up, e, rules=rules), fresh)
+            cached = qd._rule_with_j(model.j, lo, up, e, rules)
+            assert np.array_equal(qd.delta_on_grid(model.j, lo, up, e, rule=cached), fresh)
             assert qd._depth_class(lo, up, e) in rules
 
 
