@@ -1,17 +1,19 @@
 """Counting and solving bound states outside and inside the continuum.
 
-Outside the band the eigenvalue condition reduces to K(E) = 1/Sigma(E);
-K falls monotonically on each branch between its poles while 1/Sigma rises,
-so each branch holds at most one root.  One walk, the same for both sides,
-brackets one root per interval from a band edge through the coupled levels
-eps_n (the poles of K), nearest first, to an expanding far sentinel; the
-interval at the edge holds one only when the census found the extra root,
-and the census has already certified the sign of K - 1/Sigma at the edge.
-Census and solve read 1/Sigma from `spectral.inverse_self_energy`: at a
-divergent edge the float limit -0.0 or +0.0, as the trace's `sigma_inv_edge`
-holds it.  Brent's method then runs on the pole-free
-g = (K - 1/Sigma) * prod_p |E - p| over the bracket's ends p on levels, with
-each pole's term of K taken exactly: g is finite up to the poles, and its
+Outside the band the eigenvalue condition reduces to K(E) = 1/Sigma(E); K
+falls monotonically on each branch between its poles while 1/Sigma rises, so
+each branch holds at most one root.  The census reads both criteria of an
+edge off K there: the energy criterion (the edge lies past its gap's K-zero)
+is the sign of K, the amplitude criterion that of K - 1/Sigma.  One walk,
+the same for both sides, brackets one root per interval from a band edge
+through the coupled levels eps_n (the poles of K), nearest first, to an
+expanding far sentinel; the interval at the edge holds one only when the
+census found the extra root, and the census has already certified the sign
+of K - 1/Sigma at the edge.  Census and solve read 1/Sigma from
+`spectral.inverse_self_energy`: at a divergent edge the float limit -0.0 or
++0.0, as the trace's `sigma_inv_edge` holds it.  Brent's method then runs on
+the pole-free g = (K - 1/Sigma) * prod_p |E - p| over the bracket's ends p
+on levels (`spectral._pole_free_k`): g is finite up to the poles, and its
 value at every end is known without evaluating Sigma there.
 An uncoupled level (f_n = 0) is no pole of K: outside the band, and
 strictly inside it, it is a bound state of its own, pinned to that level.
@@ -76,19 +78,12 @@ def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
     n_side = int(np.sum(sgn * (levels - edge) > 0))
     trace["n_side"] = n_side
 
-    n_tot = model.n_levels
-    # energy criterion: the edge must lie past the K-zero in its gap
-    if 1 <= n_side <= n_tot - 1:
-        j = n_side - 1 if sgn < 0 else n_tot - 1 - n_side
-        zero = sp._k_zero_in_gap(model, j)
-        energy_ok = sgn * (zero - edge) > 0
-        trace["k_zero_boundary"] = float(zero)
-    else:
-        energy_ok = True  # vacuous: no zero separates the edge from the last pole
-        trace["k_zero_boundary"] = None
+    k_edge = float(np.real(sp.k_function(model, edge)))
+    # energy criterion: the edge lies past the K-zero of its gap, where K
+    # falls; vacuous when no level lies on one side
+    energy_ok = sgn * k_edge > 0 if 1 <= n_side <= model.n_levels - 1 else True
     trace["energy_ok"] = bool(energy_ok)
 
-    k_edge = float(np.real(sp.k_function(model, edge)))
     sig_inv = sp.inverse_self_energy(model, edge)
     trace["k_edge"] = k_edge
     trace["sigma_inv_edge"] = sig_inv
@@ -188,31 +183,22 @@ def _brackets_one_side(model: ValidatedModel, trace: dict, sgn: int):
 
 
 def _pole_free(model: ValidatedModel, br: _Bracket, sig_invs: dict) -> Callable:
-    """g(E) = (K(E) - 1/Sigma(E)) * prod_p |E - p| on the bracket br, p = eps_n
-    over its pole ends (n, s), with each pole's term of K taken exactly as
-    s*|f_n|^2 times the product over the other pole ends: g is smooth up to
-    the poles.  At an end g returns the bracket's own value, without Sigma.
+    """g(E) = (K(E) - 1/Sigma(E)) * prod_p |E - p| on the bracket br, the
+    `spectral._pole_free_k` of its pole ends with c = 1/Sigma.  At an end g
+    returns the bracket's own value, without Sigma.
 
     1/Sigma reads as in the census (`spectral.inverse_self_energy`).  Each
     1/Sigma evaluated is kept in sig_invs by energy.
     """
-    levels, f2 = model.levels, model._f2
-    rest = f2 > 0  # the levels whose terms of K are summed as they stand
-    rest[[n for n, _ in br.poles]] = False
-    rest_levels, rest_f2 = levels[rest], f2[rest]
-    ends = [(float(levels[n]), s * float(f2[n])) for n, s in br.poles]
+    pole_free_k = sp._pole_free_k(model, br.poles)
 
     def g(e: float) -> float:
         if e == br.a:
             return br.ga
         if e == br.b:
             return br.gb
-        d = [abs(e - p) for p, _ in ends]
         sig_inv = sig_invs[e] = sp.inverse_self_energy(model, e)
-        out = (float((rest_f2 / (e - rest_levels)).sum()) - sig_inv) * math.prod(d)
-        for i, (_, term) in enumerate(ends):
-            out += term * math.prod(d[:i] + d[i + 1 :])
-        return out
+        return pole_free_k(e, sig_inv)
 
     return g
 
@@ -222,14 +208,8 @@ def _solve_bracket(model: ValidatedModel, br: _Bracket):
     `_pole_free`, whose 1/Sigma at the root gives Sigma unless it is a
     divergent edge's limit 0."""
     sig_invs: dict = {}
-    root = sp._brent(
-        _pole_free(model, br, sig_invs),
-        br.a,
-        br.b,
-        xtol=1e-15 * model.scale,
-        rtol=8.9e-16,
-        maxiter=200,
-    )
+    g = _pole_free(model, br, sig_invs)
+    root = sp._brent(g, br.a, br.b, xtol=1e-15 * model.scale, rtol=8.9e-16, maxiter=200)
     sig_inv = sig_invs.get(root)
     return _polish(model, root, br.a, br.b, 1.0 / sig_inv if sig_inv else None)
 

@@ -115,7 +115,10 @@ def _factored(model: ValidatedModel, x: np.ndarray, delta: np.ndarray):
     multiplied out, given Delta on x: (q, h, Sigma), with
     q[:, n] = prod_{m != n} (x - eps_m), Q = prod_n (x - eps_n),
     P = Q*K = q @ |f|^2, h = Q - Sigma*P = Q*(1 - Sigma*K) and
-    Sigma = Delta + i*Gamma.  All are finite at the levels.
+    Sigma = Delta + i*Gamma.  All are finite at the levels.  Unlike
+    `spectral._pole_free_k`, which takes one or two levels out of a real K
+    at one energy, it multiplies out every level, on arrays with a complex
+    Sigma.
     """
     d = np.subtract.outer(x, model.levels)
     ones = np.ones((x.size, 1))

@@ -5,7 +5,9 @@ inverse.  The spectral density J(omega) is the band's only representation:
 every kernel and every continuum amplitude profile of a bound state is
 built from it.  Where an energy lies (outside the band, on an edge, on a
 declared zero of J, or strictly inside) is decided by `spectral` with the
-two tolerances of `ValidatedModel.is_edge` and `is_interior_zero`.
+two tolerances of `ValidatedModel.is_edge` and `is_interior_zero`.  The
+graded rules that read J and recur are kept on the validated model
+(`ValidatedModel._rules`); only `quadrature` builds and reads them.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import quadrature as qd
 from .errors import (
     ConfigError,
     DegenerateLevels,
@@ -176,8 +177,9 @@ class ValidatedModel:
     """Immutable, validated handle consumed by every other module.
 
     It also holds what the kernels form once per model on first use: |f|^2,
-    the far-field Sigma rule and the Delta rule of each depth class, each
-    with J read on its nodes.
+    and in `_rules`, which only `quadrature` fills, the graded rules that
+    recur with J read on their nodes (the far-field Sigma rule and the
+    Delta rule of each depth class).
     """
 
     discrete: DiscreteSpectrum
@@ -185,6 +187,7 @@ class ValidatedModel:
     overrides: Optional[AnalyticOverrides]
     _j: Callable = field(repr=False)
     scale: float = 1.0
+    _rules: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def levels(self) -> np.ndarray:
@@ -198,21 +201,6 @@ class ValidatedModel:
     def _f2(self) -> np.ndarray:
         """|f_n|^2, formed once for the rational sums K and K'."""
         return np.abs(self.couplings) ** 2
-
-    @functools.cached_property
-    def _far_sigma_rule(self) -> tuple:
-        """The Sigma and Sigma' rule of every energy far from both edges, that
-        of E = inf (`quadrature._kernel_rule`), formed once: J is read on its
-        nodes here and nowhere else for those energies."""
-        lo, up = self.omega_low, self.omega_up
-        return qd._kernel_rule(self.j, lo, up, math.inf, self.interior_zeros)
-
-    @functools.cached_property
-    def _delta_rules(self) -> dict:
-        """The Delta rules of `quadrature.delta_on_grid`, keyed by depth class
-        (`quadrature._depth_class`), each with J and -J' on its nodes: built
-        once per class, the first time a grid of that class asks for it."""
-        return {}
 
     @property
     def n_levels(self) -> int:

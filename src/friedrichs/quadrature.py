@@ -6,20 +6,20 @@ inverse-square-root edge divergences (van Hove) and flattens power-law edge
 zeros, so one scheme covers every declared edge exponent.
 
 Composite Gauss-Legendre rules in k whose panels are graded geometrically
-toward both edges do the work: `delta_on_grid` grades down to the depth
-class of its grid, the k-distance of the grid point nearest each edge
-rounded down to a power of GRADING, so that a model builds each class's
-rule, J on its nodes included, once (`ValidatedModel._delta_rules`);
-`kernel_integral` (Sigma, Sigma') down to the pole that
-an energy outside the band puts at imaginary k, where every energy far from
-both edges shares one rule, which a model forms once; and the scattering
-transform of `dynamics` builds its panels from the same pieces
-(`graded_breaks`, `split_panels`, `panel_rule`) and sums them against
-exp(-i omega t) in `fourier_linear`, which a uniform grid of T times lets
-form 2*sqrt(T) phases per node, not T.  Adaptive `quad` is only the reference
-the tests compare these rules against: `band_integral`, and
-`principal_value` on top of it.  `band_integral` imports it when called,
-so nothing else here loads scipy.
+toward both edges do the work, each built with J on its nodes by
+`_graded_rule`: `delta_on_grid` grades down to the depth class of its grid,
+the k-distance of the grid point nearest each edge rounded down to a power
+of GRADING, and `kernel_integral` (Sigma, Sigma') down to the pole that an
+energy outside the band puts at imaginary k, where every energy far from
+both edges shares one rule.  A model keeps the rules that recur, that one
+and each depth class's, in one cache (`ValidatedModel._rules`), which only
+this module fills.  The scattering transform of `dynamics` builds its panels
+from the same pieces (`graded_breaks`, `split_panels`, `panel_rule`) and
+sums them against exp(-i omega t) in `fourier_linear`, which a uniform grid
+of T times lets form 2*sqrt(T) phases per node, not T.  Adaptive `quad` is
+only the reference the tests compare these rules against: `band_integral`,
+and `principal_value` on top of it.  `band_integral` imports it when
+called, so nothing else here loads scipy.
 """
 from __future__ import annotations
 
@@ -83,9 +83,9 @@ def principal_value(j, lo, up, e, epsrel=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# Delta(E) on energy grids: composite Gauss-Legendre graded toward the edges
+# graded rules, and Delta(E) on energy grids
 
-#: Gauss-Legendre nodes per panel of the Delta rule
+#: Gauss-Legendre nodes per panel
 PANEL_NODES = 12
 #: width ratio of neighbouring panels toward a band edge
 GRADING = 4.0
@@ -160,19 +160,6 @@ def _depth_class(lo, up, e_grid):
     return tuple(out)
 
 
-def delta_rule(lo, up, e_grid):
-    """Nodes and weights of the Delta rule for the targets e_grid.
-
-    A composite Gauss-Legendre rule in k (omega = mid - half*cos(k)) with
-    PANEL_NODES per panel.  Panels shrink by GRADING toward both edges,
-    down to GRADING**-PAST_TARGET times the `_depth_class` of e_grid at
-    that edge, and are at most MID_PANEL wide in the middle: every grid of
-    one depth class has the same rule.  Returns the node energies, which
-    ascend, and the weights of integral dw.
-    """
-    return panel_rule(lo, up, _breaks(*_depth_class(lo, up, e_grid)))
-
-
 def _shallowest(lo, up, edge):
     """The smallest target of `_breaks` whose nodes all stay at least one ulp
     off the edge: deeper nodes would round onto it, where J reads 0 or inf."""
@@ -187,34 +174,48 @@ def panel_rule(lo, up, breaks):
     return om.ravel(), (wk * jac).ravel()
 
 
-def _rule_with_j(j, lo, up, e_grid, rules):
-    """(nodes, weights, J on the nodes, -J' on the nodes) of the Delta rule
-    of e_grid, from rules (a dict keyed by `_depth_class`) when it holds
-    that class, else built and, with rules given, stored there.
+def _graded_rule(j, lo, up, breaks):
+    """Every Sigma and Delta rule: per panel between breaks and node, the
+    weights wk of integral dk, the node energies, their rounding and slip,
+    dw/dk (`_panels`), J, and D @ (J dw/dk), the derivative of the panel's
+    interpolant of J dw/dk in its own variable on [-1, 1]."""
+    wk, om, jac, slip, rnd = _panels(lo, up, breaks)
+    jv = np.asarray(j(om.ravel()), dtype=float).reshape(om.shape)
+    return wk, om, rnd, slip, jac, jv, (jv * jac) @ _differentiation().T
+
+
+def _recurring(rules, key, build):
+    """rules[key], built and stored the first time; build() itself when rules
+    or key is None (no cache, or a rule that does not recur)."""
+    if rules is None or key is None:
+        return build()
+    if key not in rules:
+        rules[key] = build()
+    return rules[key]
+
+
+def _delta_terms(j, lo, up, depths):
+    """(nodes, weights of integral dw, J, -J') of the Delta rule of a depth
+    class, flat, the nodes ascending.
 
     -J' = -(F_k - J w_kk) / w_k^2 comes from the interpolant of F = J w_k on
     each panel, which stays smooth at a van Hove edge.
     """
-    depths = _depth_class(lo, up, e_grid)
-    if rules is not None and depths in rules:
-        return rules[depths]
-    om, wgt = panel_rule(lo, up, _breaks(*depths))
-    jv = np.asarray(j(om), dtype=float)
-    dw = np.sqrt((om - lo) * (up - om))
-    f_u = ((jv * dw).reshape(-1, PANEL_NODES) @ _differentiation().T).ravel()
-    w_i = np.tile(_gauss_legendre(PANEL_NODES)[1], om.size // PANEL_NODES)
-    rule = om, wgt, jv, (jv * (0.5 * (lo + up) - om) - f_u * w_i * dw / wgt) / dw**2
-    if rules is not None:
-        rules[depths] = rule
-    return rule
+    wk, om, _, _, jac, jv, df = _graded_rule(j, lo, up, _breaks(*depths))
+    wgt = wk * jac
+    w = _gauss_legendre(PANEL_NODES)[1]
+    on_node = (jv * (0.5 * (lo + up) - om) - df * w * jac / wgt) / jac**2
+    return om.ravel(), wgt.ravel(), jv.ravel(), on_node.ravel()
 
 
-def delta_on_grid(j, lo, up, e_grid, rule=None):
+def delta_on_grid(j, lo, up, e_grid, rules=None):
     """P.V. part Delta(E) on a grid strictly inside a finite band.
 
     Subtracted form sum_m W_m (J(w_m) - J(E)) / (E - w_m) + J(E) ln((E-lo)/(up-E))
-    on the nodes of `delta_rule`: the compensated integrand is as smooth as
-    J, so the rule converges however close grid points sit to the nodes.
+    on the graded rule of the `_depth_class` of e_grid, whose panels shrink
+    toward each edge down to GRADING**-PAST_TARGET times the class there.
+    The compensated integrand is as smooth as J, so the rule converges
+    however close grid points sit to the nodes.
 
     The grading is what targets near an edge need, down to the target
     whose nodes would round onto the edge (`_shallowest`).  Where J(omega(k)) is
@@ -227,16 +228,18 @@ def delta_on_grid(j, lo, up, e_grid, rule=None):
     280.  A target on a node of the rule takes the limit -J'(E) of the
     subtracted integrand there.
 
-    rule, when given, is the `_rule_with_j` of e_grid's depth class, read
-    by the caller from a model's cache of Delta rules
-    (`ValidatedModel._delta_rules`), which holds each class's rule with J
-    and -J' on its nodes: the call then reads J only at its targets.  The
-    result is the same, bit for bit, with rule or without.
+    rules, a model's cache (`ValidatedModel._rules`), keeps each depth
+    class's rule with J and -J' on its nodes, so that a later grid of that
+    class reads J only at its targets.  The result is the same, bit for bit,
+    with rules or without.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if e_grid.size == 0:
         return np.empty_like(e_grid)
-    om, wgt, jv, on_node = _rule_with_j(j, lo, up, e_grid, None) if rule is None else rule
+    depths = _depth_class(lo, up, e_grid)
+    om, wgt, jv, on_node = _recurring(
+        rules, ("delta", *depths), lambda: _delta_terms(j, lo, up, depths)
+    )
     je = np.asarray(j(e_grid), dtype=float)
     out = np.empty_like(e_grid)
     rows = max(1, 2**14 // om.size)  # (rows, nodes) temporaries stay in cache
@@ -283,22 +286,21 @@ def _differentiation():
     return v[:, :-1] @ np.polynomial.legendre.legder(np.eye(PANEL_NODES)) @ np.linalg.inv(v)
 
 
-def _kernel_rule(j, lo, up, e, interior_points):
+def _sigma_terms(j, lo, up, e, interior_points):
     """All of the `kernel_integral` rule of e but the factor (e - w)**power:
     the node energies, their rounding, and the weight of integral dk times
-    f - f'(k)*slip, times f'(k)*slip and times f.  e = inf gives the rule of
-    every e in the far field (`_far_field`)."""
+    f - f'(k)*slip, times f'(k)*slip and times f, f = J dw/dk."""
     breaks = _breaks(_edge_target(lo, up, lo, lo - e), _edge_target(lo, up, up, e - up))
     inner = [_k_of_omega(p, lo, up) for p in (*interior_points, e) if lo < p < up]
     breaks = np.union1d(breaks, inner) if inner else breaks
-    wk, om, jac, slip, rnd = _panels(lo, up, breaks)
-    f = np.asarray(j(om.ravel()), dtype=float).reshape(om.shape) * jac
-    shift = (f @ _differentiation().T) * slip / (0.5 * np.diff(breaks)[:, None])
+    wk, om, rnd, slip, jac, jv, df = _graded_rule(j, lo, up, breaks)
+    f = jv * jac
+    shift = df * slip / (0.5 * np.diff(breaks)[:, None])
     return om, rnd, wk * (f - shift), wk * shift, wk * f
 
 
 def _far_field(lo, up, e, interior_points):
-    """Whether e has the panels of e = inf: it lies at least
+    """Whether e has the rule of e = inf: it lies at least
     span*sinh(_EDGE_DEPTH/2)**2 (1.6% of the band) outside both edges, so
     both edge targets sit at their cap, and inside the band only on a
     J-zero, which already cuts the panels."""
@@ -307,12 +309,12 @@ def _far_field(lo, up, e, interior_points):
     return _edge_pole(lo, up, lo - e) >= _EDGE_DEPTH and _edge_pole(lo, up, e - up) >= _EDGE_DEPTH
 
 
-def kernel_integral(j, lo, up, e, power=1, interior_points=(), far_rule=None):
+def kernel_integral(j, lo, up, e, power=1, interior_points=(), rules=None):
     """(value, err) of integral J(w)/(e-w)^power dw over the band.
 
     e must lie outside (lo, up) or at a point where the integrand is
     regular (a J-zero of sufficient order).  The rule is fixed: the panels
-    of `delta_rule`, graded toward each edge down to 1/256 of the k-distance
+    of `delta_on_grid`, graded toward each edge down to 1/256 of the k-distance
     `_edge_pole` of the pole that e outside the band puts at imaginary k
     (at most _EDGE_DEPTH, never so deep that a node comes within one ulp of
     the edge), and broken at the J-zeros and at e inside the band.  The
@@ -323,14 +325,15 @@ def kernel_integral(j, lo, up, e, power=1, interior_points=(), far_rule=None):
     the innermost panel is replaced by the geometric series its two
     neighbours start.  err sums both corrections and rounding.
 
-    far_rule is `_kernel_rule(j, lo, up, inf, interior_points)`, formed once
-    by the caller: an e in the far field then costs only the sum against
-    (e - w)**-power, with the same value and err as a rule built for e.
+    rules, a model's cache (`ValidatedModel._rules`), keeps the rule that
+    every e in the far field shares, that of e = inf: such an e then costs
+    only the sum against (e - w)**-power.  The rule of any other e is its
+    own and is not kept.
     """
-    if far_rule is not None and _far_field(lo, up, e, interior_points):
-        om, rnd, body, shift, whole = far_rule
-    else:
-        om, rnd, body, shift, whole = _kernel_rule(j, lo, up, e, interior_points)
+    key = ("sigma", math.inf) if _far_field(lo, up, e, interior_points) else None
+    om, rnd, body, shift, whole = _recurring(
+        rules, key, lambda: _sigma_terms(j, lo, up, e, interior_points)
+    )
     den = ((e - om) + rnd) ** power  # om - rnd is the exact node
     panels = (body / den).sum(axis=1)
     tail = 0.0

@@ -2,10 +2,10 @@
 
 K and I are exact rational sums over the discrete levels (valid at complex
 arguments).  Next to a level they are read with its pole multiplied out,
-never stepped around: the K-zero of a gap is the root of K(E)(E - a)(b - E)
-over the whole gap (by `_brent`, the package's Brent solve, which the
-bound-state solve uses too), and `dynamics` builds the scattering weight from
-prod_n (E - eps_n) times K and I.
+never stepped around: `_pole_free_k` is (K - c) prod_p |E - p| over one or
+two levels p, with their terms of K taken exactly.  With c = 0 its root
+over a whole gap is that gap's K-zero (by `_brent`, the package's Brent
+solve); with c = 1/Sigma the bound-state solve's mismatch.
 
 Sigma and Sigma' are one kernel, `_sigma`, which with `_delta` is all that
 reads a model's closed-form overrides.  `_classify` alone decides where an
@@ -13,12 +13,12 @@ energy lies, and the kernel evaluates the closed form or the graded rule at
 the point it returns, so a closed form is only ever called outside the
 band, on a convergent edge or exactly at a declared J-zero.  Without a
 closed form the band takes graded Gauss-Legendre rules, one energy at a
-time for Sigma and Sigma' (`quadrature.kernel_integral`, passed the model's
-cached far-field rule, J already read on its nodes, for every energy far
-from both edges) and a whole grid for Delta (`quadrature.delta_on_grid`);
-adaptive quadrature is only the reference the tests hold these rules to.
-1/Sigma, with its limit -0.0 or +0.0 at a divergent edge, is
-`inverse_self_energy`, a call of `self_energy`.
+time for Sigma and Sigma' (`quadrature.kernel_integral`) and a whole grid
+for Delta (`quadrature.delta_on_grid`), both handed the model's cache of
+the rules that recur (`ValidatedModel._rules`), which only `quadrature`
+reads and fills.  Adaptive quadrature is only the reference the tests hold
+these rules to.  1/Sigma, with its limit -0.0 or +0.0 at a divergent edge,
+is `inverse_self_energy`, a call of `self_energy`.
 """
 from __future__ import annotations
 
@@ -36,10 +36,6 @@ from .errors import (
     RootNotFound,
 )
 from .model import DIVERGENT, InitialState, ValidatedModel
-
-#: relative accuracy of the fixed Sigma and Sigma' rules (`kernel_integral`)
-SIGMA_EPSREL = 1e-11
-SIGMA_DERIV_EPSREL = 1e-9
 
 
 def _pole_distances(model: ValidatedModel, z: complex) -> np.ndarray:
@@ -130,38 +126,47 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> flo
     raise RootNotFound(f"no convergence in {maxiter} steps, bracket [{a}, {b}]")
 
 
-def _k_zero_in_gap(model: ValidatedModel, j: int) -> float:
-    """The zero of K between the adjacent levels a = eps_j < b = eps_{j+1}.
+def _pole_free_k(model: ValidatedModel, poles):
+    """g(E, c) = (K(E) - c) * prod_p |E - p| over the levels p = eps_n of
+    poles, pairs (n, s), with each pole's term of K taken exactly as
+    s*|f_n|^2 times the product over the other poles (s is the sign of
+    E - eps_n where g is read): g is smooth up to the poles."""
+    levels, f2 = model.levels, model._f2
+    rest = f2 > 0
+    rest[[n for n, _ in poles]] = False
+    rest_levels, rest_f2 = levels[rest], f2[rest]
+    ends = [(float(levels[n]), s * float(f2[n])) for n, s in poles]
 
-    Brent runs on the whole gap with both poles multiplied out:
-    g(E) = K(E)(E - a)(b - E) = K_rest(E)(E - a)(b - E) + |f_a|^2 (b - E)
-    - |f_b|^2 (E - a), K_rest the sum over the other levels, is exact at the
-    ends, g(a) > 0 > g(b), however close to a level the zero lies.
-    Raises ConfigError naming a level of the pair with |f|^2 = 0: it has no
-    K-pole, so K need not change sign in the gap.
-    """
-    for i in (j, j + 1):
-        if model._f2[i] == 0.0:
-            raise ConfigError(
-                f"level {i} at E={model.levels[i]} is uncoupled (|f|^2 = 0): it has "
-                "no K-pole, so the criteria have no K-zero in the gap next to it"
-            )
-    a, b = float(model.levels[j]), float(model.levels[j + 1])
-    f2a, f2b = float(model._f2[j]), float(model._f2[j + 1])
-    rest = np.ones(model.n_levels, dtype=bool)
-    rest[[j, j + 1]] = False
-    rest_levels, rest_f2 = model.levels[rest], model._f2[rest]
+    def g(e: float, c: float = 0.0) -> float:
+        d = [abs(e - p) for p, _ in ends]
+        out = (float((rest_f2 / (e - rest_levels)).sum()) - c) * math.prod(d)
+        for i, (_, term) in enumerate(ends):
+            out += term * math.prod(d[:i] + d[i + 1 :])
+        return out
 
-    def g(e: float) -> float:
-        k_rest = float((rest_f2 / (e - rest_levels)).sum())
-        return k_rest * (e - a) * (b - e) + f2a * (b - e) - f2b * (e - a)
-
-    return _brent(g, a, b, xtol=1e-15 * model.scale, rtol=8.9e-16, maxiter=100)
+    return g
 
 
 def k_zeros(model: ValidatedModel) -> np.ndarray:
-    """The N-1 real zeros of K, one in each gap (eps_n, eps_{n+1})."""
-    return np.asarray([_k_zero_in_gap(model, j) for j in range(model.n_levels - 1)])
+    """The N-1 real zeros of K, one in each gap (a, b) = (eps_j, eps_{j+1}).
+
+    Brent runs on the whole gap on `_pole_free_k` of both levels, c = 0:
+    exact at the ends, g(a) > 0 > g(b), however close to a level the zero
+    lies.  Raises ConfigError naming a level of the pair with |f|^2 = 0: it
+    has no K-pole, so K need not change sign in the gap.
+    """
+    zeros = []
+    for j in range(model.n_levels - 1):
+        for i in (j, j + 1):
+            if model._f2[i] == 0.0:
+                raise ConfigError(
+                    f"level {i} at E={model.levels[i]} is uncoupled (|f|^2 = 0): it has "
+                    "no K-pole, so K has no zero in the gap next to it"
+                )
+        g = _pole_free_k(model, ((j, 1.0), (j + 1, -1.0)))
+        a, b = float(model.levels[j]), float(model.levels[j + 1])
+        zeros.append(_brent(g, a, b, xtol=1e-15 * model.scale, rtol=8.9e-16, maxiter=100))
+    return np.asarray(zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +217,9 @@ def _sigma(model: ValidatedModel, e: float, power: int) -> float:
     closed = None if ov is None else (ov.sigma, ov.sigma_deriv)[power - 1]
     if closed is not None:
         return float(closed(x))
+    lo, up = model.omega_low, model.omega_up
     val, _ = qd.kernel_integral(
-        model.j,
-        model.omega_low,
-        model.omega_up,
-        x,
-        power=power,
-        interior_points=model.interior_zeros,
-        far_rule=model._far_sigma_rule,
+        model.j, lo, up, x, power=power, interior_points=model.interior_zeros, rules=model._rules
     )
     return val if power == 1 else -val
 
@@ -251,18 +251,18 @@ def _delta(model: ValidatedModel, e):
     """Delta(E), the principal-value part of Sigma, strictly inside the band.
 
     The one route to Delta: the model's closed form when it has one, else
-    `quadrature.delta_on_grid` on the rule of e's depth class, which the
-    model builds once (`ValidatedModel._delta_rules`).  e is a float or an
-    array; returns Delta of the same shape and the node count of that rule
-    (0 for a closed form).
+    `quadrature.delta_on_grid` on the model's cache.  e is a float or an
+    array; returns Delta of the same shape and the node count of the rule
+    of e's depth class (0 for a closed form).
     """
     ov = model.overrides
     if ov is not None and ov.delta is not None:
         return np.asarray(ov.delta(e), dtype=float), 0
     x = np.atleast_1d(np.asarray(e, dtype=float))
     lo, up = model.omega_low, model.omega_up
-    rule = qd._rule_with_j(model.j, lo, up, x, model._delta_rules)
-    return qd.delta_on_grid(model.j, lo, up, x, rule=rule).reshape(np.shape(e)), rule[0].size
+    delta = qd.delta_on_grid(model.j, lo, up, x, rules=model._rules)
+    nodes = qd.PANEL_NODES * (qd._breaks(*qd._depth_class(lo, up, x)).size - 1)
+    return delta.reshape(np.shape(e)), nodes
 
 
 def delta_gamma(model: ValidatedModel, e: float) -> tuple[float, float]:

@@ -7,6 +7,18 @@ import friedrichs as fr
 from friedrichs import quadrature as qd
 from friedrichs import spectral as sp
 
+#: relative accuracy the tests hold the fixed Sigma and Sigma' rules to
+#: (`quadrature.kernel_integral`)
+SIGMA_EPSREL = 1e-11
+SIGMA_DERIV_EPSREL = 1e-9
+
+
+def delta_rule(lo, up, e_grid):
+    """Node energies and weights of the Delta rule that
+    `quadrature.delta_on_grid` builds for the targets e_grid: the panels of
+    their depth class."""
+    return qd.panel_rule(lo, up, qd._breaks(*qd._depth_class(lo, up, e_grid)))
+
 
 def random_model(rng, n_max=4, with_zero=False, complex_couplings=True):
     """A well-separated random model with a smooth positive band density.

@@ -148,10 +148,19 @@ def test_nan_level_in_document_exits_two(tmp_path):
     assert json.loads(done.stderr)["detail"] == "level 1 is nan: it must be finite"
 
 
-def test_uncoupled_chain_is_a_config_error(capsys):
-    # xi = 0: the census's gap next to the low edge has no K-zero
+def test_uncoupled_chain_bound_states(tmp_path):
+    # xi = 0: no K-zero bounds the gap next to the low edge, where the census
+    # used to exit 2; it reads the sign of K at the edge and equals the
+    # closed census
+    out = tmp_path / "states.json"
     argv = ["bound-states", "--n-atoms", "3", "--kappa", "0.3", "--xi", "0", "--site", "1"]
-    assert_config_error(capsys, argv, "level 0 at E=-1.414213562373095")
+    assert run([*argv, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    closed = fr.waveguide_bound_state_count(fr.WaveguideParams(3, 1.0, 0.3, 0.0, 1))
+    assert [payload["census"][k] for k in ("m_below", "m_above", "m_bic")] == [
+        closed.m_below, closed.m_above, closed.m_bic
+    ]
+    assert len(payload["states"]) == closed.m_below + closed.m_above + closed.m_bic
 
 
 @pytest.mark.parametrize("argv", [

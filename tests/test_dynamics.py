@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from friedrichs import dynamics as dyn
 from friedrichs import quadrature as qd
 from friedrichs.errors import ConfigError, QuadratureBudgetExceeded
 
-from _support import census_bruteforce, random_initial, random_model
+from _support import census_bruteforce, delta_rule, random_initial, random_model
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +255,7 @@ def test_delta_node_count_reported(monkeypatch):
     coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
     grids = _delta_grids(monkeypatch)
     series = fr.survival_probability(model, initial, times, coefficients=coeffs)
-    largest = max(qd.delta_rule(model.omega_low, model.omega_up, g)[0].size for g in grids)
+    largest = max(delta_rule(model.omega_low, model.omega_up, g)[0].size for g in grids)
     kern, _, delta_nodes = dyn._transform(coeffs, times, None)
     assert series.meta["transform_nodes"] == kern.e_nodes.size
     assert series.meta["delta_nodes"] == largest == delta_nodes
@@ -273,8 +274,9 @@ def test_delta_once_per_node_energy(monkeypatch):
 
 
 def test_delta_rules_built_once_per_model():
-    # J is read on the nodes of each depth class's Delta rule once per
-    # model: the first call builds them, a second call on the model none
+    # J is read on the nodes of each rule the model keeps, the far-field
+    # Sigma rule and each depth class's Delta rule, once per model: the
+    # first call builds them, a second call on the model none
     model, initial = _generic_case()
     reads = []
 
@@ -285,18 +287,41 @@ def test_delta_rules_built_once_per_model():
     counted = dataclasses.replace(model, _j=j)
     times = np.linspace(0.0, 50.0, 50)
     first = fr.survival_probability(counted, initial, times)
-    rules = [rule[0] for rule in counted._delta_rules.values()]
-    assert rules
+    assert {key[0] for key in counted._rules} == {"delta", "sigma"}
+    nodes = [rule[0].ravel() for rule in counted._rules.values()]
 
     def rule_reads():
-        return [sum(np.array_equal(nodes, x) for x in reads) for nodes in rules]
+        return [sum(np.array_equal(om, x) for x in reads) for om in nodes]
 
-    assert rule_reads() == [1] * len(rules)
+    assert rule_reads() == [1] * len(nodes)
     reads.clear()
     again = fr.survival_probability(counted, initial, times)
-    assert rule_reads() == [0] * len(rules)
-    assert len(counted._delta_rules) == len(rules)
+    assert rule_reads() == [0] * len(nodes)
+    assert len(counted._rules) == len(nodes)
     assert np.array_equal(first.p, again.p)
+
+
+def test_model_keeps_only_recurring_rules(monkeypatch):
+    # a census, a solve and a transform ask for Sigma at many energies and
+    # for Delta on many grids; the model keeps the far-field Sigma rule and
+    # the Delta rule of each depth class asked for, never a rule per energy
+    model, initial = _generic_case()
+    lo, up = model.omega_low, model.omega_up
+    grids = _delta_grids(monkeypatch)
+    energies = []
+    inner = qd.kernel_integral
+
+    def recorded(j, lo, up, e, *args, **kwargs):
+        energies.append(e)
+        return inner(j, lo, up, e, *args, **kwargs)
+
+    monkeypatch.setattr(qd, "kernel_integral", recorded)
+    census = fr.count_bound_states(model)
+    fr.solve_bound_states(model, census)
+    fr.survival_probability(model, initial, np.linspace(0.0, 50.0, 50))
+    classes = {("delta", *qd._depth_class(lo, up, g)) for g in grids}
+    assert set(model._rules) == {("sigma", math.inf)} | classes
+    assert len(set(energies)) > len(model._rules) and len(grids) > len(classes)
 
 
 def _finer(model, initial, times, series, factor=4):

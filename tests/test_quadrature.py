@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs import quadrature as qd
-from friedrichs import spectral as sp
 
-from _support import random_model
+from _support import SIGMA_DERIV_EPSREL, SIGMA_EPSREL, delta_rule, random_model
 
 
 def _band_nodes(rng, n_nodes, half):
@@ -273,11 +272,11 @@ def test_delta_rule_grading():
     lo, up = -2.0, 3.0
     e = 0.5 - 2.5 * np.cos(np.linspace(0.0, np.pi, 32769)[1:-1])
     assert qd._depth_class(lo, up, e) == (4.0**-7, 4.0**-7)
-    om, wgt = qd.delta_rule(lo, up, e)
+    om, wgt = delta_rule(lo, up, e)
     assert om.size == 264 and om.size % qd.PANEL_NODES == 0
     assert np.all((om > lo) & (om < up))
     assert abs(wgt.sum() - (up - lo)) <= 1e-14 * (up - lo)
-    coarse, _ = qd.delta_rule(lo, up, e[::64])
+    coarse, _ = delta_rule(lo, up, e[::64])
     assert coarse.size < om.size
 
 
@@ -293,22 +292,28 @@ def test_delta_rule_grading():
 def test_delta_rule_cache_keeps_bits(seed, grids):
     # grids at drawn depths from both edges, with two nodes of their own
     # rule among the targets, give the same bits from a fresh rule and from
-    # the model's cache, whether the call builds the cached rule or reads it
+    # the model's cache, whether the call builds the cached rule or reads it;
+    # the cached rule is the grid's depth class, J read on its nodes, and
+    # the same bits as a rule built afresh
     rng = np.random.default_rng(seed)
     model = random_model(rng, with_zero=bool(seed % 2))
     lo, up = model.omega_low, model.omega_up
     span = up - lo
-    rules = model._delta_rules
+    rules = model._rules
     for _ in range(2):
         for low_exp, up_exp, n in grids:
             e = np.r_[lo + span * 10.0**low_exp, up - span * 10.0**up_exp, rng.uniform(lo, up, n)]
-            nodes = qd.delta_rule(lo, up, e)[0]
+            nodes, weights = delta_rule(lo, up, e)
             inner = nodes[(nodes > e.min()) & (nodes < e.max())]
             e = np.sort(np.r_[e, rng.choice(inner, 2)])
             fresh = qd.delta_on_grid(model.j, lo, up, e)
-            cached = qd._rule_with_j(model.j, lo, up, e, rules)
-            assert np.array_equal(qd.delta_on_grid(model.j, lo, up, e, rule=cached), fresh)
-            assert qd._depth_class(lo, up, e) in rules
+            assert np.array_equal(qd.delta_on_grid(model.j, lo, up, e, rules=rules), fresh)
+            depths = qd._depth_class(lo, up, e)
+            cached = rules[("delta", *depths)]
+            assert np.array_equal(cached[0], nodes) and np.array_equal(cached[1], weights)
+            assert np.array_equal(cached[2], model.j(nodes))
+            for got, built in zip(cached, qd._delta_terms(model.j, lo, up, depths)):
+                assert np.array_equal(got, built)
 
 
 def _van_hove(lo, up):
@@ -336,7 +341,7 @@ def test_delta_unmoved_by_targets_at_the_edges():
     alone = qd.delta_on_grid(j, lo, up, e)
     assert np.all(np.isfinite(qd.delta_on_grid(j, lo, up, at_edges)))
     assert np.max(np.abs(qd.delta_on_grid(j, lo, up, at_edges)[2:-2] - alone)) <= 1e-13
-    om, _ = qd.delta_rule(lo, up, at_edges)
+    om, _ = delta_rule(lo, up, at_edges)
     assert np.all((om > lo) & (om < up))
 
 
@@ -346,16 +351,16 @@ def test_delta_targets_on_rule_nodes():
     lo, up = -1.3, 2.1
     j = _van_hove(lo, up)
     e = np.array([-1.29, 0.3, 2.09])
-    om, _ = qd.delta_rule(lo, up, e)
+    om, _ = delta_rule(lo, up, e)
     on = om[(om > -1.2) & (om < 2.0)][[5, 20, 40]]
     grid = np.r_[e, on]
-    assert np.array_equal(qd.delta_rule(lo, up, grid)[0], om)
+    assert np.array_equal(delta_rule(lo, up, grid)[0], om)
     # targets one ulp off the edges put `other` in the class of the deepest
     # rule, whose middle panels are not those of the power-of-4 classes: a
     # rule none of `on` sits on
     other = np.r_[np.nextafter(lo, up), np.nextafter(up, lo), on]
     assert qd._depth_class(lo, up, other) != qd._depth_class(lo, up, grid)
-    assert not np.any(np.isin(on, qd.delta_rule(lo, up, other)[0]))
+    assert not np.any(np.isin(on, delta_rule(lo, up, other)[0]))
     got = qd.delta_on_grid(j, lo, up, grid)[3:]
     ref = qd.delta_on_grid(j, lo, up, other)[2:]
     # the interpolant's derivative is good to about 1e-9 of J' on a middle
@@ -462,7 +467,7 @@ def test_sigma_matches_mpmath(s_lo, s_up):
     density = _power_density(s_lo, s_up)
     model = _model(density, (s_lo, s_up))
     for e, at, _, _ in _kernel_cases(s_lo, s_up, 1):
-        assert _kernel_error(model, density, e, 1, at=at) <= sp.SIGMA_EPSREL, e
+        assert _kernel_error(model, density, e, 1, at=at) <= SIGMA_EPSREL, e
 
 
 @pytest.mark.parametrize("s_lo, s_up", _EDGE_PAIRS)
@@ -470,7 +475,7 @@ def test_sigma_derivative_matches_mpmath(s_lo, s_up):
     density = _power_density(s_lo, s_up)
     model = _model(density, (s_lo, s_up))
     for e, at, _, _ in _kernel_cases(s_lo, s_up, 2):
-        assert _kernel_error(model, density, e, 2, at=at) <= sp.SIGMA_DERIV_EPSREL, e
+        assert _kernel_error(model, density, e, 2, at=at) <= SIGMA_DERIV_EPSREL, e
 
 
 @pytest.mark.xfail(strict=True, reason="J cannot be sampled within one ulp of the edge")
@@ -481,7 +486,7 @@ def test_quarter_power_edge_below_resolution(exps, power, dist):
     model = _model(density, exps)
     span = _UP - _LO
     e = _LO - dist * span if exps[0] == 0.25 else _UP + dist * span
-    bound = sp.SIGMA_EPSREL if power == 1 else sp.SIGMA_DERIV_EPSREL
+    bound = SIGMA_EPSREL if power == 1 else SIGMA_DERIV_EPSREL
     assert _kernel_error(model, density, e, power) <= bound
 
 
@@ -492,7 +497,7 @@ def test_sigma_at_declared_zero(power):
     zeros = (-0.4, 0.9)
     density = _power_density(0.5, None, zeros)
     model = _model(density, (0.5, None), zeros)
-    bound = sp.SIGMA_EPSREL if power == 1 else sp.SIGMA_DERIV_EPSREL
+    bound = SIGMA_EPSREL if power == 1 else SIGMA_DERIV_EPSREL
     for z in zeros:
         assert _kernel_error(model, density, z, power, zeros) <= bound, z
 
@@ -509,7 +514,7 @@ def test_solver_root_next_to_divergent_edge():
         states = fr.solve_bound_states(model, fr.count_bound_states(model))
     assert min(abs(s.energy - lo) for s in states) <= 2e-6 * (up - lo)
     for state in states:
-        assert _kernel_error(model, density, state.energy, 1, (z,)) <= sp.SIGMA_EPSREL, state.energy
+        assert _kernel_error(model, density, state.energy, 1, (z,)) <= SIGMA_EPSREL, state.energy
 
 
 # ---------------------------------------------------------------------------

@@ -459,8 +459,8 @@ def test_brent_failure_is_root_not_found_naming_the_bracket(f, a, b, named):
 
 
 def test_both_call_sites_match_brentq(monkeypatch):
-    """The K-zero search (maxiter 100) and the bound-state solve (200), each
-    call replayed through scipy's brentq on the same function."""
+    """The K-zero search of `k_zeros` (maxiter 100) and the bound-state solve
+    (200), each call replayed through scipy's brentq on the same function."""
     settings_seen = set()
     own = sp._brent
 
@@ -472,8 +472,10 @@ def test_both_call_sites_match_brentq(monkeypatch):
 
     monkeypatch.setattr(sp, "_brent", checked)
     rng = np.random.default_rng(11)
-    for _ in range(6):
-        fr.all_bound_states(random_model(rng, n_max=4, with_zero=True))
+    models = [random_model(rng, n_max=4, with_zero=True) for _ in range(6)]
     for site in (1, 2, fr.INFINITE):
-        fr.all_bound_states(fr.build_waveguide_model(fr.WaveguideParams(5, 1.0, 0.4, 0.8, site)))
+        models.append(fr.build_waveguide_model(fr.WaveguideParams(5, 1.0, 0.4, 0.8, site)))
+    for model in models:
+        fr.all_bound_states(model)
+        fr.k_zeros(model)
     assert settings_seen == {(RTOL, 100), (RTOL, 200)}

@@ -10,11 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
-from friedrichs import spectral as sp
 from friedrichs.errors import ConfigError, PoleHit
 from friedrichs.waveguide import _census_over_xi, _edge_pair, j_zeros
 
-from _support import without_overrides
+from _support import SIGMA_DERIV_EPSREL, without_overrides
 
 GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "generator.py"
 
@@ -424,7 +423,7 @@ def test_closed_sigma_pair_matches_mpmath(site, kappa):
             sigma, sigma_deriv = mp_sigma_pair(site, kappa, e)
             assert ov.sigma(e) == pytest.approx(sigma, rel=1e-15, abs=0), (e, d)
             assert ov.sigma_deriv(e) == pytest.approx(
-                sigma_deriv, rel=sp.SIGMA_DERIV_EPSREL, abs=0
+                sigma_deriv, rel=SIGMA_DERIV_EPSREL, abs=0
             ), (e, d)
 
 
