@@ -246,7 +246,7 @@ def _polish(model: ValidatedModel, e: float, a: float, b: float, sig: Optional[f
 def _continuum_profile(model: ValidatedModel, weight: complex, e_m: float) -> Callable:
     """Amplitude profile on the orthonormalized continuum basis.
 
-    weight is B*K(E_m) for generic states and B*conj(f_m) for a pinned BIC;
+    weight is B*K(E_m) for generic states and B*conj(f_n) for a state on level n;
     the omega-dependence is sqrt(J(w))/(E_m - w).
     """
     def profile(omega):
@@ -282,18 +282,28 @@ def _generic_state(
     )
 
 
-def _pinned_state(model: ValidatedModel, n: int, kind: BoundStateKind) -> BoundState:
-    """The uncoupled level n (|f_n|^2 = 0): an eigenstate on that level
-    alone, with no continuum part, outside the band or inside it."""
+def _pinned_state(
+    model: ValidatedModel, n: int, kind: BoundStateKind, e_m: float, sigp: float = 0.0
+) -> BoundState:
+    """The state at e_m on level n alone: B on that level and B conj(f_n) on
+    the continuum, |B|^2 = 1/(1 - |f_n|^2 Sigma'(e_m)).  An uncoupled level
+    (f_n = 0), outside the band or inside it, is pinned to its own energy
+    with |B|^2 = 1 exactly and needs no Sigma'; a coupled level on a J-zero
+    where Sigma vanishes is the BIC there."""
+    e_m = float(e_m)
+    f_n = model.couplings[n]
+    b2 = 1.0 / (1.0 - abs(f_n) ** 2 * sigp)
+    if not (b2 > 0.0):
+        raise NormalizationFailure(f"|B|^2 = {b2} for the state on level {n} at {e_m}")
+    b = math.sqrt(b2)
     amps = np.zeros(model.n_levels, dtype=complex)
-    amps[n] = 1.0
-    e_n = float(model.levels[n])
+    amps[n] = b
     return BoundState(
-        energy=e_n,
+        energy=e_m,
         kind=kind,
         amplitudes=amps,
-        norm_b2=1.0,
-        continuum_profile=_continuum_profile(model, 0.0, e_n),
+        norm_b2=b2,
+        continuum_profile=_continuum_profile(model, b * np.conj(f_n), e_m),
         level_index=n,
     )
 
@@ -328,7 +338,7 @@ def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = 
                 )
             root, sig = _solve_bracket(model, br)
             states.append(_generic_state(model, root, kind, sig))
-        states += [_pinned_state(model, n, kind) for n in uncoupled]
+        states += [_pinned_state(model, n, kind, model.levels[n]) for n in uncoupled]
     states.sort(key=lambda s: s.energy)
     return states
 
@@ -343,28 +353,10 @@ def find_bics(model: ValidatedModel):
         at_level = near_declared_zero(float(model.levels[j_near]), (e0,), model.scale)
         sig = sp.self_energy(model, e0)
         if at_level:
-            f_j = model.couplings[j_near]
-            if abs(sig) > 1e-9 * model.scale and abs(f_j) > 0:
+            if abs(sig) > 1e-9 * model.scale and abs(model.couplings[j_near]) > 0:
                 continue  # K diverges at a coupled level: no eigenvalue here
             sigp = sp.self_energy_derivative(model, e0)
-            b2 = 1.0 / (1.0 - abs(f_j) ** 2 * sigp)
-            if not (b2 > 0.0):
-                raise NormalizationFailure(f"|B|^2 = {b2} for BIC at {e0}")
-            b = math.sqrt(b2)
-            amps = np.zeros(model.n_levels, dtype=complex)
-            amps[j_near] = b
-            out.append(
-                BoundState(
-                    energy=float(e0),
-                    kind=BoundStateKind.IN_CONTINUUM,
-                    amplitudes=amps,
-                    norm_b2=b2,
-                    continuum_profile=_continuum_profile(
-                        model, b * np.conj(f_j), e0
-                    ),
-                    level_index=j_near,
-                )
-            )
+            out.append(_pinned_state(model, j_near, BoundStateKind.IN_CONTINUUM, e0, sigp))
             continue
         # generic BIC: K(e0) = 1/Sigma(e0) must hold at the J-zero
         k0 = float(np.real(sp.k_function(model, e0)))
@@ -374,7 +366,7 @@ def find_bics(model: ValidatedModel):
     for n in np.flatnonzero(model._f2 == 0):
         e_n = float(model.levels[n])
         if model.inside_band(e_n) and not model.is_interior_zero(e_n):
-            out.append(_pinned_state(model, int(n), BoundStateKind.IN_CONTINUUM))
+            out.append(_pinned_state(model, int(n), BoundStateKind.IN_CONTINUUM, e_n))
     return out
 
 

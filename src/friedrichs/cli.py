@@ -22,6 +22,11 @@ with "divergent" standing for the exponent -1/2 (van Hove edge).
 Unknown keys are rejected.  Exit codes: 0 ok, 2 configuration error,
 3 numerical failure (diagnostic JSON on stderr).
 
+--config FILE (all but reproduce) holds flags by destination, a list for
+--sweep's four: {"t_max": 3.0, "initial": [1, 0]}.  It stands for those
+flags typed right after the subcommand: a flag typed on the command line
+wins, and a null is a configuration error.
+
 The package imports numpy alone: waveguide, spectrum, bound-states and
 dynamics never load scipy; markovian, oracle and reproduce load
 scipy.linalg or scipy.sparse when they reach the routines that use them.
@@ -228,40 +233,34 @@ def _add_model_flags(parser):
     parser.add_argument("--kappa", type=float, default=1.0, help="waveguide hopping")
     parser.add_argument("--xi", type=float, default=0.5, help="chain-waveguide coupling")
     parser.add_argument("--site", default="1", help="attachment site (integer or 'inf')")
-    parser.add_argument("--config", help="JSON file with default flag values")
+    parser.add_argument("--config", help="JSON file of flag values")
 
 
-def _apply_config(argv, by_name):
-    """Make the values of a subcommand's --config file its parser defaults.
-
-    This runs before argv is parsed, so the file can also supply a flag the
-    subcommand requires; a flag that neither gives still fails the parse.
-    A flag passed on the command line wins, even when it equals the
-    built-in default.
-    """
-    cmd = next((a for a in argv if not a.startswith("-")), None)
-    if cmd not in by_name:
-        return
-    subparser = by_name[cmd]
+def _with_config(argv, by_name):
+    """argv with the flags of its subcommand's --config file put right after
+    the subcommand, non-strings as JSON, so one parse checks them all."""
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    if at is None or argv[at] not in by_name:
+        return argv
     # argparse has no public list of a parser's arguments
-    actions = {a.dest: a for a in subparser._actions}
-    if "config" not in actions:
-        return
+    actions = {a.dest: a for a in by_name[argv[at]]._actions}
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if not path:
-        return
+    path = pre.parse_known_args(argv[at + 1 :])[0].config
+    if "config" not in actions or not path:
+        return argv
     doc = _read_json(path, "--config")
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
     _require_keys(doc, set(actions) - {"help", "config"}, "config file")
-    for key in doc:
-        actions[key].required = False
-    # argparse applies a flag's type only to a string default: pass a typed
-    # flag's value as the string a command line would carry (null stays unset)
-    typed = {k: str(v) for k, v in doc.items() if actions[k].type is not None and v is not None}
-    subparser.set_defaults(**{**doc, **typed})
+    flags = []
+    for key, value in doc.items():
+        if value is None:
+            raise ConfigError(f"config file: {key} is null; leave it out for its default")
+        values = value if actions[key].nargs and isinstance(value, list) else [value]
+        flags += [actions[key].option_strings[0]]
+        flags += [v if isinstance(v, str) else json.dumps(v) for v in values]
+    return argv[: at + 1] + flags + argv[at + 1 :]
 
 
 def _write_csv(path, provenance: dict, columns: dict):
@@ -390,16 +389,14 @@ def _cmd_bound_states(args):
 
 
 def _initial_for(args, model, default):
-    if getattr(args, "initial", None) in (None, "default"):
+    if args.initial == "default":
         if default is None:
             raise ConfigError("generic model needs --initial '[c1, c2, ...]'")
         return default
-    values = args.initial
-    if isinstance(values, str):  # a --config file gives the list itself
-        try:
-            values = json.loads(values)
-        except ValueError as exc:
-            raise ConfigError(f"--initial is not JSON: {values!r}") from exc
+    try:
+        values = json.loads(args.initial)
+    except ValueError as exc:
+        raise ConfigError(f"--initial is not JSON: {args.initial!r}") from exc
     return _initial_state(values, model, "--initial")
 
 
@@ -633,7 +630,7 @@ def _build_parser():
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--site", required=True, help="integer or 'inf'")
-    p.add_argument("--config", help="JSON file with default flag values")
+    p.add_argument("--config", help="JSON file of flag values")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_waveguide)
 
@@ -697,8 +694,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, by_name = _build_parser()
     try:
-        _apply_config(argv, by_name)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(argv, by_name))
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)

@@ -85,25 +85,19 @@ class _BandKernel:
 
 
 class _DeltaTable:
-    """Delta on every energy one transform has asked for, so that each is
-    formed once: the peak grid's panels come back in the kernel, the
-    kernel's halves in the next round's kernel.  Energies ascend, with an
-    inf sentinel last, so `searchsorted` finds every finite energy's slot.
-    rule_nodes is the node count of the largest Delta rule read (0 for a
-    closed form)."""
+    """Delta on every energy one transform has asked for, each formed once.
+    Energies ascend, with an inf sentinel last, so `searchsorted` finds
+    every finite energy's slot."""
 
     def __init__(self, model: ValidatedModel):
         self.model = model
         self.e, self.delta = np.array([math.inf]), np.array([math.nan])
-        self.rule_nodes = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         slot = np.searchsorted(self.e, x)
         new = self.e[slot] != x
         if np.any(new):
-            delta, nodes = sp._delta(self.model, x[new])
-            self.rule_nodes = max(self.rule_nodes, nodes)
-            e, d = np.append(x[new], self.e), np.append(delta, self.delta)
+            e, d = np.append(x[new], self.e), np.append(sp._delta(self.model, x[new]), self.delta)
             order = np.argsort(e, kind="stable")
             self.e, self.delta = e[order], d[order]
             slot = np.searchsorted(self.e, x)
@@ -222,14 +216,12 @@ MAX_ROUNDS = 8  # rounds of halving the panels that move more
 
 
 def _transform(coefficients: DecayCoefficients, times, n_base_nodes: Optional[int]):
-    """(kernel, kernel on the same panels halved, node count of the largest
-    Delta rule read) of the transform on times.
+    """(kernel, kernel on the same panels halved) of the transform on times.
 
     The panels of `_transform_breaks`, split evenly up to n_base_nodes; then
     each panel whose part of s_n(0) moves by more than PANEL_TOL when halved
     is halved, which catches what they do not aim at (a resonance off the
-    axis next to an edge).  One `_DeltaTable` serves every step, so Delta
-    is formed once at each node energy.
+    axis next to an edge).  One `_DeltaTable` serves every step.
     """
     model, initial = coefficients.model, coefficients.initial
     table = _DeltaTable(model)
@@ -246,7 +238,7 @@ def _transform(coefficients: DecayCoefficients, times, n_base_nodes: Optional[in
         if not np.any(moved > PANEL_TOL):
             break
         breaks = qd.split_panels(breaks, np.where(moved > PANEL_TOL, 2, 1))
-    return kern, fine, table.rule_nodes
+    return kern, fine
 
 
 def _halving_error(coefficients: DecayCoefficients, kern, fine, t) -> float:
@@ -290,12 +282,11 @@ def survival_probability(
     """p(t) on the requested grid (times >= 0, sorted).
 
     n_base_nodes, when given, is a floor on the transform's node count.
-    meta holds that count (`transform_nodes`), the node count of the largest
-    Delta rule the transform read (`delta_nodes`, 0 for a closed-form
-    Delta: the rule of the depth class of the new node energies nearest an
-    edge, since each energy's Delta is formed once) and the error estimate
-    of `_halving_error` (`transform_error`); QuadratureBudgetExceeded is
-    raised when that exceeds error_budget.
+    meta holds that count (`transform_nodes`), the error estimate of
+    `_halving_error` (`transform_error`), raising QuadratureBudgetExceeded
+    above error_budget, and the node count of the largest Delta rule the
+    model has built (`delta_nodes`: 0 for a closed-form Delta; on a fresh
+    model, that of the transform's Delta grid nearest an edge).
     """
     t = _finite_times(times)
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):
@@ -303,11 +294,11 @@ def survival_probability(
     if coefficients is None:
         coefficients = decay_coefficients(model, initial, all_bound_states(model))
 
-    kern, fine, delta_nodes = _transform(coefficients, t, n_base_nodes)
+    kern, fine = _transform(coefficients, t, n_base_nodes)
     s_amp = qd.fourier_linear(kern.e_nodes, kern.w, t)  # int S_n(E) e^{-iEt} dE
     est = _halving_error(coefficients, kern, fine, t)
-    meta = dict(transform_nodes=kern.e_nodes.size, delta_nodes=delta_nodes)
-    meta["transform_error"] = est
+    nodes = qd._delta_nodes(coefficients.model._rules)
+    meta = dict(transform_nodes=kern.e_nodes.size, delta_nodes=nodes, transform_error=est)
     if error_budget is not None and est > error_budget:
         raise QuadratureBudgetExceeded(
             f"band-integral error estimate {est:.3e} exceeds budget {error_budget:.3e}"

@@ -307,8 +307,8 @@ def anti_pt_check(
 ) -> AntiPTReport:
     """Residual of (PT) H (PT)^{-1} = -H with parity = index reversal.
 
-    The N = 2 phase reads the decomposition of h: `system` if given, else
-    one made here.
+    The N = 2 phase reads the decomposition of h (`system` if given, else
+    one made here), "exceptional" where it is DEFECTIVE.
     """
     mat = h.matrix
     rev = mat[::-1, ::-1]
@@ -320,7 +320,7 @@ def anti_pt_check(
         sys = system or resonance_decomposition(h)
         z = sys.eigenvalues
         scale = max(float(np.max(np.abs(z))), 1e-300)
-        if abs(z[0] - z[1]) < 1e-8 * scale or sys.kind is ResonanceKind.DEFECTIVE:
+        if sys.kind is ResonanceKind.DEFECTIVE:
             phase = "exceptional"
         elif np.all(np.abs(z.real) < 1e-10 * scale):
             phase = "broken"

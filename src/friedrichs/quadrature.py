@@ -257,6 +257,11 @@ def delta_on_grid(j, lo, up, e_grid, rules=None):
     return out + je * np.log((e_grid - lo) / (up - e_grid))
 
 
+def _delta_nodes(rules) -> int:
+    """The node count of the largest Delta rule in a model's cache rules."""
+    return max((rule[0].size for key, rule in rules.items() if key[0] == "delta"), default=0)
+
+
 # ---------------------------------------------------------------------------
 # Sigma(E) and Sigma'(E) on a finite band: the graded rule of one energy
 

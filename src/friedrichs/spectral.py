@@ -252,17 +252,14 @@ def _delta(model: ValidatedModel, e):
 
     The one route to Delta: the model's closed form when it has one, else
     `quadrature.delta_on_grid` on the model's cache.  e is a float or an
-    array; returns Delta of the same shape and the node count of the rule
-    of e's depth class (0 for a closed form).
+    array; returns Delta of the same shape.
     """
     ov = model.overrides
     if ov is not None and ov.delta is not None:
-        return np.asarray(ov.delta(e), dtype=float), 0
+        return np.asarray(ov.delta(e), dtype=float)
     x = np.atleast_1d(np.asarray(e, dtype=float))
-    lo, up = model.omega_low, model.omega_up
-    delta = qd.delta_on_grid(model.j, lo, up, x, rules=model._rules)
-    nodes = qd.PANEL_NODES * (qd._breaks(*qd._depth_class(lo, up, x)).size - 1)
-    return delta.reshape(np.shape(e)), nodes
+    delta = qd.delta_on_grid(model.j, model.omega_low, model.omega_up, x, rules=model._rules)
+    return delta.reshape(np.shape(e))
 
 
 def delta_gamma(model: ValidatedModel, e: float) -> tuple[float, float]:
@@ -271,5 +268,4 @@ def delta_gamma(model: ValidatedModel, e: float) -> tuple[float, float]:
     if not model.inside_band(e) or model.is_edge(e):
         raise EInsideBand(f"E={e} is not strictly inside the band")
     gamma = math.pi * float(np.asarray(model.j(np.array([e])))[0])
-    delta, _ = _delta(model, e)
-    return float(delta), gamma
+    return float(_delta(model, e)), gamma

@@ -401,6 +401,71 @@ def test_required_flag_missing_after_config(tmp_path, capsys, cmd, dropped, flag
     assert f"required: {flag}" in capsys.readouterr().err
 
 
+# a value of each flag that takes --config, none its default: the file's
+# JSON value and the arguments the same value takes on the command line
+CONFIG_SAMPLES = {
+    "model": ("m.json", ["m.json"]),
+    "n_atoms": (3, ["3"]),
+    "lam": (1.5, ["1.5"]),
+    "kappa": (0.75, ["0.75"]),
+    "xi": (0.25, ["0.25"]),
+    "site": ("inf", ["inf"]),
+    "e_min": (-2.5, ["-2.5"]),
+    "e_max": (2.5, ["2.5"]),
+    "points": (7, ["7"]),
+    "initial": ([1, [0, 1]], ["[1, [0, 1]]"]),
+    "t_max": (3.0, ["3.0"]),
+    "error_budget": (1e-09, ["1e-09"]),
+    "gamma": (0.125, ["0.125"]),
+    "sweep": (["xi", 0, 8.0, 161], ["xi", "0", "8.0", "161"]),
+    "initial_site": (2, ["2"]),
+    "n_trunc": (40, ["40"]),
+    "output": ("out.csv", ["out.csv"]),
+    "sidecar": ("side.json", ["side.json"]),
+}
+
+
+def _config_flags():
+    """(subcommand, flag's action) for every flag of each subcommand that
+    takes --config."""
+    _, by_name = cli._build_parser()
+    return [
+        (cmd, action)
+        for cmd, sub in sorted(by_name.items())
+        for action in sub._actions
+        if any(a.dest == "config" for a in sub._actions)
+        and action.dest not in ("help", "config")
+    ]
+
+
+@pytest.mark.parametrize("cmd, action", _config_flags(), ids=lambda v: getattr(v, "dest", v))
+def test_config_parses_as_flags(tmp_path, cmd, action):
+    # a flag given through --config parses to the args it does as a flag
+    parser, by_name = cli._build_parser()
+    value, tokens = CONFIG_SAMPLES[action.dest]
+    required = [
+        x for a in by_name[cmd]._actions if a.required and a is not action
+        for x in (a.option_strings[0], *CONFIG_SAMPLES[a.dest][1])
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({action.dest: value}))
+    argv = [cmd, *required, "--config", str(cfg)]
+    from_file = parser.parse_args(cli._with_config(argv, by_name))
+    from_flags = parser.parse_args([cmd, *required, action.option_strings[0], *tokens])
+    assert getattr(from_flags, action.dest) != action.default
+    assert {**vars(from_file), "config": None} == vars(from_flags)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["dynamics", "--n-atoms", "2", "--config", {"t_max": None}], "t_max"),
+    (["bound-states", "--config", {"n_atoms": 2, "lam": None}], "lam"),
+])
+def test_null_in_config_is_a_config_error(tmp_path, capsys, argv, key):
+    # null used to replace the flag's default with None: a raw TypeError
+    # from a finite check, exit 1
+    assert_config_error(capsys, with_files(tmp_path, argv), key)
+
+
 def test_reproduce_fig5_deterministic(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["reproduce", "fig5", "--outdir", str(d1)]) == 0

@@ -248,17 +248,17 @@ def _generic_case():
 
 
 def test_delta_node_count_reported(monkeypatch):
-    # delta_nodes is the node count of the largest Delta rule the
-    # transform read, the rule of the grid nearest an edge
+    # delta_nodes is the node count of the largest Delta rule the model
+    # has built; on a fresh model, the rule of the grid nearest an edge
     model, initial = _generic_case()
     times = np.linspace(0.0, 5.0, 6)
     coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
     grids = _delta_grids(monkeypatch)
     series = fr.survival_probability(model, initial, times, coefficients=coeffs)
     largest = max(delta_rule(model.omega_low, model.omega_up, g)[0].size for g in grids)
-    kern, _, delta_nodes = dyn._transform(coeffs, times, None)
+    kern, _ = dyn._transform(coeffs, times, None)
     assert series.meta["transform_nodes"] == kern.e_nodes.size
-    assert series.meta["delta_nodes"] == largest == delta_nodes
+    assert series.meta["delta_nodes"] == largest
     assert 0 < largest < 400
 
 
@@ -271,6 +271,24 @@ def test_delta_once_per_node_energy(monkeypatch):
     fr.survival_probability(model, initial, np.linspace(0.0, 50.0, 50))
     e = np.concatenate(grids)
     assert len(grids) > 1 and np.unique(e).size == e.size
+
+
+def test_one_depth_class_per_delta_call(monkeypatch):
+    # delta_on_grid forms its grid's depth class for the cache key, and the
+    # node count of meta comes from the cache: nothing forms it again
+    model, initial = _generic_case()
+    coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
+    grids = _delta_grids(monkeypatch)
+    classes = []
+    inner = qd._depth_class
+
+    def counted(*args):
+        classes.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(qd, "_depth_class", counted)
+    fr.survival_probability(model, initial, np.linspace(0.0, 5.0, 6), coefficients=coeffs)
+    assert len(grids) > 1 and len(classes) == len(grids)
 
 
 def test_delta_rules_built_once_per_model():
