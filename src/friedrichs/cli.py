@@ -20,7 +20,9 @@ power_edges:  J(w) = amplitude * (w-lo)^s_low * (up-w)^s_up * prod_z (w-z)^2
 with "divergent" standing for the exponent -1/2 (van Hove edge).
 
 Unknown keys are rejected.  Exit codes: 0 ok, 2 configuration error,
-3 numerical failure (diagnostic JSON on stderr).
+3 numerical failure (diagnostic JSON on stderr).  Every input check exits 2,
+whether it reads the document, the flags, the initial state or gamma: its
+error is a `ConfigError`.
 
 --config FILE (all but reproduce) holds flags by destination, a list for
 --sweep's four: {"t_max": 3.0, "initial": [1, 0]}.  It stands for those
@@ -425,7 +427,8 @@ def _cmd_dynamics(args):
                 for (f, a, ph) in limit.beats
             ],
             "bound_energies": [s.energy for s in bound],
-            "meta": series.meta,  # transform_nodes, transform_error, delta_nodes
+            # transform_nodes, transform_error, delta_nodes (Delta's rule size)
+            "meta": series.meta,
         },
     )
     return 0

@@ -284,9 +284,8 @@ def survival_probability(
     n_base_nodes, when given, is a floor on the transform's node count.
     meta holds that count (`transform_nodes`), the error estimate of
     `_halving_error` (`transform_error`), raising QuadratureBudgetExceeded
-    above error_budget, and the node count of the largest Delta rule the
-    model has built (`delta_nodes`: 0 for a closed-form Delta; on a fresh
-    model, that of the transform's Delta grid nearest an edge).
+    above error_budget, and the node count of the band's Delta rule
+    (`delta_nodes`: 0 for a closed-form Delta).
     """
     t = _finite_times(times)
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):

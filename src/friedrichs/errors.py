@@ -5,19 +5,24 @@ class FriedrichsError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DegenerateLevels(FriedrichsError):
+class ConfigError(FriedrichsError):
+    """Malformed run configuration, model document or input; the base of
+    every error an input check raises."""
+
+
+class DegenerateLevels(ConfigError):
     """Two discrete levels coincide within tolerance."""
 
 
-class NegativeSpectralDensity(FriedrichsError):
+class NegativeSpectralDensity(ConfigError):
     """Sampled spectral density fell below zero."""
 
 
-class EmptyBand(FriedrichsError):
+class EmptyBand(ConfigError):
     """Band edges are not ordered (omega_low >= omega_up), or J vanishes on the band."""
 
 
-class UnnormalizedInitialState(FriedrichsError):
+class UnnormalizedInitialState(ConfigError):
     """Initial amplitudes do not have unit norm."""
 
 
@@ -49,7 +54,7 @@ class QuadratureBudgetExceeded(FriedrichsError):
     """Oscillatory integral error estimate above the requested tolerance."""
 
 
-class NegativeGamma(FriedrichsError):
+class NegativeGamma(ConfigError):
     """Markovian decay width must be non-negative."""
 
 
@@ -59,10 +64,6 @@ class LightConeViolation(FriedrichsError):
 
 class NormDrift(FriedrichsError):
     """Lattice propagation lost more norm than allowed."""
-
-
-class ConfigError(FriedrichsError):
-    """Malformed run configuration or model document."""
 
 
 class ExceptionalPoint(FriedrichsError):

@@ -179,7 +179,7 @@ class ValidatedModel:
     It also holds what the kernels form once per model on first use: |f|^2,
     and in `_rules`, which only `quadrature` fills, the graded rules that
     recur with J read on their nodes (the far-field Sigma rule and the
-    Delta rule of each depth class).
+    band's Delta rule).
     """
 
     discrete: DiscreteSpectrum

@@ -7,13 +7,12 @@ zeros, so one scheme covers every declared edge exponent.
 
 Composite Gauss-Legendre rules in k whose panels are graded geometrically
 toward both edges do the work, each built with J on its nodes by
-`_graded_rule`: `delta_on_grid` grades down to the depth class of its grid,
-the k-distance of the grid point nearest each edge rounded down to a power
-of GRADING, and `kernel_integral` (Sigma, Sigma') down to the pole that an
-energy outside the band puts at imaginary k, where every energy far from
-both edges shares one rule.  A model keeps the rules that recur, that one
-and each depth class's, in one cache (`ValidatedModel._rules`), which only
-this module fills.  The scattering transform of `dynamics` builds its panels
+`_graded_rule`: `delta_on_grid` grades down to where nodes would round onto
+an edge, one rule per band, and `kernel_integral` (Sigma, Sigma') down to
+the pole that an energy outside the band puts at imaginary k, where every
+energy far from both edges shares one rule.  A model keeps these two
+rules, which recur, in one cache (`ValidatedModel._rules`), which only this
+module fills.  The scattering transform of `dynamics` builds its panels
 from the same pieces (`graded_breaks`, `split_panels`, `panel_rule`) and
 sums them against exp(-i omega t) in `fourier_linear`, which a uniform grid
 of T times lets form 2*sqrt(T) phases per node, not T.  Adaptive `quad` is
@@ -141,25 +140,6 @@ def _panels(lo, up, breaks):
     return 0.5 * np.diff(breaks)[:, None] * w, om, np.sqrt((om - lo) * (up - om)), slip, rnd
 
 
-def _depth_class(lo, up, e_grid):
-    """(d_lo, d_up): the depth class of the targets e_grid, the key of their
-    Delta rule.
-
-    The k-distance of the target nearest each edge, rounded down to a power
-    of GRADING and never below `_shallowest`.  Grading to the class instead
-    of the target itself grades at most one level deeper, and lets every
-    grid of one class share a rule.
-    """
-    e_grid = np.asarray(e_grid, dtype=float)
-    span = up - lo
-    out = []
-    for edge, gap in ((lo, float(e_grid.min()) - lo), (up, up - float(e_grid.max()))):
-        floor = _shallowest(lo, up, edge)
-        d = max(2.0 * math.asin(math.sqrt(min(max(gap / span, 0.0), 1.0))), floor)
-        out.append(max(GRADING ** math.floor(math.log(d, GRADING)), floor))
-    return tuple(out)
-
-
 def _shallowest(lo, up, edge):
     """The smallest target of `_breaks` whose nodes all stay at least one ulp
     off the edge: deeper nodes would round onto it, where J reads 0 or inf."""
@@ -194,14 +174,15 @@ def _recurring(rules, key, build):
     return rules[key]
 
 
-def _delta_terms(j, lo, up, depths):
-    """(nodes, weights of integral dw, J, -J') of the Delta rule of a depth
-    class, flat, the nodes ascending.
+def _delta_terms(j, lo, up):
+    """(nodes, weights of integral dw, J, -J') of the band's Delta rule, flat,
+    the nodes ascending.
 
     -J' = -(F_k - J w_kk) / w_k^2 comes from the interpolant of F = J w_k on
     each panel, which stays smooth at a van Hove edge.
     """
-    wk, om, _, _, jac, jv, df = _graded_rule(j, lo, up, _breaks(*depths))
+    breaks = _breaks(_shallowest(lo, up, lo), _shallowest(lo, up, up))
+    wk, om, _, _, jac, jv, df = _graded_rule(j, lo, up, breaks)
     wgt = wk * jac
     w = _gauss_legendre(PANEL_NODES)[1]
     on_node = (jv * (0.5 * (lo + up) - om) - df * w * jac / wgt) / jac**2
@@ -212,34 +193,28 @@ def delta_on_grid(j, lo, up, e_grid, rules=None):
     """P.V. part Delta(E) on a grid strictly inside a finite band.
 
     Subtracted form sum_m W_m (J(w_m) - J(E)) / (E - w_m) + J(E) ln((E-lo)/(up-E))
-    on the graded rule of the `_depth_class` of e_grid, whose panels shrink
-    toward each edge down to GRADING**-PAST_TARGET times the class there.
-    The compensated integrand is as smooth as J, so the rule converges
-    however close grid points sit to the nodes.
+    on the band's graded rule, whose panels shrink toward each edge as far as
+    they can: down to where nodes would round onto it (`_shallowest`).  That
+    is the grading the targets nearest an edge need, and more than any other
+    target needs.  The compensated integrand is as smooth as J, so the rule
+    converges however close targets sit to the nodes.
 
-    The grading is what targets near an edge need, down to the target
-    whose nodes would round onto the edge (`_shallowest`).  Where J(omega(k)) is
-    odd in k (half-integer edge exponents, van Hove edges) the compensated
-    integrand has a pole at the mirror image -k_E of a target, k_E outside
-    the band; any other edge exponent s puts a k**(2s+1) branch point on the
-    edge itself, which the panels past the target resolve.  The node count
-    grows with the log of the smallest k-distance; a grid within one ulp of
-    both edges, as the nodes of the scattering transform are, takes about
-    280.  A target on a node of the rule takes the limit -J'(E) of the
+    Where J(omega(k)) is odd in k (half-integer edge exponents, van Hove
+    edges) the compensated integrand has a pole at the mirror image -k_E of a
+    target, k_E outside the band; any other edge exponent s puts a k**(2s+1)
+    branch point on the edge itself, which the graded panels resolve.  The
+    node count grows with the log of the band's width in ulps of its edges:
+    about 280.  A target on a node of the rule takes the limit -J'(E) of the
     subtracted integrand there.
 
-    rules, a model's cache (`ValidatedModel._rules`), keeps each depth
-    class's rule with J and -J' on its nodes, so that a later grid of that
-    class reads J only at its targets.  The result is the same, bit for bit,
-    with rules or without.
+    rules, a model's cache (`ValidatedModel._rules`), keeps the rule with J
+    and -J' on its nodes, so that a later grid reads J only at its targets.
+    The result is the same, bit for bit, with rules or without.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if e_grid.size == 0:
         return np.empty_like(e_grid)
-    depths = _depth_class(lo, up, e_grid)
-    om, wgt, jv, on_node = _recurring(
-        rules, ("delta", *depths), lambda: _delta_terms(j, lo, up, depths)
-    )
+    om, wgt, jv, on_node = _recurring(rules, ("delta",), lambda: _delta_terms(j, lo, up))
     je = np.asarray(j(e_grid), dtype=float)
     out = np.empty_like(e_grid)
     rows = max(1, 2**14 // om.size)  # (rows, nodes) temporaries stay in cache
@@ -258,8 +233,9 @@ def delta_on_grid(j, lo, up, e_grid, rules=None):
 
 
 def _delta_nodes(rules) -> int:
-    """The node count of the largest Delta rule in a model's cache rules."""
-    return max((rule[0].size for key, rule in rules.items() if key[0] == "delta"), default=0)
+    """The node count of the Delta rule in a model's cache rules, 0 if it
+    holds none (a closed-form Delta)."""
+    return rules[("delta",)][0].size if ("delta",) in rules else 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ SIGMA_EPSREL = 1e-11
 SIGMA_DERIV_EPSREL = 1e-9
 
 
-def delta_rule(lo, up, e_grid):
-    """Node energies and weights of the Delta rule that
-    `quadrature.delta_on_grid` builds for the targets e_grid: the panels of
-    their depth class."""
-    return qd.panel_rule(lo, up, qd._breaks(*qd._depth_class(lo, up, e_grid)))
+def delta_rule(lo, up):
+    """Node energies and weights of the band's Delta rule, the one
+    `quadrature.delta_on_grid` builds for every grid: graded as deep toward
+    each edge as its nodes stay off it."""
+    breaks = qd._breaks(qd._shallowest(lo, up, lo), qd._shallowest(lo, up, up))
+    return qd.panel_rule(lo, up, breaks)
 
 
 def random_model(rng, n_max=4, with_zero=False, complex_couplings=True):

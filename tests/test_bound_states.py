@@ -447,9 +447,10 @@ def test_root_next_to_its_level(site):
 
 @pytest.mark.xfail(strict=True, raises=NonconvergentEdge, reason="root within the edge tolerance")
 def test_root_next_to_a_divergent_edge():
-    # at site inf, xi = 1e-3 puts the extra root 2.8e-12 outside the
-    # divergent edge -0.6, within the 1e-12*scale that `self_energy` takes
-    # as the edge itself, where Sigma diverges
+    # at site inf, xi = 1e-3 puts the extra root 3.525e-13 outside the
+    # divergent edge -0.6 (40-digit mpmath), within the 1e-12*scale =
+    # 2.83e-12 that `self_energy` takes as the edge itself, where Sigma
+    # diverges
     params = fr.WaveguideParams(3, 1.0, 0.3, 1e-3, fr.INFINITE)
     model = fr.build_waveguide_model(params)
     census = fr.count_bound_states(model)

@@ -128,6 +128,29 @@ def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, argv, named):
     assert_config_error(capsys, with_files(tmp_path, argv), named)
 
 
+#: inputs the model, state and gamma checks reject: each raises its own type,
+#: a ConfigError, so the CLI exits 2, not 3 as for a numerical failure
+REJECTED_INPUT = [
+    (["bound-states", "--model", {**CLI_DOC_GENERIC, "levels": [0.4, -1.0]}],
+     "strictly increasing"),
+    (["bound-states", "--model", {**CLI_DOC_GENERIC, "band": [1.5, -1.5]}],
+     "omega_low=1.5 >= omega_up=-1.5"),
+    (["bound-states", "--model", {**CLI_DOC_GENERIC, "spectral_density": {
+        **CLI_DOC_GENERIC["spectral_density"], "zeros": [2.0]}}], "J-zero 2.0"),
+    (["dynamics", "--model", {**CLI_DOC_GENERIC, "levels": [0.4], "couplings": [0.3],
+                              "initial": [2.0]}], "sum |c_n|^2 = 4.0"),
+    (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, 1]"], "sum |c_n|^2 = 2.0"),
+    (["markovian", "--n-atoms", "2", "--gamma", "-1"], "gamma = -1.0 < 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", REJECTED_INPUT, ids=[f"argv{i}" for i in range(len(REJECTED_INPUT))]
+)
+def test_rejected_input_is_a_config_error(tmp_path, capsys, argv, named):
+    assert_config_error(capsys, with_files(tmp_path, argv), named)
+
+
 def test_nan_level_in_document_exits_two(tmp_path):
     # a NaN level used to send the census's K-zero search into an endless
     # loop; run apart, so a hang fails the test instead of stalling the suite

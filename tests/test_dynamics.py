@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
+from friedrichs import cli
 from friedrichs import dynamics as dyn
 from friedrichs import quadrature as qd
+from friedrichs import spectral as sp
 from friedrichs.errors import ConfigError, QuadratureBudgetExceeded
 
 from _support import census_bruteforce, delta_rule, random_initial, random_model
@@ -247,19 +249,18 @@ def _generic_case():
     return model, random_initial(np.random.default_rng(6), model.n_levels)
 
 
-def test_delta_node_count_reported(monkeypatch):
-    # delta_nodes is the node count of the largest Delta rule the model
-    # has built; on a fresh model, the rule of the grid nearest an edge
+def test_delta_node_count_reported():
+    # delta_nodes is the node count of the band's Delta rule, whatever
+    # grids asked for Delta before
     model, initial = _generic_case()
     times = np.linspace(0.0, 5.0, 6)
+    sp.delta_gamma(model, 0.5 * (model.omega_low + model.omega_up))
     coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
-    grids = _delta_grids(monkeypatch)
     series = fr.survival_probability(model, initial, times, coefficients=coeffs)
-    largest = max(delta_rule(model.omega_low, model.omega_up, g)[0].size for g in grids)
     kern, _ = dyn._transform(coeffs, times, None)
     assert series.meta["transform_nodes"] == kern.e_nodes.size
-    assert series.meta["delta_nodes"] == largest
-    assert 0 < largest < 400
+    assert series.meta["delta_nodes"] == delta_rule(model.omega_low, model.omega_up)[0].size
+    assert 0 < series.meta["delta_nodes"] < 400
 
 
 def test_delta_once_per_node_energy(monkeypatch):
@@ -273,29 +274,13 @@ def test_delta_once_per_node_energy(monkeypatch):
     assert len(grids) > 1 and np.unique(e).size == e.size
 
 
-def test_one_depth_class_per_delta_call(monkeypatch):
-    # delta_on_grid forms its grid's depth class for the cache key, and the
-    # node count of meta comes from the cache: nothing forms it again
-    model, initial = _generic_case()
-    coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
-    grids = _delta_grids(monkeypatch)
-    classes = []
-    inner = qd._depth_class
-
-    def counted(*args):
-        classes.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(qd, "_depth_class", counted)
-    fr.survival_probability(model, initial, np.linspace(0.0, 5.0, 6), coefficients=coeffs)
-    assert len(grids) > 1 and len(classes) == len(grids)
-
-
 def test_delta_rules_built_once_per_model():
     # J is read on the nodes of each rule the model keeps, the far-field
-    # Sigma rule and each depth class's Delta rule, once per model: the
-    # first call builds them, a second call on the model none
+    # Sigma rule and the band's Delta rule, once per model: the first
+    # transform builds them; a second transform, Delta at single energies
+    # and a spectrum table on the model build none
     model, initial = _generic_case()
+    lo, up = model.omega_low, model.omega_up
     reads = []
 
     def j(x):
@@ -305,7 +290,7 @@ def test_delta_rules_built_once_per_model():
     counted = dataclasses.replace(model, _j=j)
     times = np.linspace(0.0, 50.0, 50)
     first = fr.survival_probability(counted, initial, times)
-    assert {key[0] for key in counted._rules} == {"delta", "sigma"}
+    assert set(counted._rules) == {("sigma", math.inf), ("delta",)}
     nodes = [rule[0].ravel() for rule in counted._rules.values()]
 
     def rule_reads():
@@ -314,17 +299,20 @@ def test_delta_rules_built_once_per_model():
     assert rule_reads() == [1] * len(nodes)
     reads.clear()
     again = fr.survival_probability(counted, initial, times)
+    for e in lo + (up - lo) * np.array([1e-9, 0.3, 0.7, 1.0 - 1e-9]):
+        sp.delta_gamma(counted, e)
+    rows = [cli._spectrum_row(counted, e) for e in np.linspace(lo - 1.0, up + 1.0, 41)]
+    assert np.isfinite(np.array(rows)[:, 1]).sum() > 30
     assert rule_reads() == [0] * len(nodes)
-    assert len(counted._rules) == len(nodes)
+    assert set(counted._rules) == {("sigma", math.inf), ("delta",)}
     assert np.array_equal(first.p, again.p)
 
 
 def test_model_keeps_only_recurring_rules(monkeypatch):
     # a census, a solve and a transform ask for Sigma at many energies and
     # for Delta on many grids; the model keeps the far-field Sigma rule and
-    # the Delta rule of each depth class asked for, never a rule per energy
+    # the band's Delta rule, never a rule per energy or grid
     model, initial = _generic_case()
-    lo, up = model.omega_low, model.omega_up
     grids = _delta_grids(monkeypatch)
     energies = []
     inner = qd.kernel_integral
@@ -337,9 +325,8 @@ def test_model_keeps_only_recurring_rules(monkeypatch):
     census = fr.count_bound_states(model)
     fr.solve_bound_states(model, census)
     fr.survival_probability(model, initial, np.linspace(0.0, 50.0, 50))
-    classes = {("delta", *qd._depth_class(lo, up, g)) for g in grids}
-    assert set(model._rules) == {("sigma", math.inf)} | classes
-    assert len(set(energies)) > len(model._rules) and len(grids) > len(classes)
+    assert set(model._rules) == {("sigma", math.inf), ("delta",)}
+    assert len(set(energies)) > len(model._rules) and len(grids) > 1
 
 
 def _finer(model, initial, times, series, factor=4):

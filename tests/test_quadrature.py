@@ -264,20 +264,16 @@ def test_delta_vanishes_on_infinite_waveguide(kappa, bound):
 
 
 def test_delta_rule_grading():
-    # nodes stay inside the band, the node count follows the log of the
-    # nearest target's k-distance, and the weights integrate dw exactly.
-    # The nearest targets sit pi/32768 in k from each edge, in the depth
-    # class 4**-7: per edge a panel [0, 4**-9] and graded ones up to 4**0,
-    # then 2 middle panels on [1, pi - 1]; 22 panels of 12 nodes
+    # one rule per band, graded toward each edge until its innermost node
+    # sits one ulp off the edge: per edge 10 panels, from [0, 2.0e-6] up to
+    # 0.54 in k, then 3 middle panels; 23 panels of 12 nodes.  The weights
+    # integrate dw exactly
     lo, up = -2.0, 3.0
-    e = 0.5 - 2.5 * np.cos(np.linspace(0.0, np.pi, 32769)[1:-1])
-    assert qd._depth_class(lo, up, e) == (4.0**-7, 4.0**-7)
-    om, wgt = delta_rule(lo, up, e)
-    assert om.size == 264 and om.size % qd.PANEL_NODES == 0
-    assert np.all((om > lo) & (om < up))
+    om, wgt = delta_rule(lo, up)
+    assert om.size == 276 and om.size % qd.PANEL_NODES == 0
+    assert 0.0 < om[0] - lo <= np.spacing(abs(lo)) and 0.0 < up - om[-1] <= np.spacing(up)
+    assert np.all(np.diff(om) > 0.0)
     assert abs(wgt.sum() - (up - lo)) <= 1e-14 * (up - lo)
-    coarse, _ = delta_rule(lo, up, e[::64])
-    assert coarse.size < om.size
 
 
 @given(
@@ -290,29 +286,29 @@ def test_delta_rule_grading():
 )
 @settings(max_examples=20, deadline=None)
 def test_delta_rule_cache_keeps_bits(seed, grids):
-    # grids at drawn depths from both edges, with two nodes of their own
-    # rule among the targets, give the same bits from a fresh rule and from
-    # the model's cache, whether the call builds the cached rule or reads it;
-    # the cached rule is the grid's depth class, J read on its nodes, and
+    # grids at drawn depths from both edges, with two nodes of the rule
+    # among the targets, give the same bits from a fresh rule and from the
+    # model's cache, whether the call builds the cached rule or reads it;
+    # the cache holds one Delta rule, the band's, J read on its nodes, and
     # the same bits as a rule built afresh
     rng = np.random.default_rng(seed)
     model = random_model(rng, with_zero=bool(seed % 2))
     lo, up = model.omega_low, model.omega_up
     span = up - lo
     rules = model._rules
+    nodes, weights = delta_rule(lo, up)
     for _ in range(2):
         for low_exp, up_exp, n in grids:
             e = np.r_[lo + span * 10.0**low_exp, up - span * 10.0**up_exp, rng.uniform(lo, up, n)]
-            nodes, weights = delta_rule(lo, up, e)
             inner = nodes[(nodes > e.min()) & (nodes < e.max())]
             e = np.sort(np.r_[e, rng.choice(inner, 2)])
             fresh = qd.delta_on_grid(model.j, lo, up, e)
             assert np.array_equal(qd.delta_on_grid(model.j, lo, up, e, rules=rules), fresh)
-            depths = qd._depth_class(lo, up, e)
-            cached = rules[("delta", *depths)]
+            assert list(rules) == [("delta",)]
+            cached = rules[("delta",)]
             assert np.array_equal(cached[0], nodes) and np.array_equal(cached[1], weights)
             assert np.array_equal(cached[2], model.j(nodes))
-            for got, built in zip(cached, qd._delta_terms(model.j, lo, up, depths)):
+            for got, built in zip(cached, qd._delta_terms(model.j, lo, up)):
                 assert np.array_equal(got, built)
 
 
@@ -341,7 +337,7 @@ def test_delta_unmoved_by_targets_at_the_edges():
     alone = qd.delta_on_grid(j, lo, up, e)
     assert np.all(np.isfinite(qd.delta_on_grid(j, lo, up, at_edges)))
     assert np.max(np.abs(qd.delta_on_grid(j, lo, up, at_edges)[2:-2] - alone)) <= 1e-13
-    om, _ = delta_rule(lo, up, at_edges)
+    om, _ = delta_rule(lo, up)
     assert np.all((om > lo) & (om < up))
 
 
@@ -350,19 +346,10 @@ def test_delta_targets_on_rule_nodes():
     # term is the limit -J'(E), read off the panel's interpolant
     lo, up = -1.3, 2.1
     j = _van_hove(lo, up)
-    e = np.array([-1.29, 0.3, 2.09])
-    om, _ = delta_rule(lo, up, e)
+    om, _ = delta_rule(lo, up)
     on = om[(om > -1.2) & (om < 2.0)][[5, 20, 40]]
-    grid = np.r_[e, on]
-    assert np.array_equal(delta_rule(lo, up, grid)[0], om)
-    # targets one ulp off the edges put `other` in the class of the deepest
-    # rule, whose middle panels are not those of the power-of-4 classes: a
-    # rule none of `on` sits on
-    other = np.r_[np.nextafter(lo, up), np.nextafter(up, lo), on]
-    assert qd._depth_class(lo, up, other) != qd._depth_class(lo, up, grid)
-    assert not np.any(np.isin(on, delta_rule(lo, up, other)[0]))
-    got = qd.delta_on_grid(j, lo, up, grid)[3:]
-    ref = qd.delta_on_grid(j, lo, up, other)[2:]
+    got = qd.delta_on_grid(j, lo, up, np.r_[-1.29, on, 2.09])[1:-1]
+    ref = np.array([qd.principal_value(j, lo, up, e, epsrel=1e-13)[0] for e in on])
     # the interpolant's derivative is good to about 1e-9 of J' on a middle
     # panel, and that node's weight is 0.15
     assert np.max(np.abs(got - ref)) <= 1e-12

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import friedrichs as fr
+from friedrichs import quadrature as qd
 from friedrichs import spectral as sp
 from friedrichs.errors import (
     DivergentDerivative,
@@ -115,6 +116,21 @@ def test_delta_closed_form_matches_quadrature(wg3):
                     d_closed, g = fr.delta_gamma(wg, e)
                     d_quad, _ = fr.delta_gamma(stripped, e)
                     assert abs(d_quad - d_closed) <= 1e-8 * max(1.0, g), (kappa, site, e)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_delta_at_single_targets_matches_principal_value(seed):
+    # single energies well inside the band, as the root solve and the
+    # spectrum table ask for them, take the band's one rule, graded for
+    # targets next to the edges; the adaptive principal value agrees
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, with_zero=bool(seed % 2))
+    lo, up = model.omega_low, model.omega_up
+    for e in lo + (up - lo) * rng.uniform(0.05, 0.95, 5):
+        ref, _ = qd.principal_value(model.j, lo, up, e, epsrel=1e-13)
+        delta, _ = fr.delta_gamma(model, e)
+        assert abs(delta - ref) <= 1e-10 * abs(ref), (seed, e)
+    assert [key for key in model._rules if key[0] == "delta"] == [("delta",)]
 
 
 def test_gamma_value_l1():

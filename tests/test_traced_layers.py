@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import friedrichs as fr
+from friedrichs import quadrature as qd
 from friedrichs.cli import main
 
 from _support import random_initial, random_model
@@ -51,6 +52,33 @@ def test_transform_counts_match_meta():
     nodes = tracer.counts["quadrature.fourier_linear.nodes"]
     assert nodes == series.meta["transform_nodes"]
     assert tracer.counts["quadrature.fourier_linear.node_times"] == nodes * times.size
+
+
+def test_delta_points_match_the_energies_asked_for(monkeypatch):
+    # the trace counts Delta's points from the grid argument of
+    # delta_on_grid; in one generic transform they are the energies that
+    # reached it, summed over its calls
+    spans = _spans()
+    rng = np.random.default_rng(4)
+    model = random_model(rng, n_max=3, with_zero=True)
+    initial = random_initial(rng, model.n_levels)
+    coeffs = fr.decay_coefficients(model, initial, fr.all_bound_states(model))
+    grids = []
+    inner = qd.delta_on_grid
+
+    def recorded(j, lo, up, e_grid, *args, **kwargs):
+        grids.append(np.size(e_grid))
+        return inner(j, lo, up, e_grid, *args, **kwargs)
+
+    monkeypatch.setattr(qd, "delta_on_grid", recorded)
+    tracer = spans.Tracer()
+    replaced = spans.install(tracer)
+    try:
+        fr.survival_probability(model, initial, np.linspace(0.0, 50.0, 50), coefficients=coeffs)
+    finally:
+        spans.uninstall(replaced)
+    assert tracer.stats["quadrature.delta_on_grid"].calls == len(grids) > 1
+    assert tracer.counts["quadrature.delta_on_grid.points"] == sum(grids) > 0
 
 
 def test_node_floor_of_reference_capture():
