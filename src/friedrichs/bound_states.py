@@ -14,7 +14,12 @@ of K - 1/Sigma at the edge.  Census and solve read 1/Sigma from
 +0.0, as the trace's `sigma_inv_edge` holds it.  Brent's method then runs on
 the pole-free g = (K - 1/Sigma) * prod_p |E - p| over the bracket's ends p
 on levels (`spectral._pole_free_k`): g is finite up to the poles, and its
-value at every end is known without evaluating Sigma there.
+value at every end is known without evaluating Sigma there.  One pass,
+`_bracket_state`, goes from the bracket to the state: Brent, then up to two
+Newton steps on K - 1/Sigma, then |B|^2 = -Sigma/(K'Sigma + K Sigma') from
+the last energy visited.  K and K' come from one array of distances to the
+levels (`spectral._k_real`), and K, K', Sigma and Sigma' are each evaluated
+once per energy.
 An uncoupled level (f_n = 0) is no pole of K: outside the band, and
 strictly inside it, it is a bound state of its own, pinned to that level.
 Otherwise a state inside the band lies only at a declared zero of J.
@@ -78,7 +83,7 @@ def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
     n_side = int(np.sum(sgn * (levels - edge) > 0))
     trace["n_side"] = n_side
 
-    k_edge = float(np.real(sp.k_function(model, edge)))
+    k_edge, _, d = sp._k_real(model, edge)
     # energy criterion: the edge lies past the K-zero of its gap, where K
     # falls; vacuous when no level lies on one side
     energy_ok = sgn * k_edge > 0 if 1 <= n_side <= model.n_levels - 1 else True
@@ -88,7 +93,7 @@ def _edge_comparison(model: ValidatedModel, sgn: int) -> dict:
     trace["k_edge"] = k_edge
     trace["sigma_inv_edge"] = sig_inv
     margin = sgn * (k_edge - sig_inv)
-    tie = abs(margin) <= 1e-12 * float(np.sum(model._f2 / np.abs(edge - levels)))
+    tie = abs(margin) <= 1e-12 * float(np.sum(model._f2 / np.abs(d)))
     trace["tie"] = bool(tie)
     amplitude_ok = (margin > 0) and not tie
     trace["amplitude_ok"] = bool(amplitude_ok)
@@ -203,44 +208,36 @@ def _pole_free(model: ValidatedModel, br: _Bracket, sig_invs: dict) -> Callable:
     return g
 
 
-def _solve_bracket(model: ValidatedModel, br: _Bracket):
-    """The root in br and Sigma there (None if not yet evaluated): Brent on
-    `_pole_free`, whose 1/Sigma at the root gives Sigma unless it is a
-    divergent edge's limit 0."""
+def _bracket_state(model: ValidatedModel, br: _Bracket, kind: BoundStateKind) -> BoundState:
+    """The state at the root in br: Brent on `_pole_free`, whose 1/Sigma at
+    the root gives Sigma unless it is a divergent edge's limit 0, then up to
+    two Newton steps on K - 1/Sigma, stopping at df = 0, at a step that
+    leaves (a, b) or does not move, and after one below 1e-16*scale."""
     sig_invs: dict = {}
     g = _pole_free(model, br, sig_invs)
-    root = sp._brent(g, br.a, br.b, xtol=1e-15 * model.scale, rtol=8.9e-16, maxiter=200)
-    sig_inv = sig_invs.get(root)
-    return _polish(model, root, br.a, br.b, 1.0 / sig_inv if sig_inv else None)
+    e = sp._brent(g, br.a, br.b, xtol=1e-15 * model.scale, rtol=8.9e-16, maxiter=200)
+    sig_inv = sig_invs.get(e)
 
-
-def _polish(model: ValidatedModel, e: float, a: float, b: float, sig: Optional[float]):
-    """Up to two Newton steps on K - 1/Sigma inside (a, b), one Sigma each;
-    sig is Sigma(e) when the caller has it.
-
-    Returns the root and Sigma at it, or (root, None) when the last step
-    moved off the energy where Sigma was evaluated.
-    """
-    for _ in range(2):
-        k = float(np.real(sp.k_function(model, e)))
+    def kernels(e: float, sig: Optional[float] = None) -> tuple:
+        k, kp, _ = sp._k_real(model, e)
         if sig is None:
             sig = sp.self_energy(model, e)
-        f = k - 1.0 / sig
-        df = float(np.real(sp.k_derivative(model, e))) + sp.self_energy_derivative(
-            model, e
-        ) / sig**2
+        return k, kp, sig, sp.self_energy_derivative(model, e)
+
+    k, kp, sig, sigp = kernels(e, 1.0 / sig_inv if sig_inv else None)
+    for _ in range(2):
+        df = kp + sigp / sig**2
         if df == 0.0:
             break
-        step = f / df
+        step = (k - 1.0 / sig) / df
         e_new = e - step
-        if not (a < e_new < b):
+        if e_new == e or not (br.a < e_new < br.b):
             break
-        if e_new != e:
-            sig = None
         e = e_new
+        k, kp, sig, sigp = kernels(e)
         if abs(step) < 1e-16 * model.scale:
             break
-    return e, sig
+    return _state_at(model, e, kind, k, kp, sig, sigp)
 
 
 def _continuum_profile(model: ValidatedModel, weight: complex, e_m: float) -> Callable:
@@ -256,27 +253,21 @@ def _continuum_profile(model: ValidatedModel, weight: complex, e_m: float) -> Ca
     return profile
 
 
-def _generic_state(
-    model: ValidatedModel, e_m: float, kind: BoundStateKind, sig: Optional[float] = None
+def _state_at(
+    model: ValidatedModel, e_m: float, kind: BoundStateKind, k, kp, sig, sigp
 ) -> BoundState:
-    """The state at a root e_m; sig is Sigma(e_m) when the caller has it."""
-    k = float(np.real(sp.k_function(model, e_m)))
-    kp = float(np.real(sp.k_derivative(model, e_m)))
-    if sig is None:
-        sig = sp.self_energy(model, e_m)
-    sigp = sp.self_energy_derivative(model, e_m)
+    """The state at a root e_m of K - 1/Sigma, from K, K', Sigma and Sigma'
+    there: |B|^2 = -Sigma/(K'Sigma + K Sigma')."""
     if abs(sig) <= 1e-14 * max(abs(k), 1.0):
         raise NormalizationFailure(f"Sigma(E_m)={sig} too close to zero at E_m={e_m}")
-    denom = kp * sig + k * sigp
-    b2 = -sig / denom
+    b2 = -sig / (kp * sig + k * sigp)
     if not (b2 > 0.0) or not math.isfinite(b2):
         raise NormalizationFailure(f"|B|^2 = {b2} at E_m = {e_m}")
     b = math.sqrt(b2)
-    amps = b * model.couplings / (e_m - model.levels)
     return BoundState(
         energy=float(e_m),
         kind=kind,
-        amplitudes=amps,
+        amplitudes=b * model.couplings / (e_m - model.levels),
         norm_b2=b2,
         continuum_profile=_continuum_profile(model, b * k, e_m),
     )
@@ -336,8 +327,7 @@ def solve_bound_states(model: ValidatedModel, census: BoundStateCensus | None = 
                 raise RootNotFound(
                     f"bracket ({br.a}, {br.b}) not sign-changing: g(a)={br.ga}, g(b)={br.gb}"
                 )
-            root, sig = _solve_bracket(model, br)
-            states.append(_generic_state(model, root, kind, sig))
+            states.append(_bracket_state(model, br, kind))
         states += [_pinned_state(model, n, kind, model.levels[n]) for n in uncoupled]
     states.sort(key=lambda s: s.energy)
     return states
@@ -359,10 +349,11 @@ def find_bics(model: ValidatedModel):
             out.append(_pinned_state(model, j_near, BoundStateKind.IN_CONTINUUM, e0, sigp))
             continue
         # generic BIC: K(e0) = 1/Sigma(e0) must hold at the J-zero
-        k0 = float(np.real(sp.k_function(model, e0)))
+        k0, kp0, _ = sp._k_real(model, e0)
         if abs(sig) < 1e-12 or abs(k0 - 1.0 / sig) > 1e-9 * max(abs(k0), 1.0):
             continue
-        out.append(_generic_state(model, e0, BoundStateKind.IN_CONTINUUM, sig))
+        sigp = sp.self_energy_derivative(model, e0)
+        out.append(_state_at(model, e0, BoundStateKind.IN_CONTINUUM, k0, kp0, sig, sigp))
     for n in np.flatnonzero(model._f2 == 0):
         e_n = float(model.levels[n])
         if model.inside_band(e_n) and not model.is_interior_zero(e_n):

@@ -356,8 +356,7 @@ def _spectrum_row(model, e: float) -> tuple:
     """(E, Sigma outside the band or Delta inside, Gamma, K, K'); nan where
     one is undefined."""
     try:
-        k_val = float(np.real(sp.k_function(model, e)))
-        kp_val = float(np.real(sp.k_derivative(model, e)))
+        k_val, kp_val, _ = sp._k_real(model, e)
     except PoleHit:
         k_val = kp_val = math.nan
     if model.inside_band(e) and not model.is_edge(e):

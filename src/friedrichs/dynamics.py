@@ -30,7 +30,7 @@ from . import quadrature as qd
 from . import spectral as sp
 from .bound_states import all_bound_states
 from .errors import ConfigError, QuadratureBudgetExceeded
-from .model import InitialState, ValidatedModel
+from .model import InitialState, ValidatedModel, _check_initial
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +63,7 @@ def decay_coefficients(
     """R[:, m] = a_m (a_m^H c), the projection of c on the bound state m with
     level amplitudes a_m: |B|^2 f_n I(E_m)/(E_m - eps_n), and |B|^2 c_n on
     the one row of a state pinned to level n."""
+    _check_initial(initial, model.n_levels)
     amps = np.array([s.amplitudes for s in bound_states], dtype=complex)
     amps = amps.reshape(len(bound_states), model.n_levels).T  # (N, M)
     return DecayCoefficients(
@@ -290,6 +291,8 @@ def survival_probability(
     t = _finite_times(times)
     if t.size and (np.any(t < 0) or np.any(np.diff(t) < 0)):
         raise ConfigError("times must be sorted and non-negative")
+    if error_budget is not None and not error_budget >= 0.0:  # NaN fails it too
+        raise ConfigError(f"error_budget={error_budget!r} must be a non-negative number")
     if coefficients is None:
         coefficients = decay_coefficients(model, initial, all_bound_states(model))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import SurvivalSeries, _finite_times
 from .errors import ConfigError, ExceptionalPoint, NegativeGamma
-from .model import InitialState, ValidatedModel
+from .model import InitialState, ValidatedModel, _check_initial
 
 EP_GAP_FACTOR = 1e-8
 EP_COND = 1e8
@@ -216,6 +216,7 @@ def decay_components(h: EffectiveHamiltonianMarkov, initial: InitialState):
     equal the paper's residues -I(z_i) f_n / (K'(z_i)(z_i - eps_n)).  A
     defective H has no such split and raises ExceptionalPoint.
     """
+    _check_initial(initial, h.n)
     sys = resonance_decomposition(h)
     if sys.kind is ResonanceKind.DEFECTIVE:
         zc = max(sys.blocks, key=lambda b: b.vectors.shape[1]).eigenvalue
@@ -266,6 +267,7 @@ def markovian_survival(
     t = _finite_times(times)
     if method not in ("closed", "expm"):
         raise ConfigError(f"method must be 'closed' or 'expm', got {method!r}")
+    _check_initial(initial, h.n)
     c0 = initial.amplitudes
     if method == "expm":
         import scipy.linalg

@@ -160,6 +160,16 @@ class InitialState:
         return cls(v / nrm)
 
 
+def _check_initial(initial: InitialState, n_levels: int) -> None:
+    """ConfigError naming both counts when initial does not have one
+    amplitude per level."""
+    if initial.amplitudes.size != n_levels:
+        raise ConfigError(
+            f"the initial state has {initial.amplitudes.size} amplitudes, "
+            f"the model {n_levels} levels"
+        )
+
+
 def _vectorized(fn: Callable) -> Callable:
     """Return fn if it already maps arrays to arrays, else a vectorized wrap."""
     probe = np.array([0.25, 0.75])

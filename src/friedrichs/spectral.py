@@ -35,7 +35,7 @@ from .errors import (
     PoleHit,
     RootNotFound,
 )
-from .model import DIVERGENT, InitialState, ValidatedModel
+from .model import DIVERGENT, InitialState, ValidatedModel, _check_initial
 
 
 def _pole_distances(model: ValidatedModel, z: complex) -> np.ndarray:
@@ -58,8 +58,16 @@ def k_derivative(model: ValidatedModel, z: complex) -> complex:
     return complex(-np.sum(model._f2 / _pole_distances(model, z) ** 2))
 
 
+def _k_real(model: ValidatedModel, e: float) -> tuple[float, float, np.ndarray]:
+    """(K(e), K'(e), e - eps_n) at real e from one `_pole_distances` array,
+    bit for bit the values of `k_function` and `k_derivative`."""
+    d = _pole_distances(model, e)
+    return float(np.sum(model._f2 / d)), float(-np.sum(model._f2 / d**2)), d
+
+
 def i_function(model: ValidatedModel, initial: InitialState, z: complex) -> complex:
     """I(z) = sum_n f_n^* c_n / (z - eps_n)."""
+    _check_initial(initial, model.n_levels)
     w = np.conj(model.couplings) * initial.amplitudes
     return complex(np.sum(w / _pole_distances(model, z)))
 

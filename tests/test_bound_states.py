@@ -435,8 +435,9 @@ def test_uncoupled_chain_matches_closed_census_and_oracle(site):
 @pytest.mark.parametrize("site", [1, 2, 5, fr.INFINITE])
 def test_root_next_to_its_level(site):
     # xi = 1e-6 puts a root 1.9e-13 below the level -sqrt(2), inside the
-    # 1e-13*scale guard of `spectral.k_function`, which the Newton polish
-    # and the state's amplitudes read K through
+    # 1e-13*scale guard that `spectral._k_real` keeps, which the Newton
+    # steps and the state of `bound_states._bracket_state` read K and K'
+    # through
     params = fr.WaveguideParams(3, 1.0, 0.3, 1e-6, site)
     model = fr.build_waveguide_model(params)
     census = fr.count_bound_states(model)
@@ -538,6 +539,36 @@ def test_solve_spends_at_most_ten_sigma_calls_per_state(monkeypatch):
         assert len(calls) <= 10 * len(solved), case
         states += len(solved)
     assert states > len(_WORK_CASES)
+
+
+def test_no_energy_gets_sigma_prime_twice_in_one_solve(monkeypatch):
+    # the bracket's one pass evaluates K, K', Sigma and Sigma' once at each
+    # energy it visits; a state rebuilt at the last Newton energy used to
+    # read Sigma' there a second time, on 1,725 of the 2,385 roots of the
+    # benchmark's waveguide grid
+    energies = []
+    plain = sp.self_energy_derivative
+
+    def recorded(model, e):
+        energies.append(e)
+        return plain(model, e)
+
+    monkeypatch.setattr(sp, "self_energy_derivative", recorded)
+    models = [fr.build_waveguide_model(fr.WaveguideParams(*case)) for case in _WORK_CASES]
+    models += [
+        fr.build_waveguide_model(fr.WaveguideParams(n, 1.0, kappa, 0.5, 2))
+        for n in (2, 5, 10) for kappa in (0.99, 1.0, 1.01)
+    ]
+    rng = np.random.default_rng(17)
+    models += [random_model(rng, n_max=4, with_zero=seed % 2 == 1) for seed in range(12)]
+    solved = 0
+    for model in models:
+        census = fr.count_bound_states(model)
+        for solve in (lambda: fr.solve_bound_states(model, census), lambda: fr.find_bics(model)):
+            energies.clear()
+            solved += len(solve())
+            assert len(set(energies)) == len(energies), energies
+    assert solved > len(models)
 
 
 def test_every_sigma_evaluation_is_a_self_energy_call(monkeypatch):

@@ -128,7 +128,7 @@ def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, argv, named):
     assert_config_error(capsys, with_files(tmp_path, argv), named)
 
 
-#: inputs the model, state and gamma checks reject: each raises its own type,
+#: inputs the model, state, gamma and error-budget checks reject: each raises its own type,
 #: a ConfigError, so the CLI exits 2, not 3 as for a numerical failure
 REJECTED_INPUT = [
     (["bound-states", "--model", {**CLI_DOC_GENERIC, "levels": [0.4, -1.0]}],
@@ -141,6 +141,8 @@ REJECTED_INPUT = [
                               "initial": [2.0]}], "sum |c_n|^2 = 4.0"),
     (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, 1]"], "sum |c_n|^2 = 2.0"),
     (["markovian", "--n-atoms", "2", "--gamma", "-1"], "gamma = -1.0 < 0"),
+    (["dynamics", "--n-atoms", "2", "--error-budget", "nan"], "error_budget=nan"),
+    (["dynamics", "--n-atoms", "2", "--error-budget", "-1"], "error_budget=-1.0"),
 ]
 
 

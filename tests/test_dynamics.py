@@ -231,6 +231,30 @@ def test_error_budget_enforced(fig_cases):
     assert series.meta["delta_nodes"] == 0  # the waveguide's closed-form Delta
 
 
+_SHORT_STATE_ROUTES = {
+    "survival_probability": lambda m, c, bound: fr.survival_probability(m, c, [0.0, 1.0]),
+    "long_time_limit": lambda m, c, bound: fr.long_time_limit(m, c, bound),
+    "decay_coefficients": lambda m, c, bound: fr.decay_coefficients(m, c, bound),
+    "markovian_closed": lambda m, c, bound: fr.markovian_survival(
+        fr.build_markovian(m, 0.1), c, [0.0, 1.0]
+    ),
+    "markovian_expm": lambda m, c, bound: fr.markovian_survival(
+        fr.build_markovian(m, 0.1), c, [0.0, 1.0], method="expm"
+    ),
+    "decay_components": lambda m, c, bound: fr.decay_components(fr.build_markovian(m, 0.1), c),
+    "i_function": lambda m, c, bound: fr.i_function(m, c, 0.5j),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_SHORT_STATE_ROUTES))
+def test_initial_state_of_the_wrong_length_is_a_config_error(fig_cases, route):
+    # a raw numpy ValueError used to escape from the matrix products
+    _, model, _, bound = fig_cases[2]
+    short = fr.InitialState(np.array([1.0, 0.0]))
+    with pytest.raises(ConfigError, match="2 amplitudes, the model 3 levels"):
+        _SHORT_STATE_ROUTES[route](model, short, bound)
+
+
 def _delta_grids(monkeypatch) -> list:
     """The energy grids the calls after this one pass to delta_on_grid."""
     grids = []
