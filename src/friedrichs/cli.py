@@ -63,7 +63,9 @@ from .waveguide import (
     INFINITE,
     WaveguideParams,
     _census_over_xi,
+    _couplings_over_xi,
     build_waveguide_model,
+    chain_levels,
     default_initial_state,
     waveguide_bic_energies,
 )
@@ -267,16 +269,39 @@ def _with_config(argv, by_name):
 
 def _write_csv(path, provenance: dict, columns: dict):
     """The tool line and provenance as comments, then the named columns
-    (equal-length sequences) as CSV; floats in FLOAT_FMT."""
+    (equal-length sequences) as CSV, each cell as `_cells` writes it."""
     lines = [f"# tool = friedrichs {__version__}"]
     lines += [f"# {k} = {v}" for k, v in provenance.items()]
     lines.append(",".join(columns))
-    text = [
-        [FLOAT_FMT % v if isinstance(v, float) else str(v) for v in column]
-        for column in columns.values()
-    ]
-    lines += map(",".join, zip(*text))
+    lines += map(",".join, zip(*map(_cells, columns.values())))
     _emit(path, "\n".join(lines) + "\n")
+
+
+def _cell(value) -> str:
+    return FLOAT_FMT % value if isinstance(value, float) else str(value)
+
+
+def _cells(column) -> list:
+    """The text of each cell of column: FLOAT_FMT for a float, str for any
+    other value.
+
+    When the cells are all floats held as float64, or all of one integer or
+    bool type (an array, or a list: every column the package writes), each
+    distinct cell is formatted once.  Cells are the same when their bits
+    are, so -0.0 and 0.0 stay apart and every NaN keeps its "nan".  Any
+    other column, say one that mixes 1, 1.0 and True, is formatted cell by
+    cell.
+    """
+    kinds = {column.dtype.type} if isinstance(column, np.ndarray) else set(map(type, column))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        values = np.asarray(column)
+        # a list of ints too large for an integer dtype comes back as floats
+        if values.dtype.kind in "biu" or (values.dtype == np.float64 and issubclass(kind, float)):
+            bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+            text = [_cell(v) for v in bits.view(values.dtype).tolist()]
+            return np.array(text, dtype=object)[inverse].tolist()
+    return list(map(_cell, column))
 
 
 def _write_json(path, payload):
@@ -434,14 +459,23 @@ def _cmd_dynamics(args):
 
 
 def _xi_flow(params: WaveguideParams, gamma: float, values, xi_name: str) -> dict:
-    """Columns xi_name, re_z1, im_z1, re_z2, ... of the Markovian eigenvalues
-    of the waveguide `params` at each xi in `values`."""
-    z = np.array([
-        mk.resonance_decomposition(
-            mk.build_markovian(build_waveguide_model(replace(params, xi=float(x))), gamma)
-        ).eigenvalues
-        for x in values
-    ]).reshape(len(values), params.n_atoms)
+    """Columns xi_name, re_z1, im_z1, re_z2, ... of the eigenvalues of the
+    Markovian H = diag(eps) - i*gamma f f^dagger of the waveguide `params` at
+    each xi in `values`, in `resonance_decomposition`'s order.
+
+    No model is built: the levels come once from `chain_levels` and every
+    xi's couplings from one `_couplings_over_xi`, the arrays a model of that
+    xi holds, and `markovian._hamiltonian` forms each H as `build_markovian`
+    does, with its gamma checks.  WaveguideParams still checks each xi, in
+    turn before gamma's checks, so a negative or non-finite xi is the
+    ConfigError it would be for a model.
+    """
+    levels = chain_levels(params)
+    couplings = _couplings_over_xi(params, values)
+    z = np.empty((len(values), params.n_atoms), dtype=complex)
+    for k, x in enumerate(values):
+        replace(params, xi=float(x))  # raises for this xi as a model of it would
+        z[k] = mk.resonance_decomposition(mk._hamiltonian(levels, couplings[k], gamma)).eigenvalues
     columns = {xi_name: values}
     for i in range(params.n_atoms):
         columns |= {f"re_z{i + 1}": z[:, i].real, f"im_z{i + 1}": z[:, i].imag}
@@ -457,10 +491,11 @@ def _cmd_markovian(args):
         if name != "xi":
             raise ConfigError("only 'xi' sweeps are supported")
         try:
-            values = np.linspace(float(lo), float(hi), int(steps))
-        except ValueError as exc:
+            ends = [_finite(float(v), "xi") for v in (lo, hi)]
+            count = _positive_int(steps)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"malformed --sweep {lo} {hi} {steps}: {exc}") from exc
-        columns = _xi_flow(params, args.gamma, values, "xi")
+        columns = _xi_flow(params, args.gamma, np.linspace(*ends, count), "xi")
         _write_csv(args.output, _provenance(args, {"gamma": args.gamma}), columns)
         return 0
 

@@ -271,6 +271,23 @@ def _finite_times(times) -> np.ndarray:
     return t
 
 
+def _coefficients_of(
+    model: ValidatedModel, initial: InitialState, coefficients: Optional[DecayCoefficients]
+) -> DecayCoefficients:
+    """coefficients, formed from model and initial when None; ConfigError
+    when they were formed for another model or other initial amplitudes."""
+    if coefficients is None:
+        return decay_coefficients(model, initial, all_bound_states(model))
+    if coefficients.model is not model:
+        raise ConfigError("the coefficients were formed for another model than the one passed")
+    if not np.array_equal(coefficients.initial.amplitudes, initial.amplitudes):
+        raise ConfigError(
+            f"the coefficients were formed for the initial amplitudes "
+            f"{coefficients.initial.amplitudes}, not {initial.amplitudes}"
+        )
+    return coefficients
+
+
 def survival_probability(
     model: ValidatedModel,
     initial: InitialState,
@@ -282,10 +299,12 @@ def survival_probability(
 ) -> SurvivalSeries:
     """p(t) on the requested grid (times >= 0, sorted).
 
-    n_base_nodes, when given, is a floor on the transform's node count.
-    meta holds that count (`transform_nodes`), the error estimate of
-    `_halving_error` (`transform_error`), raising QuadratureBudgetExceeded
-    above error_budget, and the node count of the band's Delta rule
+    coefficients, when given, must be those of model and initial
+    (`decay_coefficients`); ConfigError otherwise.  n_base_nodes, when
+    given, is a floor on the transform's node count.  meta holds that count
+    (`transform_nodes`), the error estimate of `_halving_error`
+    (`transform_error`), raising QuadratureBudgetExceeded above
+    error_budget, and the node count of the band's Delta rule
     (`delta_nodes`: 0 for a closed-form Delta).
     """
     t = _finite_times(times)
@@ -293,8 +312,7 @@ def survival_probability(
         raise ConfigError("times must be sorted and non-negative")
     if error_budget is not None and not error_budget >= 0.0:  # NaN fails it too
         raise ConfigError(f"error_budget={error_budget!r} must be a non-negative number")
-    if coefficients is None:
-        coefficients = decay_coefficients(model, initial, all_bound_states(model))
+    coefficients = _coefficients_of(model, initial, coefficients)
 
     kern, fine = _transform(coefficients, t, n_base_nodes)
     s_amp = qd.fourier_linear(kern.e_nodes, kern.w, t)  # int S_n(E) e^{-iEt} dE
@@ -325,10 +343,9 @@ def survival_amplitudes(
     n_base_nodes: Optional[int] = None,
 ) -> np.ndarray:
     """Per-level amplitudes b_n(t) + s_n(t) on a grid of finite times, in any
-    order and of either sign."""
+    order and of either sign; coefficients as in `survival_probability`."""
     times = _finite_times(times)
-    if coefficients is None:
-        coefficients = decay_coefficients(model, initial, all_bound_states(model))
+    coefficients = _coefficients_of(model, initial, coefficients)
     kern = _transform(coefficients, times, n_base_nodes)[0]
     return _bound_amplitudes(coefficients, times) + qd.fourier_linear(kern.e_nodes, kern.w, times)
 

@@ -44,16 +44,23 @@ class EffectiveHamiltonianMarkov:
 
 
 def build_markovian(model: ValidatedModel, gamma: float) -> EffectiveHamiltonianMarkov:
-    """H = diag(eps_n) - i*Gamma * f_n f_{n'}^*  with Gamma = pi*J >= 0."""
+    """H = diag(eps_n) - i*Gamma * f_n f_{n'}^*  with Gamma = pi*J >= 0, of
+    the model's levels and couplings (`_hamiltonian`)."""
+    return _hamiltonian(model.levels, model.couplings, gamma)
+
+
+def _hamiltonian(levels: np.ndarray, couplings, gamma: float) -> EffectiveHamiltonianMarkov:
+    """H = diag(levels) - i*gamma * f f^dagger with f the couplings as
+    complex; ConfigError for a gamma that is not finite, NegativeGamma for
+    gamma < 0.  The one place H is formed: `build_markovian` passes a
+    model's levels and couplings, the CLI's xi flow those of each xi."""
     if not math.isfinite(gamma):
         raise ConfigError(f"gamma={gamma} must be a finite number")
     if gamma < 0:
         raise NegativeGamma(f"gamma = {gamma} < 0")
-    f = model.couplings
-    h = np.diag(model.levels.astype(complex)) - 1j * gamma * np.outer(f, np.conj(f))
-    return EffectiveHamiltonianMarkov(
-        matrix=h, gamma=float(gamma), levels=model.levels, couplings=f
-    )
+    f = np.asarray(couplings, dtype=complex)
+    h = np.diag(levels.astype(complex)) - 1j * gamma * np.outer(f, np.conj(f))
+    return EffectiveHamiltonianMarkov(matrix=h, gamma=float(gamma), levels=levels, couplings=f)
 
 
 class ResonanceKind(enum.Enum):

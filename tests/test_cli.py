@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +359,147 @@ def test_markovian_sweep_and_decay(tmp_path):
     assert payload["kind"] == "defective"
     assert payload["phase"] == "exceptional"
     assert payload["anti_pt_residual"] == 0.0
+
+
+#: inputs the sweep rejects, with the detail text of the check that rejects them:
+#: gamma's in build_markovian, and each xi's in WaveguideParams
+SWEEP_REJECTED = [
+    (["--gamma", "-1", "--sweep", "xi", "0", "1", "5"], "gamma = -1.0 < 0"),
+    (["--gamma", "nan", "--sweep", "xi", "0", "1", "5"], "gamma=nan must be a finite number"),
+    (["--gamma", "0.1", "--sweep", "xi", "-1", "1", "5"], "coupling xi must be >= 0"),
+    (["--gamma", "0.1", "--sweep", "xi", "nan", "1", "5"], "xi=nan must be finite"),
+    (["--gamma", "-1", "--sweep", "xi", "-1", "1", "5"], "coupling xi must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("n_atoms", ["2", "3"])
+@pytest.mark.parametrize(
+    "flags, detail", SWEEP_REJECTED, ids=[f"flags{i}" for i in range(len(SWEEP_REJECTED))]
+)
+def test_sweep_rejects_gamma_and_xi(tmp_path, capsys, n_atoms, flags, detail):
+    out = tmp_path / "flow.csv"
+    assert run(["markovian", "--n-atoms", n_atoms, "--site", "inf", *flags, "-o", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "detail": detail}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ends, steps, detail", [
+    (["0", "inf"], "5", "xi=inf must be finite"),
+    (["0", "nan"], "5", "xi=nan must be finite"),
+    (["0", "1"], "0", "must be a positive integer, got 0"),
+    (["0", "1"], "-3", "must be a positive integer, got -3"),
+])
+def test_sweep_checks_its_ends_and_steps(tmp_path, capsys, ends, steps, detail):
+    # an infinite end used to reach np.linspace (a RuntimeWarning, then "xi=nan"),
+    # and zero steps wrote a table with only a header
+    out = tmp_path / "flow.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["markovian", "--n-atoms", "2", "--gamma", "0.1",
+                    "--sweep", "xi", *ends, steps, "-o", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and detail in err["detail"]
+    assert not out.exists()
+
+
+def _flow_by_model(params, gamma, values):
+    """The eigenvalue flow as the CLI formed it before: a validated model, its
+    Markovian H and their decomposition for each xi."""
+    return np.array([
+        fr.resonance_decomposition(
+            fr.build_markovian(fr.build_waveguide_model(replace(params, xi=float(x))), gamma)
+        ).eigenvalues
+        for x in values
+    ])
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("site", [1, 2, fr.INFINITE])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 10])
+def test_xi_flow_equals_a_model_per_xi(n_atoms, site):
+    # fig. 5's axis and gamma: xi = 4 is its EP at N = 2, site inf
+    params = fr.WaveguideParams(n_atoms, 1.0, 4.0, 0.0, site)
+    values = np.linspace(0.0, 8.0, 161)
+    flow = cli._xi_flow(params, 0.125, values, "xi")
+    want = _flow_by_model(params, 0.125, values)
+    assert list(flow) == ["xi"] + [f"{p}_z{i}" for i in range(1, n_atoms + 1) for p in ("re", "im")]
+    assert flow["xi"] is values
+    for i in range(n_atoms):
+        assert np.array_equal(_bits(flow[f"re_z{i + 1}"]), _bits(want[:, i].real))
+        assert np.array_equal(_bits(flow[f"im_z{i + 1}"]), _bits(want[:, i].imag))
+
+
+def test_fig5_axis_crosses_its_ep():
+    # so the equality test above takes resonance_decomposition's defective branch
+    assert 4.0 in np.linspace(0.0, 8.0, 161)
+    params = fr.WaveguideParams(2, 1.0, 4.0, 4.0, fr.INFINITE)
+    h = fr.build_markovian(fr.build_waveguide_model(params), 0.125)
+    assert fr.resonance_decomposition(h).kind is fr.ResonanceKind.DEFECTIVE
+
+
+@pytest.mark.parametrize("figure, count", [("fig5", 3), ("all", 6)])
+def test_reproduce_validates_only_the_decay_models(tmp_path, monkeypatch, figure, count):
+    # the fig. 5 flow builds no model: the validated ones are fig. 4's and fig. 5's
+    # decay cases (164 and 167 when the flow built one per xi)
+    validated = []
+    original = fr.validate_model
+
+    def counted(model):
+        validated.append(model)
+        return original(model)
+
+    for name, module in list(sys.modules.items()):
+        if name == "friedrichs" or name.startswith("friedrichs."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert run(["reproduce", figure, "--outdir", str(tmp_path)]) == 0
+    assert len(validated) == count
+
+
+def _per_cell(value):
+    """A CSV cell as the writer formatted each one before it kept a memo."""
+    return cli.FLOAT_FMT % value if isinstance(value, float) else str(value)
+
+
+def test_csv_cells_are_the_per_cell_text(tmp_path):
+    specials = [-0.0, 0.0, 1, 1.0, True, np.float64(-0.0), np.float64(2.5), math.nan,
+                -math.nan, math.inf, -math.inf, 2.5]
+    floats = [float(v) for v in specials]
+    columns = {
+        "mixed": specials * 3,
+        "floats": floats * 3,
+        "array": np.array(floats * 3),
+        "float32": np.array(floats * 3, dtype=np.float32),
+        "ints": [0, -1, 1, 5, 5, 0, 2**62, -(2**62), 7, 7, 1, 0] * 3,
+        "uint64": [2**63, 2**63 + 1, 2**64 - 1] * 12,
+        "wide": [2**63, -1, 2**63 + 1] * 12,
+        "huge": [2**70, 2**70 + 1, 3] * 12,
+        "bools": [True, False, False] * 12,
+        "bool_array": np.array([True, False, False] * 12),
+        "int_array": np.arange(36) % 5,
+        "text": ["a", "b", "a"] * 12,
+    }
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, {}, columns)
+    rows = path.read_text().splitlines()[2:]
+    want = [",".join(map(_per_cell, cells)) for cells in zip(*columns.values())]
+    assert rows == want
+    for name, column in columns.items():
+        assert cli._cells(column) == list(map(_per_cell, column)), name
+
+
+def test_csv_cells_are_formatted_once():
+    # a repeated cell shares one string; -0.0 and 0.0, and 1, 1.0 and True, do not
+    cells = cli._cells(np.array([0.5, -0.0, 0.0] * 50))
+    assert len({id(c) for c in cells}) == 3
+    assert cells[:3] == ["5.000000000000e-01", "-0.000000000000e+00", "0.000000000000e+00"]
+    assert len({id(c) for c in cli._cells([1.0, 2.0] * 50)}) == 2
+    assert cli._cells([1, 1.0, True]) == ["1", "1.000000000000e+00", "True"]
 
 
 def test_config_file_defaults(tmp_path):

@@ -519,3 +519,22 @@ def test_long_run_matches_oracle(fig_cases):
     series = fr.survival_probability(model, initial, oracle.times, coefficients=coeffs)
     assert np.max(np.abs(series.p - oracle.p)) < 1e-13
     assert series.meta["transform_nodes"] < 2100
+
+
+def test_coefficients_of_another_state_or_model_are_rejected():
+    # the coefficients of e_1 used to be taken for e_2: p(2.5) read 0.9569, e_1's value
+    params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2)
+    model = fr.build_waveguide_model(params)
+    e1, e2 = (fr.InitialState(np.eye(3)[n]) for n in (0, 1))
+    coeffs = fr.decay_coefficients(model, e1, fr.all_bound_states(model))
+    p2 = fr.survival_probability(model, e2, [2.5]).p[0]
+    assert p2 == pytest.approx(0.8981, abs=1e-4)
+    assert fr.survival_probability(model, e1, [2.5]).p[0] == pytest.approx(0.9569, abs=1e-4)
+    for call in (fr.survival_probability, fr.survival_amplitudes):
+        with pytest.raises(ConfigError, match="initial amplitudes"):
+            call(model, e2, [2.5], coefficients=coeffs)
+        with pytest.raises(ConfigError, match="another model"):
+            call(fr.build_waveguide_model(params), e1, [2.5], coefficients=coeffs)
+    # equal amplitudes in another InitialState are the same state
+    same = fr.survival_probability(model, fr.InitialState(np.eye(3)[0]), [2.5], coefficients=coeffs)
+    assert same.p[0] == fr.survival_probability(model, e1, [2.5]).p[0]
