@@ -27,7 +27,9 @@ error is a `ConfigError`.
 --config FILE (all but reproduce) holds flags by destination, a list for
 --sweep's four: {"t_max": 3.0, "initial": [1, 0]}.  It stands for those
 flags typed right after the subcommand: a flag typed on the command line
-wins, and a null is a configuration error.
+wins, and a null is a configuration error.  A negative value in any float
+syntax (--xi -1e-3, --sweep xi -inf 1 5) is a value.  dynamics, markovian
+and oracle read p(t) at --points times from 0 to --t-max (`_times`).
 
 The package imports numpy alone: waveguide, spectrum, bound-states and
 dynamics never load scipy; markovian, oracle and reproduce load
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -414,6 +417,11 @@ def _cmd_bound_states(args):
     return 0
 
 
+def _times(args) -> np.ndarray:
+    """The --points times from 0 to --t-max."""
+    return np.linspace(0.0, _finite(args.t_max, "--t-max"), args.points)
+
+
 def _initial_for(args, model, default):
     if args.initial == "default":
         if default is None:
@@ -429,7 +437,7 @@ def _initial_for(args, model, default):
 def _cmd_dynamics(args):
     model, default_init, _ = _load_model(args)
     initial = _initial_for(args, model, default_init)
-    times = np.linspace(0.0, _finite(args.t_max, "--t-max"), args.points)
+    times = _times(args)
     bound = bs.all_bound_states(model)
     coeffs = dyn.decay_coefficients(model, initial, bound)
     series = dyn.survival_probability(
@@ -501,7 +509,7 @@ def _cmd_markovian(args):
 
     initial = _initial_for(args, model, default_init)
     h = mk.build_markovian(model, args.gamma)
-    times = np.linspace(0.0, _finite(args.t_max, "--t-max"), args.points)
+    times = _times(args)
     sys_ = mk.resonance_decomposition(h)
     closed = mk.markovian_survival(h, initial, times, system=sys_)
     direct = mk.markovian_survival(h, initial, times, method="expm")
@@ -528,13 +536,7 @@ def _cmd_oracle(args):
     model, _, params = _load_model(args)
     if params is None:
         raise ConfigError("the lattice oracle needs a waveguide model")
-    series = lattice.evolve(
-        params,
-        initial_site=args.initial_site,
-        t_max=args.t_max,
-        dt_out=args.t_max / max(args.points - 1, 1),
-        n_trunc=args.n_trunc,
-    )
+    series = lattice.evolve(params, _times(args), args.initial_site)
     _write_csv(
         args.output,
         _provenance(args, {"t_max": args.t_max, "n_trunc": series.meta["n_trunc"]}),
@@ -570,7 +572,7 @@ def _survival_case(params: WaveguideParams, t_max: float, points: int, gamma=Non
     initial = default_initial_state(params)
     times = np.linspace(0.0, t_max, points)
     exact = dyn.survival_probability(model, initial, times).p
-    oracle = lattice.evolve(params, t_max=t_max, dt_out=t_max / (points - 1)).p
+    oracle = lattice.evolve(params, times).p
     markov = None
     if gamma is not None:
         markov = mk.markovian_survival(mk.build_markovian(model, gamma), initial, times).p
@@ -716,7 +718,6 @@ def _build_parser():
     p.add_argument("--initial-site", type=int, default=None)
     p.add_argument("--t-max", type=float, default=50.0)
     p.add_argument("--points", type=_positive_int, default=400)
-    p.add_argument("--n-trunc", type=int, default=None)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_oracle)
 
@@ -724,6 +725,11 @@ def _build_parser():
     p.add_argument("figure", choices=["fig3", "fig4", "fig5", "all"])
     p.add_argument("--outdir", default="reproduce_out")
     p.set_defaults(func=_cmd_reproduce)
+    # argparse reads only a plain negative decimal as a value: -1e-3, -inf
+    # and -nan would be unknown flags, where --xi=-1e-3 is a value
+    negative = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = negative
     return parser, sub.choices
 
 

@@ -8,14 +8,14 @@ state y,
     c_k(z) = (2 - delta_k0) (-i)^k J_k(z)
 
 (Tal-Ezer & Kosloff 1984), truncated where the Bessel coefficients fall
-below rounding, so the oracle has no step-size error.  The truncation is
-sized so the light cone (speed 2*kappa sites per unit time) never reaches
-the artificial wall.
+below rounding, so the oracle has no step-size error.  The lattice is
+sized from the last time alone, so the light cone (speed 2*kappa sites
+per unit time) never reaches the artificial wall.
 
-The uniform output grid is cut into segments of equal length T_seg with
-radius*T_seg <= SEGMENT_Z (one output interval when a single interval is
-longer).  Each segment runs the three-term recurrence for the v_k once and
-keeps only what the output times need:
+The caller's times, a uniform grid from 0, are cut into segments of equal
+length T_seg with radius*T_seg <= SEGMENT_Z (one step of the grid when a
+single step is longer).  Each segment runs the three-term recurrence for
+the v_k once and keeps only what the output times need:
 
 - the chain components of every v_k: the chain amplitudes at the segment's
   output times are C @ chain, with C[j, k] = c_k(radius tau_j);
@@ -38,7 +38,8 @@ import numpy as np
 
 from .dynamics import SurvivalSeries
 from .errors import ConfigError, LightConeViolation, NormDrift
-from .waveguide import WaveguideParams
+from .quadrature import _uniform_step
+from .waveguide import WaveguideParams, _is_int
 
 MAX_SITES = 2_000_000
 LIGHT_CONE_MARGIN = 1.25
@@ -67,7 +68,7 @@ def _required_sites(params: WaveguideParams, t_max: float) -> tuple[int, int]:
     return n, l
 
 
-def _hamiltonian(params: WaveguideParams, n_sites: int, attach: int):
+def _hamiltonian(params: WaveguideParams, n_needed: int, attach: int):
     """(H, radius): real CSR, chain sites first, then the waveguide;
     |spec H| <= radius.
 
@@ -78,9 +79,9 @@ def _hamiltonian(params: WaveguideParams, n_sites: int, attach: int):
     from scipy import sparse
 
     n_atoms = params.n_atoms
-    dim = n_atoms + n_sites
+    dim = n_atoms + n_needed
     hop = np.concatenate(
-        [np.full(n_atoms - 1, -params.lam), [0.0], np.full(n_sites - 1, -params.kappa)]
+        [np.full(n_atoms - 1, -params.lam), [0.0], np.full(n_needed - 1, -params.kappa)]
     )
     link = n_atoms + attach - 1
     rows = np.concatenate([np.arange(dim - 1), np.arange(1, dim), [0, link]])
@@ -176,68 +177,54 @@ def _segment(h_scaled, y: np.ndarray, bessel: np.ndarray, n_atoms: int, carry: b
     return coeffs @ chain, norms, end
 
 
-def evolve(
-    params: WaveguideParams,
-    initial_site: int | None = None,
-    t_max: float = 50.0,
-    dt_out: float | None = None,
-    n_trunc: int | None = None,
-) -> SurvivalSeries:
-    """Propagate a single excitation (default: at the open chain end).
-
-    Returns the survival probability on the output grid i*dt_out, one
-    Chebyshev series per segment of output times (module docstring).  The
-    norm, from the segment's moments, is checked at every output time at
-    the 1e-6 level.  meta holds the lattice size (`n_trunc`), the worst norm
-    drift (`norm_drift`), the number of segments (`segments`) and the
-    Chebyshev terms per segment (`chebyshev_terms`; a shorter last segment
-    may use fewer).  A segment applies H terms - 1 times.  ConfigError names
-    a t_max or dt_out that is not positive and finite, an initial_site off
-    the chain and an n_trunc short of the attachment site.
+def evolve(params: WaveguideParams, times, initial_site: int | None = None) -> SurvivalSeries:
+    """Propagate a single excitation (default: at the open chain end) and
+    return its survival probability at the times, which ascend uniformly
+    from 0 (`quadrature._uniform_step`: any np.linspace(0, t_max, points);
+    [0.0] alone is p = [1.0]).  The lattice is the light-cone size for
+    times[-1] (`_required_sites`).  Each segment of the times is one
+    Chebyshev series (module docstring), and the norm from its moments is
+    checked at every time at the 1e-6 level.  meta holds the lattice size
+    (`n_trunc`), the worst norm drift (`norm_drift`), the number of segments
+    (`segments`) and the Chebyshev terms per segment (`chebyshev_terms`; a
+    shorter last segment may use fewer).  A segment applies H terms - 1
+    times.  ConfigError names any other grid and an initial_site that is
+    not an integer chain site 1..N.
     """
-    if not 0.0 < t_max < math.inf:
-        raise ConfigError(f"t_max={t_max} must be positive and finite")
-    initial_site = params.n_atoms if initial_site is None else int(initial_site)
-    if not 1 <= initial_site <= params.n_atoms:
+    times = np.asarray(times, dtype=float)
+    from_zero = times.ndim == 1 and times.size > 0 and np.isfinite(times).all() and times[0] == 0.0
+    step = _uniform_step(times) if from_zero else math.nan
+    if not (step > 0.0 or from_zero and times.size == 1):
+        last = times.flat[-1] if times.size else None
+        raise ConfigError(f"times must ascend uniformly from 0 (np.linspace), got t_max={last}")
+    initial_site = params.n_atoms if initial_site is None else initial_site
+    if not (_is_int(initial_site) and 1 <= initial_site <= params.n_atoms):
         raise ConfigError(
-            f"initial_site={initial_site} must index a chain site 1..{params.n_atoms}"
+            f"initial_site={initial_site} must be an integer chain site 1..{params.n_atoms}"
         )
-    dt_out = t_max / 400.0 if dt_out is None else float(dt_out)
-    if not 0.0 < dt_out < math.inf:
-        raise ConfigError(f"dt_out={dt_out} must be positive and finite")
-
-    n_needed, attach = _required_sites(params, t_max)
-    if n_trunc is not None:
-        if params.infinite:
-            attach = int(n_trunc) // 2 + 1
-        n_needed = int(n_trunc)
-        if not 1 <= attach <= n_needed:
-            raise ConfigError(
-                f"n_trunc={n_trunc} waveguide sites do not reach the attachment site {attach}"
-            )
+    n_out = times.size - 1
+    n_needed, attach = _required_sites(params, times[-1])
     if n_needed > MAX_SITES:
         raise LightConeViolation(
-            f"t_max={t_max} needs {n_needed} lattice sites (cap {MAX_SITES})"
+            f"t_max={times[-1]} needs {n_needed} lattice sites (cap {MAX_SITES})"
         )
-    n_out = int(round(t_max / dt_out))
+    p = np.ones(times.size)
+    meta = {"n_trunc": n_needed, "norm_drift": 0.0, "segments": 0, "chebyshev_terms": 0}
+    if not n_out:
+        return SurvivalSeries(times=times, p=p, meta=meta)
 
     h, radius = _hamiltonian(params, n_needed, attach)
     h_scaled = h / radius
-    z_step = radius * dt_out
+    z_step = radius * step
     longest = max(1, min(int(SEGMENT_Z // z_step), SEGMENT_ROWS))
-    n_segments = max(1, math.ceil(n_out / longest))
-    rows = max(1, math.ceil(n_out / n_segments))  # segments of equal length
+    n_segments = math.ceil(n_out / longest)
+    rows = math.ceil(n_out / n_segments)  # segments of equal length
     z = z_step * np.arange(1, rows + 1)
     bessel = _bessel_table(z)
-    n_terms = _n_terms(bessel[-1], z[-1], CHEBYSHEV_TOL)
+    meta["chebyshev_terms"] = _n_terms(bessel[-1], z[-1], CHEBYSHEV_TOL)
 
     y = np.zeros(params.n_atoms + n_needed)
     y[initial_site - 1] = 1.0
-    times = np.arange(n_out + 1) * dt_out
-    p = np.empty(n_out + 1)
-    p[0] = 1.0
-    worst_drift = 0.0
-    segments = 0
     for start in range(0, n_out, rows):
         m = min(rows, n_out - start)
         k = _n_terms(bessel[m - 1], z[m - 1], CHEBYSHEV_TOL)
@@ -245,17 +232,8 @@ def evolve(
             h_scaled, y, bessel[:m, :k], params.n_atoms, carry=start + m < n_out
         )
         p[start + 1 : start + m + 1] = np.sum(np.abs(amps) ** 2, axis=1)
-        worst_drift = max(worst_drift, float(np.max(np.abs(1.0 - norms))))
-        segments += 1
-    if worst_drift > 1e-6:
-        raise NormDrift(f"norm drifted by {worst_drift:.3e} (> 1e-6)")
-    return SurvivalSeries(
-        times=times,
-        p=p,
-        meta={
-            "n_trunc": n_needed,
-            "norm_drift": worst_drift,
-            "segments": segments,
-            "chebyshev_terms": n_terms,
-        },
-    )
+        meta["norm_drift"] = max(meta["norm_drift"], float(np.max(np.abs(1.0 - norms))))
+        meta["segments"] += 1
+    if meta["norm_drift"] > 1e-6:
+        raise NormDrift(f"norm drifted by {meta['norm_drift']:.3e} (> 1e-6)")
+    return SurvivalSeries(times=times, p=p, meta=meta)

@@ -349,13 +349,22 @@ def graded_breaks(breaks, k0, d):
     return np.union1d(breaks, new[(new > 0.0) & (new < np.pi)])
 
 
+def _uniform_step(t: np.ndarray) -> float:
+    """The step h = (t_{T-1} - t_0)/(T - 1) of the times t (0.0 for T < 2)
+    when every |t_i - (t_0 + i*h)| is at most 4 ulps of max|t|, as on any
+    `np.linspace` grid; NaN for any other grid."""
+    n = t.size
+    h = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
+    slip = np.abs(t - (t[:1] + h * np.arange(n)))
+    return h if np.all(slip <= 4.0 * np.spacing(np.max(np.abs(t), initial=0.0))) else math.nan
+
+
 def fourier_linear(x, f, times):
     """sum_k f[..., k] exp(-i x_k t) at each time t: a band integral against
     exp(-i omega t) on the nodes x of a rule whose weights f carries.
 
-    f has shape (K,) or (N, K), the result (T,) or (N, T).  When every
-    |t_i - (t_0 + i*h)|, h = (t_{T-1} - t_0)/(T - 1), is at most 4 ulps of
-    max|t| (any `np.linspace`), blocks of b = isqrt(T) times share the
+    f has shape (K,) or (N, K), the result (T,) or (N, T).  On a uniform
+    grid (`_uniform_step`), blocks of b = isqrt(T) times share the
     phases exp(-i x t_a) of their anchor t_a in t[::b] and exp(-i x jh) of
     each offset j, which f takes on: 2*sqrt(T) phases per node, not T, each
     off by at most |x| times 8 ulps of max|t| (2.5 on `np.linspace` grids).
@@ -367,10 +376,8 @@ def fourier_linear(x, f, times):
     rows = np.atleast_2d(f)
     t = np.asarray(times, dtype=float)
     n = t.size
-    h = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
-    slip = np.abs(t - (t[:1] + h * np.arange(n)))
-    uniform = np.all(slip <= 4.0 * np.spacing(np.max(np.abs(t), initial=0.0)))
-    b = max(1, math.isqrt(n)) if uniform else 1
+    h = _uniform_step(t)
+    b = 1 if math.isnan(h) else max(1, math.isqrt(n))
     offsets = np.exp(np.multiply.outer(-1j * h * np.arange(1, b), x))  # (b - 1, K)
     g = np.concatenate([rows, (rows * offsets[:, None]).reshape(-1, x.size)])  # (b*N, K)
     anchors = t[::b]

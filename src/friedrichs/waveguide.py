@@ -28,6 +28,7 @@ once per (N, lambda, kappa, site), the rest per xi.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,11 @@ from .model import (
 INFINITE = math.inf
 
 
+def _is_int(value) -> bool:
+    """value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WaveguideParams:
     n_atoms: int
@@ -59,8 +65,8 @@ class WaveguideParams:
     site: float  # integer >= 1, or INFINITE
 
     def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ConfigError("n_atoms must be >= 1")
+        if not (_is_int(self.n_atoms) and self.n_atoms >= 1):
+            raise ConfigError(f"n_atoms={self.n_atoms} must be an integer >= 1")
         for name, value in (("lam", self.lam), ("kappa", self.kappa), ("xi", self.xi)):
             if not math.isfinite(value):
                 raise ConfigError(f"{name}={value} must be finite")

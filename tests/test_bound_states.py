@@ -427,7 +427,7 @@ def test_uncoupled_chain_matches_closed_census_and_oracle(site):
     )
     t = np.linspace(0.0, 50.0, 201)
     series = fr.survival_probability(model, fr.default_initial_state(params), t)
-    oracle = fr.evolve_lattice(params, t_max=50.0, dt_out=0.25)
+    oracle = fr.evolve_lattice(params, t)
     assert np.max(np.abs(series.p - oracle.p)) <= 1e-13
 
 

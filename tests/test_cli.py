@@ -103,7 +103,6 @@ MALFORMED = [
     ([*ORACLE, "--initial-site", "5"], "initial_site=5"),
     ([*ORACLE, "--t-max", "0"], "t_max=0.0"),
     ([*ORACLE, "--t-max", "-1"], "t_max=-1.0"),
-    ([*ORACLE, "--n-trunc", "1", "--site", "3"], "n_trunc=1"),
     (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, "], "'[1, '"),
     (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, 0, 0]"], "[1, 0, 0]"),
     (["dynamics", "--n-atoms", "2", "--t-max", "nan"], "--t-max=nan"),
@@ -122,6 +121,15 @@ MALFORMED = [
      "coupling 1 is (nan+0j)"),
     (["bound-states", "--model", {"kind": "waveguide", "n_atoms": 3, "lambda": "abc",
                                   "kappa": 1, "xi": 0.5, "site": 1}], "'abc'"),
+    # argparse took -1e-3, -inf and -nan for unknown flags and printed its usage
+    (["bound-states", "--n-atoms", "2", "--xi", "-1e-3"], "coupling xi must be >= 0"),
+    (["markovian", "--n-atoms", "2", "--gamma", "0.1", "--sweep", "xi", "-1e-3", "1", "5"],
+     "coupling xi must be >= 0"),
+    (["markovian", "--n-atoms", "2", "--gamma", "0.1", "--sweep", "xi", "-inf", "1", "5"],
+     "xi=-inf"),
+    (["markovian", "--n-atoms", "2", "--gamma", "0.1", "--sweep", "xi", "-nan", "1", "5"],
+     "xi=nan"),
+    (["bound-states", "--n-atoms", "2", "--config", {"xi": -1e-05}], "coupling xi must be >= 0"),
 ]
 
 
@@ -337,6 +345,27 @@ def test_oracle_csv(tmp_path):
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert rows[0] == "t,p"
     assert float(rows[1].split(",")[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_oracle_one_point_writes_one_row(tmp_path):
+    # it used to write two, at t = 0 and t = --t-max, where dynamics writes one
+    out = tmp_path / "orc.csv"
+    assert run([*ORACLE, "--points", "1", "-o", str(out)]) == 0
+    rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert rows == ["t,p", "0.000000000000e+00,1.000000000000e+00"]
+
+
+def test_negative_values_in_float_syntax_parse():
+    # -1e-3 and -inf were unknown flags to argparse; a flag after them still parses
+    parser, _ = cli._build_parser()
+    args = parser.parse_args(
+        ["spectrum", "--n-atoms", "2", "--e-min", "-1e-3", "--e-max", "-INF", "--points", "3"]
+    )
+    assert (args.e_min, args.e_max, args.points) == (-1e-3, -math.inf, 3)
+    args = parser.parse_args(
+        ["markovian", "--gamma", "0.1", "--sweep", "xi", "-.5", "-nan", "5", "-o", "f.csv"]
+    )
+    assert (args.sweep, args.output) == (["xi", "-.5", "-nan", "5"], "f.csv")
 
 
 def test_markovian_sweep_and_decay(tmp_path):
@@ -587,7 +616,6 @@ CONFIG_SAMPLES = {
     "gamma": (0.125, ["0.125"]),
     "sweep": (["xi", 0, 8.0, 161], ["xi", "0", "8.0", "161"]),
     "initial_site": (2, ["2"]),
-    "n_trunc": (40, ["40"]),
     "output": ("out.csv", ["out.csv"]),
     "sidecar": ("side.json", ["side.json"]),
 }

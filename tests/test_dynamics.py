@@ -154,7 +154,7 @@ def test_match_oracle_all_geometries(fig_cases):
         t = np.linspace(0.0, 50.0, 201)
         coeffs = fr.decay_coefficients(model, initial, bound)
         series = fr.survival_probability(model, initial, t, coefficients=coeffs)
-        oracle = fr.evolve_lattice(params, t_max=50.0, dt_out=0.25)
+        oracle = fr.evolve_lattice(params, t)
         assert np.max(np.abs(series.p - oracle.p)) < 1e-13
 
 
@@ -163,10 +163,9 @@ def test_uncoupled_level_inside_the_band_matches_the_oracle():
     # lattice gives, where the dynamics used to return p = 0
     params = fr.WaveguideParams(1, 1.0, 0.75, 0.0, 1)
     model = fr.build_waveguide_model(params)
-    series = fr.survival_probability(
-        model, fr.default_initial_state(params), np.linspace(0.0, 20.0, 81)
-    )
-    oracle = fr.evolve_lattice(params, t_max=20.0, dt_out=0.25)
+    t = np.linspace(0.0, 20.0, 81)
+    series = fr.survival_probability(model, fr.default_initial_state(params), t)
+    oracle = fr.evolve_lattice(params, t)
     assert np.max(np.abs(series.p - 1.0)) <= 1e-12
     assert np.max(np.abs(series.p - oracle.p)) <= 1e-12
 
@@ -193,7 +192,7 @@ def test_beat_frequency_visible_in_oracle(fig_cases):
     params, model, initial, bound = fig_cases[fr.INFINITE]
     lim = fr.long_time_limit(model, initial, bound)
     beat = lim.beats[0][0]
-    oracle = fr.evolve_lattice(params, t_max=200.0, dt_out=0.05)
+    oracle = fr.evolve_lattice(params, np.linspace(0.0, 200.0, 4001))
     mask = oracle.times >= 100.0
     sig = oracle.p[mask]
     idx = np.arange(sig.size)
@@ -514,7 +513,7 @@ def test_narrow_peaks_away_from_their_levels():
 def test_long_run_matches_oracle(fig_cases):
     # t_max = 200: panels one wavelength of exp(-iE t_max) wide
     params, model, initial, bound = fig_cases[fr.INFINITE]
-    oracle = fr.evolve_lattice(params, t_max=200.0, dt_out=0.5)
+    oracle = fr.evolve_lattice(params, np.linspace(0.0, 200.0, 401))
     coeffs = fr.decay_coefficients(model, initial, bound)
     series = fr.survival_probability(model, initial, oracle.times, coefficients=coeffs)
     assert np.max(np.abs(series.p - oracle.p)) < 1e-13

@@ -10,18 +10,18 @@ from scipy.special import jv
 import friedrichs as fr
 from friedrichs import lattice
 from friedrichs.cli import main
-from friedrichs.errors import LightConeViolation, NormDrift
+from friedrichs.errors import ConfigError, LightConeViolation, NormDrift
 
 
 def test_decoupled_chain_stays_put():
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.0, 1)
-    series = fr.evolve_lattice(params, t_max=10.0, dt_out=0.5)
+    series = fr.evolve_lattice(params, np.linspace(0.0, 10.0, 21))
     assert np.allclose(series.p, 1.0, atol=1e-12)
 
 
 def test_norm_conservation():
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2)
-    series = fr.evolve_lattice(params, t_max=50.0, dt_out=0.5)
+    series = fr.evolve_lattice(params, np.linspace(0.0, 50.0, 101))
     assert series.meta["norm_drift"] < 1e-6
 
 
@@ -43,7 +43,7 @@ def _expm_reference(params, t_max, n_out):
     ids=["fig4_l2", "fig5_xi4"],
 )
 def test_propagator_matches_expm_multiply(params, t_max, n_out):
-    series = fr.evolve_lattice(params, t_max=t_max, dt_out=t_max / n_out)
+    series = fr.evolve_lattice(params, np.linspace(0.0, t_max, n_out + 1))
     assert np.max(np.abs(series.p - _expm_reference(params, t_max, n_out))) <= 1e-11
     assert series.meta["chebyshev_terms"] >= 2
 
@@ -122,7 +122,7 @@ def test_segments_match_dense_eigh(n_atoms, kappa, xi, site, grid):
         "many segments": (3.3 * longest, 60, 4),
         "one interval each": (3.6 * longest, 3, 3),
     }[grid]
-    series = fr.evolve_lattice(params, t_max=t_max, dt_out=t_max / n_out)
+    series = fr.evolve_lattice(params, np.linspace(0.0, t_max, n_out + 1))
     assert series.meta["segments"] == segments
     assert np.max(np.abs(series.p - _eigh_reference(params, t_max, n_out))) <= 1e-11
 
@@ -134,7 +134,7 @@ def test_norm_drift_when_series_cut_short(monkeypatch, t_max, n_out):
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 2)
     monkeypatch.setattr(lattice, "CHEBYSHEV_TOL", 1e-3)
     with pytest.raises(NormDrift):
-        fr.evolve_lattice(params, t_max=t_max, dt_out=t_max / n_out)
+        fr.evolve_lattice(params, np.linspace(0.0, t_max, n_out + 1))
 
 
 def test_reproduce_all_oracle_work(tmp_path, monkeypatch):
@@ -155,36 +155,40 @@ def test_reproduce_all_oracle_work(tmp_path, monkeypatch):
     assert sum(m["segments"] * (m["chebyshev_terms"] - 1) for m in metas) <= 1200
 
 
-def test_truncation_independence():
+def test_truncation_independence(monkeypatch):
+    # a lattice twice as long gives the same p
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 1)
-    a = fr.evolve_lattice(params, t_max=40.0, dt_out=1.0, n_trunc=1000)
-    b = fr.evolve_lattice(params, t_max=40.0, dt_out=1.0, n_trunc=2000)
+    times = np.linspace(0.0, 40.0, 41)
+    a = fr.evolve_lattice(params, times)
+    monkeypatch.setattr(lattice, "LIGHT_CONE_MARGIN", 33.35)
+    b = fr.evolve_lattice(params, times)
+    assert a.meta["n_trunc"] == 1000 and b.meta["n_trunc"] > 2000
     assert np.max(np.abs(a.p - b.p)) < 1e-8
 
 
 def test_truncation_auto_raise():
     params = fr.WaveguideParams(2, 1.0, 4.0, 0.5, 1)
-    series = fr.evolve_lattice(params, t_max=120.0, dt_out=4.0)
+    series = fr.evolve_lattice(params, np.linspace(0.0, 120.0, 31))
     assert series.meta["n_trunc"] >= 2.5 * 4.0 * 120.0
 
 
 def test_light_cone_cap():
     params = fr.WaveguideParams(2, 1.0, 4.0, 0.5, 1)
     with pytest.raises(LightConeViolation):
-        fr.evolve_lattice(params, t_max=1e6, dt_out=1e4)
+        fr.evolve_lattice(params, np.linspace(0.0, 1e6, 101))
 
 
 def test_complete_decay_regime_long_run():
     # no bound states at these parameters: the excitation drains out
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 1)
-    series = fr.evolve_lattice(params, t_max=300.0, dt_out=10.0)
+    series = fr.evolve_lattice(params, np.linspace(0.0, 300.0, 31))
     assert series.p[-1] < 0.01
     assert np.all(np.diff(series.p[-10:]) < 0)  # still monotone draining
 
 
 def test_ep_decay_against_markovian_formula():
     params = fr.WaveguideParams(2, 1.0, 4.0, 4.0, fr.INFINITE)
-    series = fr.evolve_lattice(params, t_max=10.0, dt_out=0.1)
+    series = fr.evolve_lattice(params, np.linspace(0.0, 10.0, 101))
     t = series.times
     formula = (2 * t**2 + 2 * t + 1) * np.exp(-2 * t)
     assert np.max(np.abs(series.p - formula)) < 5e-2
@@ -192,7 +196,56 @@ def test_ep_decay_against_markovian_formula():
 
 def test_initial_site_selectable():
     params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 1)
-    end = fr.evolve_lattice(params, initial_site=3, t_max=5.0, dt_out=0.5)
-    coupled = fr.evolve_lattice(params, initial_site=1, t_max=5.0, dt_out=0.5)
+    times = np.linspace(0.0, 5.0, 11)
+    end = fr.evolve_lattice(params, times, initial_site=3)
+    coupled = fr.evolve_lattice(params, times, initial_site=1)
     # starting on the coupled site decays faster at early times
     assert coupled.p[2] < end.p[2]
+
+
+@pytest.mark.parametrize("site", [2.5, 2.0, True, "2", 0, 4])
+def test_initial_site_is_an_integer_chain_site(site):
+    # 2.5 used to run site 2
+    params = fr.WaveguideParams(3, 1.0, 0.75, 0.25, 1)
+    with pytest.raises(ConfigError, match=f"initial_site={site} "):
+        fr.evolve_lattice(params, np.linspace(0.0, 5.0, 11), initial_site=site)
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 7.3, 23),
+    np.arange(11) * 0.1,  # uniform within 4 ulps
+    [0.0, 0.5, 1.0],
+])
+def test_times_are_the_callers(times):
+    series = fr.evolve_lattice(fr.WaveguideParams(2, 1.0, 1.0, 0.3, 2), times)
+    assert series.times.tobytes() == np.asarray(times, dtype=float).tobytes()
+    assert series.p.shape == series.times.shape
+
+
+@pytest.mark.parametrize("times, t_max", [
+    ([0.0, 1.0, 3.0], "3.0"),  # not uniform
+    (np.linspace(1.0, 3.0, 5), "3.0"),  # not from 0
+    (np.linspace(0.0, -1.0, 5), "-1.0"),  # descending
+    (np.zeros(4), "0.0"),  # no step
+    ([0.0, np.nan, 2.0], "2.0"),
+    ([0.0, np.inf], "inf"),
+    ([np.nan], "nan"),
+    ([2.0], "2.0"),
+    ([], "None"),
+    ([[0.0, 1.0]], "1.0"),
+])
+def test_times_off_a_uniform_grid_from_zero_are_a_config_error(times, t_max):
+    params = fr.WaveguideParams(2, 1.0, 1.0, 0.3, 2)
+    with pytest.raises(ConfigError, match=f"t_max={t_max}$"):
+        fr.evolve_lattice(params, times)
+
+
+def test_single_time_is_p_one_without_a_series(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a Bessel table for one time")
+
+    monkeypatch.setattr(lattice, "_bessel_table", no_table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = fr.evolve_lattice(fr.WaveguideParams(3, 1.0, 0.75, 0.25, 1), [0.0])
+    assert series.times.tolist() == [0.0] and series.p.tolist() == [1.0]

@@ -381,6 +381,14 @@ def test_non_finite_params_are_a_config_error(field, value):
         fr.WaveguideParams(**args)
 
 
+@pytest.mark.parametrize("n_atoms", [2.5, 2.0, True, "3", 0])
+def test_n_atoms_is_a_positive_integer(n_atoms):
+    # 2.5 and 2.0 used to end in a raw TypeError, and True built a 1-atom chain
+    with pytest.raises(ConfigError, match=f"n_atoms={n_atoms} "):
+        fr.WaveguideParams(n_atoms, 1.0, 1.0, 0.5, 1)
+    assert fr.WaveguideParams(np.int64(3), 1.0, 1.0, 0.5, 1).n_atoms == 3
+
+
 # ---------------------------------------------------------------------------
 # closed forms against 40-digit mpmath, written in the textbook variables
 
