@@ -5,12 +5,12 @@ The scattering weight S_n(E) is formed with every level's pole of K and I
 multiplied out (`_factored`), so it is finite at each level and no node is
 moved off one.  Its band integral against exp(-iEt) is a plain weighted
 sum on a composite Gauss-Legendre rule in the edge-substituted variable k
-(E = mid - half*cos k), the panels of `quadrature`'s Delta and Sigma rules:
-graded toward both edges, at most one wavelength of exp(-iE t_max) wide,
-and graded toward each resonance peak of S down to a quarter of its
-half-width.  Panels whose part of s_n(0) still moves when they are halved
-are halved, and the same panels each halved once give the error estimate
-that `survival_probability` reports.
+(E = mid - half*cos k), its panels built from the pieces of `quadrature`'s
+band rule: graded toward both edges, at most one wavelength of
+exp(-iE t_max) wide, and graded toward each resonance peak of S down to a
+quarter of its half-width.  Panels whose part of s_n(0) still moves when
+they are halved are halved, and the same panels each halved once give the
+error estimate that `survival_probability` reports.
 Delta is formed once at each node energy of a transform (`_DeltaTable`):
 the peak search, the kernel, its halved twin and each round of halving
 read the energies already evaluated and send only new ones to
@@ -181,7 +181,7 @@ def _peaks(table: _DeltaTable, e: np.ndarray):
 def _transform_breaks(coefficients: DecayCoefficients, t_max: float, table: _DeltaTable):
     """k-panels of the scattering transform up to the time t_max.
 
-    Graded toward each edge as deeply as Sigma's rule is for the bound state
+    Graded toward each edge down to the `_edge_target` of the bound state
     nearest outside it; at most one wavelength of exp(-iE t_max) wide, which
     dE/dk <= half makes 2*pi / (t_max * half) in k; then graded by GRADING
     toward each resonance peak down to a quarter of its half-width.
@@ -317,7 +317,7 @@ def survival_probability(
     kern, fine = _transform(coefficients, t, n_base_nodes)
     s_amp = qd.fourier_linear(kern.e_nodes, kern.w, t)  # int S_n(E) e^{-iEt} dE
     est = _halving_error(coefficients, kern, fine, t)
-    nodes = qd._delta_nodes(coefficients.model._rules)
+    nodes = sp._delta_nodes(model)
     meta = dict(transform_nodes=kern.e_nodes.size, delta_nodes=nodes, transform_error=est)
     if error_budget is not None and est > error_budget:
         raise QuadratureBudgetExceeded(
@@ -340,13 +340,12 @@ def survival_amplitudes(
     times,
     *,
     coefficients: Optional[DecayCoefficients] = None,
-    n_base_nodes: Optional[int] = None,
 ) -> np.ndarray:
     """Per-level amplitudes b_n(t) + s_n(t) on a grid of finite times, in any
     order and of either sign; coefficients as in `survival_probability`."""
     times = _finite_times(times)
     coefficients = _coefficients_of(model, initial, coefficients)
-    kern = _transform(coefficients, times, n_base_nodes)[0]
+    kern = _transform(coefficients, times, None)[0]
     return _bound_amplitudes(coefficients, times) + qd.fourier_linear(kern.e_nodes, kern.w, times)
 
 

@@ -262,7 +262,8 @@ def markovian_survival(
     method: str = "closed",
     system: Optional[ResonanceSystem] = None,
 ) -> SurvivalSeries:
-    """p(t) from the closed resonance formulas or the matrix exponential.
+    """p(t) at finite non-negative times, in any order, from the closed
+    resonance formulas or the matrix exponential.
 
     "closed" decomposes h once (or takes `system`) and evolves c0 in its
     basis: right @ ((left @ c0) e^{-i z t}) when H is diagonalizable, the
@@ -272,6 +273,8 @@ def markovian_survival(
     max|t|; ||U|| <= 1.
     """
     t = _finite_times(times)
+    if np.any(t < 0):
+        raise ConfigError(f"times must be non-negative, got {np.unique(t[t < 0])}")
     if method not in ("closed", "expm"):
         raise ConfigError(f"method must be 'closed' or 'expm', got {method!r}")
     _check_initial(initial, h.n)

@@ -6,8 +6,8 @@ every kernel and every continuum amplitude profile of a bound state is
 built from it.  Where an energy lies (outside the band, on an edge, on a
 declared zero of J, or strictly inside) is decided by `spectral` with the
 two tolerances of `ValidatedModel.is_edge` and `is_interior_zero`.  The
-graded rules that read J and recur are kept on the validated model
-(`ValidatedModel._rules`); only `quadrature` builds and reads them.
+band's graded rule, with J read on its nodes, is kept on the validated
+model (`ValidatedModel._rules`); only `quadrature` builds and reads it.
 """
 from __future__ import annotations
 
@@ -187,9 +187,8 @@ class ValidatedModel:
     """Immutable, validated handle consumed by every other module.
 
     It also holds what the kernels form once per model on first use: |f|^2,
-    and in `_rules`, which only `quadrature` fills, the graded rules that
-    recur with J read on their nodes (the far-field Sigma rule and the
-    band's Delta rule).
+    and in `_rules`, which only `quadrature` fills, the band's one graded
+    rule with J read on its nodes, which Sigma, Sigma' and Delta all read.
     """
 
     discrete: DiscreteSpectrum

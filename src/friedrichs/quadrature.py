@@ -5,20 +5,19 @@ omega = mid - half*cos(k), k in [0, pi]: the Jacobian half*sin(k) removes
 inverse-square-root edge divergences (van Hove) and flattens power-law edge
 zeros, so one scheme covers every declared edge exponent.
 
-Composite Gauss-Legendre rules in k whose panels are graded geometrically
-toward both edges do the work, each built with J on its nodes by
-`_graded_rule`: `delta_on_grid` grades down to where nodes would round onto
-an edge, one rule per band, and `kernel_integral` (Sigma, Sigma') down to
-the pole that an energy outside the band puts at imaginary k, where every
-energy far from both edges shares one rule.  A model keeps these two
-rules, which recur, in one cache (`ValidatedModel._rules`), which only this
-module fills.  The scattering transform of `dynamics` builds its panels
-from the same pieces (`graded_breaks`, `split_panels`, `panel_rule`) and
-sums them against exp(-i omega t) in `fourier_linear`, which a uniform grid
-of T times lets form 2*sqrt(T) phases per node, not T.  Adaptive `quad` is
-only the reference the tests compare these rules against: `band_integral`,
-and `principal_value` on top of it.  `band_integral` imports it when
-called, so nothing else here loads scipy.
+A band has one composite Gauss-Legendre rule in k, its panels graded
+geometrically toward both edges down to where nodes would round onto one
+(`_graded_rule`), and J is read on its nodes once: `delta_on_grid` (Delta)
+and `kernel_integral` (Sigma, Sigma') both sum on it, whatever the energy.
+A model keeps it, with J on its nodes, in its cache
+(`ValidatedModel._rules`), which only this module fills.  The scattering
+transform of `dynamics` builds its panels from the same pieces
+(`graded_breaks`, `split_panels`, `panel_rule`) and sums them against
+exp(-i omega t) in `fourier_linear`, which a uniform grid of T times lets
+form 2*sqrt(T) phases per node, not T.  Adaptive `quad` is only the
+reference the tests compare these rules against: `band_integral`, and
+`principal_value` on top of it.  `band_integral` imports it when called,
+so nothing else here loads scipy.
 """
 from __future__ import annotations
 
@@ -82,7 +81,7 @@ def principal_value(j, lo, up, e, epsrel=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# graded rules, and Delta(E) on energy grids
+# the band's graded rule: Delta(E) on energy grids, Sigma(E) and Sigma'(E)
 
 #: Gauss-Legendre nodes per panel
 PANEL_NODES = 12
@@ -154,50 +153,58 @@ def panel_rule(lo, up, breaks):
     return om.ravel(), (wk * jac).ravel()
 
 
-def _graded_rule(j, lo, up, breaks):
-    """Every Sigma and Delta rule: per panel between breaks and node, the
-    weights wk of integral dk, the node energies, their rounding and slip,
-    dw/dk (`_panels`), J, and D @ (J dw/dk), the derivative of the panel's
-    interpolant of J dw/dk in its own variable on [-1, 1]."""
-    wk, om, jac, slip, rnd = _panels(lo, up, breaks)
-    jv = np.asarray(j(om.ravel()), dtype=float).reshape(om.shape)
-    return wk, om, rnd, slip, jac, jv, (jv * jac) @ _differentiation().T
+@lru_cache(maxsize=1)
+def _differentiation():
+    """D @ f: derivative of the interpolant of f at the Gauss nodes of [-1, 1]."""
+    v = np.polynomial.legendre.legvander(_gauss_legendre(PANEL_NODES)[0], PANEL_NODES - 1)
+    return v[:, :-1] @ np.polynomial.legendre.legder(np.eye(PANEL_NODES)) @ np.linalg.inv(v)
 
 
-def _recurring(rules, key, build):
-    """rules[key], built and stored the first time; build() itself when rules
-    or key is None (no cache, or a rule that does not recur)."""
-    if rules is None or key is None:
-        return build()
-    if key not in rules:
-        rules[key] = build()
-    return rules[key]
+def _graded_rule(j, lo, up):
+    """The band's one rule, J read once on its nodes: (Delta's terms, Sigma's).
 
-
-def _delta_terms(j, lo, up):
-    """(nodes, weights of integral dw, J, -J') of the band's Delta rule, flat,
-    the nodes ascending.
-
-    -J' = -(F_k - J w_kk) / w_k^2 comes from the interpolant of F = J w_k on
-    each panel, which stays smooth at a van Hove edge.
+    Its panels are graded toward each edge as far as they can be, down to
+    where nodes would round onto it (`_shallowest`).  Delta's terms are flat,
+    the nodes ascending: (nodes, weights of integral dw, J, -J').  Sigma's
+    are per panel and node: (node energies, their rounding, and the weight
+    of integral dk times f - f'(k)*slip, times f'(k)*slip and times f), with
+    f = J dw/dk at the rounded energies (`_panels`).  f' comes from the
+    panel's interpolant of f, which stays smooth at a van Hove edge, and
+    gives -J' = -(f_k - J w_kk) / w_k^2.
     """
     breaks = _breaks(_shallowest(lo, up, lo), _shallowest(lo, up, up))
-    wk, om, _, _, jac, jv, df = _graded_rule(j, lo, up, breaks)
+    wk, om, jac, slip, rnd = _panels(lo, up, breaks)
+    jv = np.asarray(j(om.ravel()), dtype=float).reshape(om.shape)
+    f = jv * jac
+    df = f @ _differentiation().T  # in each panel's own variable on [-1, 1]
     wgt = wk * jac
     w = _gauss_legendre(PANEL_NODES)[1]
     on_node = (jv * (0.5 * (lo + up) - om) - df * w * jac / wgt) / jac**2
-    return om.ravel(), wgt.ravel(), jv.ravel(), on_node.ravel()
+    shift = df * slip / (0.5 * np.diff(breaks)[:, None])
+    delta = (om.ravel(), wgt.ravel(), jv.ravel(), on_node.ravel())
+    return delta, (om, rnd, wk * (f - shift), wk * shift, wk * f)
+
+
+def _band_rule(j, lo, up, rules):
+    """`_graded_rule` of the band, kept in rules, a model's cache
+    (`ValidatedModel._rules`), under its one key "band" from the first call
+    on; built afresh when rules is None."""
+    if rules is None:
+        return _graded_rule(j, lo, up)
+    if "band" not in rules:
+        rules["band"] = _graded_rule(j, lo, up)
+    return rules["band"]
 
 
 def delta_on_grid(j, lo, up, e_grid, rules=None):
     """P.V. part Delta(E) on a grid strictly inside a finite band.
 
     Subtracted form sum_m W_m (J(w_m) - J(E)) / (E - w_m) + J(E) ln((E-lo)/(up-E))
-    on the band's graded rule, whose panels shrink toward each edge as far as
-    they can: down to where nodes would round onto it (`_shallowest`).  That
-    is the grading the targets nearest an edge need, and more than any other
-    target needs.  The compensated integrand is as smooth as J, so the rule
-    converges however close targets sit to the nodes.
+    on the band's rule (`_graded_rule`), whose panels shrink toward each edge
+    down to where nodes would round onto it: the grading the targets nearest
+    an edge need, and more than any other target needs.  The compensated
+    integrand is as smooth as J, so the rule converges however close
+    targets sit to the nodes.
 
     Where J(omega(k)) is odd in k (half-integer edge exponents, van Hove
     edges) the compensated integrand has a pole at the mirror image -k_E of a
@@ -207,14 +214,14 @@ def delta_on_grid(j, lo, up, e_grid, rules=None):
     about 280.  A target on a node of the rule takes the limit -J'(E) of the
     subtracted integrand there.
 
-    rules, a model's cache (`ValidatedModel._rules`), keeps the rule with J
-    and -J' on its nodes, so that a later grid reads J only at its targets.
+    rules, a model's cache, keeps the band's rule with J and -J' on its
+    nodes (`_band_rule`), so that a later grid reads J only at its targets.
     The result is the same, bit for bit, with rules or without.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if e_grid.size == 0:
         return np.empty_like(e_grid)
-    om, wgt, jv, on_node = _recurring(rules, ("delta",), lambda: _delta_terms(j, lo, up))
+    om, wgt, jv, on_node = _band_rule(j, lo, up, rules)[0]
     je = np.asarray(j(e_grid), dtype=float)
     out = np.empty_like(e_grid)
     rows = max(1, 2**14 // om.size)  # (rows, nodes) temporaries stay in cache
@@ -233,13 +240,43 @@ def delta_on_grid(j, lo, up, e_grid, rules=None):
 
 
 def _delta_nodes(rules) -> int:
-    """The node count of the Delta rule in a model's cache rules, 0 if it
-    holds none (a closed-form Delta)."""
-    return rules[("delta",)][0].size if ("delta",) in rules else 0
+    """The node count of the band's rule in a model's cache rules, 0 if it
+    holds none."""
+    return rules["band"][0][0].size if "band" in rules else 0
+
+
+def kernel_integral(j, lo, up, e, power=1, *, rules=None):
+    """(value, err) of integral J(w)/(e-w)^power dw over the band.
+
+    e must lie outside (lo, up) or at a point where the integrand is
+    regular (a J-zero of sufficient order).  The rule is the band's, the
+    one `delta_on_grid` reads (`_graded_rule`): toward each edge its panels
+    grade down to where nodes would round onto it, as deep as the pole that
+    any e outside the band puts at imaginary k (`_edge_pole`) can be
+    resolved, and it has no break inside the band.  The factor
+    (e - w)**power is taken at the exact node, f = J*dw/dk at the node's
+    rounded energy, which next to an edge moves the node by up to a quarter
+    of its k; f'(k) dk, f' from the panel's interpolant, takes that back.
+    With e on an edge the integrand goes as k**a, a > -1 unknown, so the
+    innermost panel is replaced by the geometric series its two neighbours
+    start.  err sums both corrections and rounding.
+
+    rules, a model's cache, keeps the band's rule (`_band_rule`): every e
+    then costs only the sum against (e - w)**-power.
+    """
+    om, rnd, body, shift, whole = _band_rule(j, lo, up, rules)[1]
+    den = ((e - om) + rnd) ** power  # om - rnd is the exact node
+    panels = (body / den).sum(axis=1)
+    tail = 0.0
+    for edge, (i0, i1, i2) in ((lo, (0, 1, 2)), (up, (-1, -2, -3))):
+        if e == edge and 0.0 < panels[i1] / panels[i2] < 1.0:
+            tail = panels[i1] ** 2 / (panels[i2] - panels[i1]) - panels[i0]
+    err = abs((shift / den).sum()) + abs(tail) + 1e-15 * float(np.abs(whole / den).sum())
+    return float(panels.sum() + tail), err
 
 
 # ---------------------------------------------------------------------------
-# Sigma(E) and Sigma'(E) on a finite band: the graded rule of one energy
+# edge targets of the scattering transform
 
 #: each edge is graded as if a pole sat at most this far from it in k: 2s not
 #: an integer puts a k**(2s+1) branch point there, and the rule cannot see s
@@ -258,71 +295,6 @@ def _edge_target(lo, up, edge, dist):
     never so deep that a node comes within one ulp of the edge.
     """
     return max(min(_edge_pole(lo, up, dist), _EDGE_DEPTH) / GRADING**2, _shallowest(lo, up, edge))
-
-
-@lru_cache(maxsize=1)
-def _differentiation():
-    """D @ f: derivative of the interpolant of f at the Gauss nodes of [-1, 1]."""
-    v = np.polynomial.legendre.legvander(_gauss_legendre(PANEL_NODES)[0], PANEL_NODES - 1)
-    return v[:, :-1] @ np.polynomial.legendre.legder(np.eye(PANEL_NODES)) @ np.linalg.inv(v)
-
-
-def _sigma_terms(j, lo, up, e, interior_points):
-    """All of the `kernel_integral` rule of e but the factor (e - w)**power:
-    the node energies, their rounding, and the weight of integral dk times
-    f - f'(k)*slip, times f'(k)*slip and times f, f = J dw/dk."""
-    breaks = _breaks(_edge_target(lo, up, lo, lo - e), _edge_target(lo, up, up, e - up))
-    inner = [_k_of_omega(p, lo, up) for p in (*interior_points, e) if lo < p < up]
-    breaks = np.union1d(breaks, inner) if inner else breaks
-    wk, om, rnd, slip, jac, jv, df = _graded_rule(j, lo, up, breaks)
-    f = jv * jac
-    shift = df * slip / (0.5 * np.diff(breaks)[:, None])
-    return om, rnd, wk * (f - shift), wk * shift, wk * f
-
-
-def _far_field(lo, up, e, interior_points):
-    """Whether e has the rule of e = inf: it lies at least
-    span*sinh(_EDGE_DEPTH/2)**2 (1.6% of the band) outside both edges, so
-    both edge targets sit at their cap, and inside the band only on a
-    J-zero, which already cuts the panels."""
-    if lo < e < up and e not in interior_points:
-        return False
-    return _edge_pole(lo, up, lo - e) >= _EDGE_DEPTH and _edge_pole(lo, up, e - up) >= _EDGE_DEPTH
-
-
-def kernel_integral(j, lo, up, e, power=1, interior_points=(), rules=None):
-    """(value, err) of integral J(w)/(e-w)^power dw over the band.
-
-    e must lie outside (lo, up) or at a point where the integrand is
-    regular (a J-zero of sufficient order).  The rule is fixed: the panels
-    of `delta_on_grid`, graded toward each edge down to 1/256 of the k-distance
-    `_edge_pole` of the pole that e outside the band puts at imaginary k
-    (at most _EDGE_DEPTH, never so deep that a node comes within one ulp of
-    the edge), and broken at the J-zeros and at e inside the band.  The
-    factor (e - w)**power is taken at the exact node, f = J*dw/dk at the
-    node's rounded energy, which next to an edge moves the node by up to a
-    quarter of its k; f'(k) dk, f' from the panel's interpolant, takes that
-    back.  With e on an edge the integrand goes as k**a, a > -1 unknown, so
-    the innermost panel is replaced by the geometric series its two
-    neighbours start.  err sums both corrections and rounding.
-
-    rules, a model's cache (`ValidatedModel._rules`), keeps the rule that
-    every e in the far field shares, that of e = inf: such an e then costs
-    only the sum against (e - w)**-power.  The rule of any other e is its
-    own and is not kept.
-    """
-    key = ("sigma", math.inf) if _far_field(lo, up, e, interior_points) else None
-    om, rnd, body, shift, whole = _recurring(
-        rules, key, lambda: _sigma_terms(j, lo, up, e, interior_points)
-    )
-    den = ((e - om) + rnd) ** power  # om - rnd is the exact node
-    panels = (body / den).sum(axis=1)
-    tail = 0.0
-    for edge, (i0, i1, i2) in ((lo, (0, 1, 2)), (up, (-1, -2, -3))):
-        if e == edge and 0.0 < panels[i1] / panels[i2] < 1.0:
-            tail = panels[i1] ** 2 / (panels[i2] - panels[i1]) - panels[i0]
-    err = abs((shift / den).sum()) + abs(tail) + 1e-15 * float(np.abs(whole / den).sum())
-    return float(panels.sum() + tail), err
 
 
 # ---------------------------------------------------------------------------

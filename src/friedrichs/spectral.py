@@ -7,18 +7,20 @@ two levels p, with their terms of K taken exactly.  With c = 0 its root
 over a whole gap is that gap's K-zero (by `_brent`, the package's Brent
 solve); with c = 1/Sigma the bound-state solve's mismatch.
 
-Sigma and Sigma' are one kernel, `_sigma`, which with `_delta` is all that
-reads a model's closed-form overrides.  `_classify` alone decides where an
-energy lies, and the kernel evaluates the closed form or the graded rule at
-the point it returns, so a closed form is only ever called outside the
-band, on a convergent edge or exactly at a declared J-zero.  Without a
-closed form the band takes graded Gauss-Legendre rules, one energy at a
-time for Sigma and Sigma' (`quadrature.kernel_integral`) and a whole grid
-for Delta (`quadrature.delta_on_grid`), both handed the model's cache of
-the rules that recur (`ValidatedModel._rules`), which only `quadrature`
-reads and fills.  Adaptive quadrature is only the reference the tests hold
-these rules to.  1/Sigma, with its limit -0.0 or +0.0 at a divergent edge,
-is `inverse_self_energy`, a call of `self_energy`.
+Sigma and Sigma' are one kernel, `_sigma`, which with `_delta` and its node
+count `_delta_nodes` is all that reads a model's closed-form overrides.
+`_classify` alone decides where an energy lies, and the kernel evaluates
+the closed form or the graded rule at the point it returns, so a closed
+form is only ever called outside the band, on a convergent edge or exactly
+at a declared J-zero.  Without a closed form the band takes its one graded
+Gauss-Legendre rule, one energy at a time for Sigma and Sigma'
+(`quadrature.kernel_integral`) and a whole grid for Delta
+(`quadrature.delta_on_grid`): both read the same nodes from the model's
+cache (`ValidatedModel._rules`), which only `quadrature` reads and fills,
+so J is read on them once per model.  Adaptive quadrature is only the
+reference the tests hold this rule to.  1/Sigma, with its limit -0.0 or
++0.0 at a divergent edge, is `inverse_self_energy`, a call of
+`self_energy`.
 """
 from __future__ import annotations
 
@@ -226,9 +228,7 @@ def _sigma(model: ValidatedModel, e: float, power: int) -> float:
     if closed is not None:
         return float(closed(x))
     lo, up = model.omega_low, model.omega_up
-    val, _ = qd.kernel_integral(
-        model.j, lo, up, x, power=power, interior_points=model.interior_zeros, rules=model._rules
-    )
+    val, _ = qd.kernel_integral(model.j, lo, up, x, power=power, rules=model._rules)
     return val if power == 1 else -val
 
 
@@ -268,6 +268,13 @@ def _delta(model: ValidatedModel, e):
     x = np.atleast_1d(np.asarray(e, dtype=float))
     delta = qd.delta_on_grid(model.j, model.omega_low, model.omega_up, x, rules=model._rules)
     return delta.reshape(np.shape(e))
+
+
+def _delta_nodes(model: ValidatedModel) -> int:
+    """The node count of the band's rule, which `_delta` reads: 0 for a
+    closed-form Delta, or before the model has built the rule."""
+    ov = model.overrides
+    return 0 if ov is not None and ov.delta is not None else qd._delta_nodes(model._rules)
 
 
 def delta_gamma(model: ValidatedModel, e: float) -> tuple[float, float]:

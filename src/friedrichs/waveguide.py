@@ -74,7 +74,7 @@ class WaveguideParams:
             raise ConfigError("hoppings lambda and kappa must be positive")
         if self.xi < 0:
             raise ConfigError("coupling xi must be >= 0")
-        if self.site != INFINITE and not (1 <= self.site < INFINITE and int(self.site) == self.site):
+        if not (self.site == INFINITE or (_is_int(self.site) and self.site >= 1)):
             raise ConfigError(f"site={self.site} must be an integer >= 1 or math.inf")
 
     @property

@@ -7,16 +7,16 @@ import friedrichs as fr
 from friedrichs import quadrature as qd
 from friedrichs import spectral as sp
 
-#: relative accuracy the tests hold the fixed Sigma and Sigma' rules to
+#: relative accuracy the tests hold Sigma and Sigma' on the band's rule to
 #: (`quadrature.kernel_integral`)
 SIGMA_EPSREL = 1e-11
 SIGMA_DERIV_EPSREL = 1e-9
 
 
 def delta_rule(lo, up):
-    """Node energies and weights of the band's Delta rule, the one
-    `quadrature.delta_on_grid` builds for every grid: graded as deep toward
-    each edge as its nodes stay off it."""
+    """Node energies and weights of the band's rule, the one
+    `quadrature.delta_on_grid` and `kernel_integral` read for every grid and
+    energy: graded as deep toward each edge as its nodes stay off it."""
     breaks = qd._breaks(qd._shallowest(lo, up, lo), qd._shallowest(lo, up, up))
     return qd.panel_rule(lo, up, breaks)
 

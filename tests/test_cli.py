@@ -151,6 +151,8 @@ REJECTED_INPUT = [
                               "initial": [2.0]}], "sum |c_n|^2 = 4.0"),
     (["dynamics", "--model", CLI_DOC_GENERIC, "--initial", "[1, 1]"], "sum |c_n|^2 = 2.0"),
     (["markovian", "--n-atoms", "2", "--gamma", "-1"], "gamma = -1.0 < 0"),
+    (["markovian", "--n-atoms", "2", "--gamma", "0.1", "--t-max", "-5", "--points", "3"],
+     "times must be non-negative"),
     (["dynamics", "--n-atoms", "2", "--error-budget", "nan"], "error_budget=nan"),
     (["dynamics", "--n-atoms", "2", "--error-budget", "-1"], "error_budget=-1.0"),
 ]

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -286,6 +285,15 @@ def test_delta_node_count_reported():
     assert 0 < series.meta["delta_nodes"] < 400
 
 
+def test_delta_node_count_of_a_closed_form_delta():
+    # a closed-form Delta reads no rule, even where Sigma has built the band's
+    model, initial = _generic_case()
+    closed = fr.AnalyticOverrides(delta=lambda e: sp._delta(model, e))
+    partial = fr.validate_model(fr.FriedrichsModel(model.discrete, model.continuum, closed))
+    series = fr.survival_probability(partial, initial, np.linspace(0.0, 5.0, 6))
+    assert list(partial._rules) == ["band"] and series.meta["delta_nodes"] == 0
+
+
 def test_delta_once_per_node_energy(monkeypatch):
     # the peak grid's panels come back in the kernel and each round's
     # kernel holds the halves of the one before: 649 of the 3006 energies
@@ -298,10 +306,9 @@ def test_delta_once_per_node_energy(monkeypatch):
 
 
 def test_delta_rules_built_once_per_model():
-    # J is read on the nodes of each rule the model keeps, the far-field
-    # Sigma rule and the band's Delta rule, once per model: the first
-    # transform builds them; a second transform, Delta at single energies
-    # and a spectrum table on the model build none
+    # J is read on the nodes of the band's one rule once per model: a
+    # census, a solve, two transforms, Delta at single energies and a
+    # spectrum table read Sigma, Sigma' and Delta on that rule alone
     model, initial = _generic_case()
     lo, up = model.omega_low, model.omega_up
     reads = []
@@ -312,29 +319,23 @@ def test_delta_rules_built_once_per_model():
 
     counted = dataclasses.replace(model, _j=j)
     times = np.linspace(0.0, 50.0, 50)
+    fr.solve_bound_states(counted, fr.count_bound_states(counted))
     first = fr.survival_probability(counted, initial, times)
-    assert set(counted._rules) == {("sigma", math.inf), ("delta",)}
-    nodes = [rule[0].ravel() for rule in counted._rules.values()]
-
-    def rule_reads():
-        return [sum(np.array_equal(om, x) for x in reads) for om in nodes]
-
-    assert rule_reads() == [1] * len(nodes)
-    reads.clear()
     again = fr.survival_probability(counted, initial, times)
     for e in lo + (up - lo) * np.array([1e-9, 0.3, 0.7, 1.0 - 1e-9]):
         sp.delta_gamma(counted, e)
     rows = [cli._spectrum_row(counted, e) for e in np.linspace(lo - 1.0, up + 1.0, 41)]
     assert np.isfinite(np.array(rows)[:, 1]).sum() > 30
-    assert rule_reads() == [0] * len(nodes)
-    assert set(counted._rules) == {("sigma", math.inf), ("delta",)}
+    assert list(counted._rules) == ["band"]
+    nodes = counted._rules["band"][0][0]
+    assert sum(np.array_equal(nodes, x) for x in reads) == 1
     assert np.array_equal(first.p, again.p)
 
 
 def test_model_keeps_only_recurring_rules(monkeypatch):
     # a census, a solve and a transform ask for Sigma at many energies and
-    # for Delta on many grids; the model keeps the far-field Sigma rule and
-    # the band's Delta rule, never a rule per energy or grid
+    # for Delta on many grids; the model keeps the band's one rule, never a
+    # rule per energy or grid
     model, initial = _generic_case()
     grids = _delta_grids(monkeypatch)
     energies = []
@@ -348,8 +349,8 @@ def test_model_keeps_only_recurring_rules(monkeypatch):
     census = fr.count_bound_states(model)
     fr.solve_bound_states(model, census)
     fr.survival_probability(model, initial, np.linspace(0.0, 50.0, 50))
-    assert set(model._rules) == {("sigma", math.inf), ("delta",)}
-    assert len(set(energies)) > len(model._rules) and len(grids) > 1
+    assert list(model._rules) == ["band"]
+    assert len(set(energies)) > 1 and len(grids) > 1
 
 
 def _finer(model, initial, times, series, factor=4):

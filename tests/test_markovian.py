@@ -78,6 +78,8 @@ def test_non_finite_gamma_rejected(gamma):
     ([0.0, math.nan], "closed", "nan"),
     ([0.0, math.inf], "expm", "inf"),
     ([0.0, 1.0], "foo", "'foo'"),
+    ([0.0, -5.0], "closed", "non-negative"),
+    ([1.0, -1e-3, 0.5], "expm", "non-negative"),
 ])
 def test_markovian_survival_rejects_bad_input(times, method, named):
     params, _, h = two_atom(2.0)

@@ -27,9 +27,14 @@ def _band_nodes(rng, n_nodes, half):
     st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
+@example(seed=1026957, n_rows=4, n_nodes=316, uniform=False)
 def test_rows_match_single_level_calls(seed, n_rows, n_nodes, uniform):
     # rows share the phases of each block of times; a single row is the
-    # plain sum sum_k f_k exp(-i x_k t), whatever the blocks
+    # plain sum sum_k f_k exp(-i x_k t), whatever the blocks.  The batched
+    # and the single-row products add the same terms, each at most |f_k|,
+    # in orders of their own: they differ by a few eps * sum_k |f_k| (1.17
+    # on the example, under 1.4 on 1500 draws)
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(seed)
     x = _band_nodes(rng, n_nodes, rng.uniform(0.1, 5.0))
     f = rng.normal(size=(n_rows, n_nodes)) + 1j * rng.normal(size=(n_rows, n_nodes))
@@ -40,7 +45,7 @@ def test_rows_match_single_level_calls(seed, n_rows, n_nodes, uniform):
     for row, values in zip(f, both):
         single = qd.fourier_linear(x, row, times)
         assert single.shape == times.shape
-        assert np.max(np.abs(values - single)) <= 1e-13
+        assert np.max(np.abs(values - single)) <= 4.0 * eps * np.abs(row).sum()
         direct = [np.sum(row * np.exp(-1j * x * t)) for t in times]
         assert np.max(np.abs(single - direct)) <= 1e-12 * np.abs(row).sum()
 
@@ -289,8 +294,8 @@ def test_delta_rule_cache_keeps_bits(seed, grids):
     # grids at drawn depths from both edges, with two nodes of the rule
     # among the targets, give the same bits from a fresh rule and from the
     # model's cache, whether the call builds the cached rule or reads it;
-    # the cache holds one Delta rule, the band's, J read on its nodes, and
-    # the same bits as a rule built afresh
+    # the cache holds the band's one rule, J read on its nodes, and the
+    # same bits as a rule built afresh
     rng = np.random.default_rng(seed)
     model = random_model(rng, with_zero=bool(seed % 2))
     lo, up = model.omega_low, model.omega_up
@@ -304,11 +309,11 @@ def test_delta_rule_cache_keeps_bits(seed, grids):
             e = np.sort(np.r_[e, rng.choice(inner, 2)])
             fresh = qd.delta_on_grid(model.j, lo, up, e)
             assert np.array_equal(qd.delta_on_grid(model.j, lo, up, e, rules=rules), fresh)
-            assert list(rules) == [("delta",)]
-            cached = rules[("delta",)]
+            assert list(rules) == ["band"]
+            cached = rules["band"][0]
             assert np.array_equal(cached[0], nodes) and np.array_equal(cached[1], weights)
             assert np.array_equal(cached[2], model.j(nodes))
-            for got, built in zip(cached, qd._delta_terms(model.j, lo, up)):
+            for got, built in zip(cached, qd._graded_rule(model.j, lo, up)[0]):
                 assert np.array_equal(got, built)
 
 
@@ -356,7 +361,7 @@ def test_delta_targets_on_rule_nodes():
 
 
 # ---------------------------------------------------------------------------
-# the graded Sigma and Sigma' rule of kernel_integral
+# Sigma and Sigma' on the band's rule (kernel_integral)
 
 _LO, _UP = -1.3, 2.1
 #: every edge exponent at both edges; None marks a divergent (van Hove) edge
@@ -480,7 +485,7 @@ def test_quarter_power_edge_below_resolution(exps, power, dist):
 @pytest.mark.parametrize("power", [1, 2])
 def test_sigma_at_declared_zero(power):
     # J = ... (w - z)^2: Sigma and Sigma' are regular at a declared zero,
-    # where the panels break
+    # which the panels do not break at
     zeros = (-0.4, 0.9)
     density = _power_density(0.5, None, zeros)
     model = _model(density, (0.5, None), zeros)
@@ -505,7 +510,7 @@ def test_solver_root_next_to_divergent_edge():
 
 
 # ---------------------------------------------------------------------------
-# the far-field rule a model forms once
+# the band's rule a model forms once, for Sigma and Sigma' at every energy
 
 _FAR_ZEROS = (-0.4, 0.9)
 
@@ -535,8 +540,12 @@ def test_far_field_calls_read_j_once():
         fr.self_energy(model, e)
         fr.self_energy_derivative(model, e)
     assert len(reads) == 1
-    fr.self_energy(model, _UP + 1e-3 * span)  # next to an edge: a rule of its own
-    assert len(reads) == 2
+    # next to an edge the same rule serves: no J read at all
+    for d in (1e-3, 1e-8):
+        for e in (_LO - d * span, _UP + d * span):
+            fr.self_energy(model, e)
+            fr.self_energy_derivative(model, e)
+    assert len(reads) == 1
 
 
 @given(
@@ -562,5 +571,5 @@ def test_far_field_rule_matches_a_fresh_model(where, exponent, zero, power):
     fresh = _far_field_model()
     got = kernel(used, e)
     assert got == kernel(fresh, e)
-    built, _ = qd.kernel_integral(used.j, _LO, _UP, e, power, _FAR_ZEROS)
+    built, _ = qd.kernel_integral(used.j, _LO, _UP, e, power)
     assert got == (built if power == 1 else -built)

@@ -389,6 +389,15 @@ def test_n_atoms_is_a_positive_integer(n_atoms):
     assert fr.WaveguideParams(np.int64(3), 1.0, 1.0, 0.5, 1).n_atoms == 3
 
 
+@pytest.mark.parametrize("site", [2.5, 2.0, True, "3", 0, -math.inf])
+def test_site_is_a_positive_integer_or_infinite(site):
+    # True used to build site 1, and 2.0 was stored as a float
+    with pytest.raises(ConfigError, match=f"site={site} "):
+        fr.WaveguideParams(3, 1.0, 1.0, 0.5, site)
+    assert fr.WaveguideParams(3, 1.0, 1.0, 0.5, np.int64(2)).site == 2
+    assert fr.WaveguideParams(3, 1.0, 1.0, 0.5, fr.INFINITE).infinite
+
+
 # ---------------------------------------------------------------------------
 # closed forms against 40-digit mpmath, written in the textbook variables
 
