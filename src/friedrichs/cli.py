@@ -31,6 +31,10 @@ wins, and a null is a configuration error.  A negative value in any float
 syntax (--xi -1e-3, --sweep xi -inf 1 5) is a value.  dynamics, markovian
 and oracle read p(t) at --points times from 0 to --t-max (`_times`).
 
+The parsers are built once per process, on the first `main` call, and no
+call changes them, so every later call in the process (a script or a test
+that drives the CLI in process) parses with the same ones.
+
 The package imports numpy alone: waveguide, spectrum, bound-states and
 dynamics never load scipy; markovian, oracle and reproduce load
 scipy.linalg or scipy.sparse when they reach the routines that use them.
@@ -38,6 +42,7 @@ scipy.linalg or scipy.sparse when they reach the routines that use them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -243,19 +248,32 @@ def _add_model_flags(parser):
     parser.add_argument("--config", help="JSON file of flag values")
 
 
+@functools.cache
+def _config_reader():
+    """A parser of --config alone, which finds its path among the flags."""
+    reader = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    reader.add_argument("--config")
+    return reader
+
+
 def _with_config(argv, by_name):
     """argv with the flags of its subcommand's --config file put right after
-    the subcommand, non-strings as JSON, so one parse checks them all."""
+    the subcommand, non-strings as JSON, so one parse checks them all.
+    A --config with no value is left for that parse to report, under the
+    subcommand's usage; an empty path is a ConfigError."""
     at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
     if at is None or argv[at] not in by_name:
         return argv
     # argparse has no public list of a parser's arguments
     actions = {a.dest: a for a in by_name[argv[at]]._actions}
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv[at + 1 :])[0].config
-    if "config" not in actions or not path:
+    try:
+        path = _config_reader().parse_known_args(argv[at + 1 :])[0].config
+    except argparse.ArgumentError:
         return argv
+    if "config" not in actions or path is None:
+        return argv
+    if not path:
+        raise ConfigError("--config is empty: give the path of a JSON file")
     doc = _read_json(path, "--config")
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
@@ -655,7 +673,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser():
+    """(parser, subcommand parsers by name), built once per process."""
     parser = argparse.ArgumentParser(
         prog="friedrichs",
         description="Bound states and decay dynamics of discrete levels coupled to a continuum",

@@ -8,9 +8,11 @@ sum on a composite Gauss-Legendre rule in the edge-substituted variable k
 (E = mid - half*cos k), its panels built from the pieces of `quadrature`'s
 band rule: graded toward both edges, at most one wavelength of
 exp(-iE t_max) wide, and graded toward each resonance peak of S down to a
-quarter of its half-width.  Panels whose part of s_n(0) still moves when
-they are halved are halved, and the same panels each halved once give the
-error estimate that `survival_probability` reports.
+quarter of its half-width; the Newton search for a peak gives up on a
+minimum of |h| as soon as its steps stop contracting.  Panels whose part
+of s_n(0) still moves when they are halved are halved, and the same panels
+each halved once give the error estimate that `survival_probability`
+reports.
 Delta is formed once at each node energy of a transform (`_DeltaTable`):
 the peak search, the kernel, its halved twin and each round of halving
 read the energies already evaluated and send only new ones to
@@ -157,6 +159,12 @@ def _peaks(table: _DeltaTable, e: np.ndarray):
     |Im(h/h')|: |Gamma*K / (1 - Delta*K)'| at a zero of 1 - Delta*K.  h
     also sees a peak on a level where Delta vanishes, and an overdamped
     pair of resonances, where 1 - Delta*K has no zero.
+
+    A minimum is given up once a step moves more than half as far as the
+    step before: the iteration does not contract, so there is no zero
+    nearby to reach.  A first step moves less than the band's width, at
+    most scale, so steps that at least halve each time reach the stop at
+    1e-11*scale within 38 steps: the loop needs no cap on its steps.
     """
     model = table.model
     lo, up = model.omega_low, model.omega_up
@@ -164,7 +172,8 @@ def _peaks(table: _DeltaTable, e: np.ndarray):
     minima = np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] <= size[2:])) + 1
     out = []
     for x in e[minima]:
-        for _ in range(40):
+        moved = math.inf
+        while True:
             step = 1e-6 * min(x - lo, up - x)
             near = np.array([x - step, x, x + step])
             h = _factored(model, near, table(near))[1]
@@ -175,6 +184,9 @@ def _peaks(table: _DeltaTable, e: np.ndarray):
             if abs(x - last) <= 1e-3 * abs(shift.imag) + 1e-11 * model.scale:  # or h's rounding
                 out.append((x, abs(shift.imag)))
                 break
+            if abs(x - last) > 0.5 * moved:  # not contracting: no zero to reach
+                break
+            moved = abs(x - last)
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 import friedrichs as fr
 from friedrichs import cli, waveguide
 from friedrichs.cli import main, model_from_doc
-from friedrichs.errors import NonconvergentEdge
+from friedrichs.errors import ConfigError, NonconvergentEdge
 
 
 def run(argv):
@@ -155,6 +156,9 @@ REJECTED_INPUT = [
      "times must be non-negative"),
     (["dynamics", "--n-atoms", "2", "--error-budget", "nan"], "error_budget=nan"),
     (["dynamics", "--n-atoms", "2", "--error-budget", "-1"], "error_budget=-1.0"),
+    # an empty --config path used to run on the defaults
+    (["bound-states", "--n-atoms", "2", "--config", ""], "--config"),
+    (["dynamics", "--n-atoms", "2", "--config="], "--config"),
 ]
 
 
@@ -662,6 +666,55 @@ def test_null_in_config_is_a_config_error(tmp_path, capsys, argv, key):
     # null used to replace the flag's default with None: a raw TypeError
     # from a finite check, exit 1
     assert_config_error(capsys, with_files(tmp_path, argv), key)
+
+
+def test_config_without_a_value_names_the_subcommand(capsys):
+    # the parser that finds --config printed its own "usage: cli.py [--config CONFIG]"
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamics", "--n-atoms", "2", "--config"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: friedrichs dynamics ")
+    assert "friedrichs dynamics: error: argument --config: expected one argument" in err
+
+
+def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi": 0.5}))
+    argv = ["waveguide", "--n-atoms", "2", "--kappa", "1", "--site", "1",
+            "--config", str(cfg), "-o", str(tmp_path / "wg.json")]
+    assert run(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(argv) == 0
+    assert run(["spectrum", "--n-atoms", "2", "--points", "3", "-o", str(tmp_path / "s.csv")]) == 0
+    assert built == []
+
+
+def test_config_leaves_no_state_for_the_next_call(tmp_path, monkeypatch):
+    # the parsers outlive a call: one run's --config must not reach the next
+    seen = []
+
+    def stop(args):
+        seen.append(args)
+        raise ConfigError("stop before the model")
+
+    monkeypatch.setattr(cli, "_load_model", stop)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_atoms": 3, "t_max": 3.0, "initial": [1, 0, 0], "xi": 2.0}))
+    argv = ["dynamics", "--points", "7", "--site", "inf"]
+    assert run([*argv, "--config", str(cfg)]) == 2
+    assert run(argv) == 2
+    fresh = cli._build_parser.__wrapped__()[0].parse_args(argv)
+    assert (seen[0].n_atoms, seen[0].t_max, seen[0].xi) == (3, 3.0, 2.0)
+    assert seen[1] == fresh
+    assert fresh.config is None and fresh.n_atoms is None
 
 
 def test_reproduce_fig5_deterministic(tmp_path):

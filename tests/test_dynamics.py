@@ -511,6 +511,50 @@ def test_narrow_peaks_away_from_their_levels():
     assert abs(series.p[0] - 1.0) <= 1e-10
 
 
+def test_minimum_without_a_zero_is_given_up_within_three_steps(monkeypatch):
+    # the model of test_narrow_peaks_away_from_their_levels: besides its two
+    # narrow peaks, |h| has a minimum near E = 1.11 (an overdamped pair) where
+    # 1 - Delta*K has no zero; its Newton steps grow by about 1.7x each, and
+    # all 40 of them used to run before the minimum was dropped
+    model = _power_edges_model(
+        (-1.0138360192890525, 1.1497793384281398),
+        2.0,
+        -0.5,
+        (-0.07070052241242081,),
+        0.018757885947219013,
+        [-0.6181302457553708, -0.30794697006621297, 2.062181810175674, 2.602526661671174],
+        [
+            -0.08873672351452631 + 0.3548700491536091j,
+            0.01627312723505382 - 0.2828993418282594j,
+            0.24406510956420105 - 0.2388185636480464j,
+            0.027512577023892686 + 0.41580325491536907j,
+        ],
+    )
+    initial = fr.InitialState.normalized(
+        np.array([0.6037 - 0.1967j, 0.5144 - 0.4332j, 0.0285 - 0.0452j, -0.2882 + 0.2423j])
+    )
+    steps, found = [], []
+    factored, peaks = dyn._factored, dyn._peaks
+
+    def counted(m, x, delta):
+        if x.size == 3:  # one Newton step of `_peaks`
+            steps.append(float(x[1]))
+        return factored(m, x, delta)
+
+    def recorded(table, e):
+        out = peaks(table, e)
+        found.extend(out)
+        return out
+
+    monkeypatch.setattr(dyn, "_factored", counted)
+    monkeypatch.setattr(dyn, "_peaks", recorded)
+    series = fr.survival_probability(model, initial, np.linspace(0.0, 50.0, 50))
+    assert len([x for x in steps if x > 0.5]) <= 3
+    assert len(steps) <= 9
+    assert [e for e, _ in found] == pytest.approx([-0.6294255127, -0.3157139761], abs=1e-9)
+    assert abs(series.p[0] - 1.0) <= 1e-10
+
+
 def test_long_run_matches_oracle(fig_cases):
     # t_max = 200: panels one wavelength of exp(-iE t_max) wide
     params, model, initial, bound = fig_cases[fr.INFINITE]
